@@ -246,8 +246,8 @@ def build_unet(config: Config, meta: DatasetMetaData) -> ModelContract:
 
 def _match_targets(class_logits: np.ndarray, boxes: np.ndarray,
                    tcls: np.ndarray, tbox: np.ndarray, no_object: int,
-                   lambda_cls: float, lambda_box: float):
-    """Per-image optimal target->slot assignments.
+                   lambda_cls: float, lambda_box: float, algorithm: str):
+    """Per-image target->slot assignments by the named matcher.
 
     Cost of putting target j on slot s is
     lambda_cls * (1 - p_s(class_j)) + lambda_box * L1(box_s, box_j).
@@ -265,7 +265,7 @@ def _match_targets(class_logits: np.ndarray, boxes: np.ndarray,
         cls_cost = 1.0 - prob[:, tcls[i][real]].T  # [n, s]
         box_cost = np.abs(tbox[i][real][:, None, :] - boxes[i][None, :, :]).sum(-1)
         cost = lambda_cls * cls_cost + lambda_box * box_cost
-        asg = matchers.hungarian(cost)
+        asg = matchers.match(cost, algorithm)
         out.append((real, np.asarray(asg.row_to_col, np.int64)))
     return out
 
@@ -282,6 +282,9 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
     lambda_box = config.get("model.lambda_box", 5.0)
     algorithm = config.get("model.matcher", "hungarian")
     dtype = _dtype(config)
+    if algorithm not in matchers._ALGORITHMS:
+        raise ModelError(f"unknown model.matcher {algorithm!r}; "
+                         f"have {sorted(matchers._ALGORITHMS)}")
     if num_slots < max_objects:
         raise ModelError(f"num_slots {num_slots} < max_objects {max_objects}")
     k = meta.num_classes
@@ -332,7 +335,7 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
         mask = np.ones(b) if "batch_mask" not in batch \
             else batch["batch_mask"].data.astype(np.float64)
         matches = _match_targets(logits.data, boxes.data, tcls, tbox,
-                                 no_object, lambda_cls, lambda_box)
+                                 no_object, lambda_cls, lambda_box, algorithm)
         # classification targets over all slots; no-object where unmatched
         slot_cls = np.full((b, s), no_object, np.int64)
         sel = np.zeros((b, max_objects, s))  # one-hot target->slot
@@ -365,7 +368,7 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
         tbox = boxes.data
         mask = np.ones(b) if batch_mask is None else batch_mask.data.astype(np.float64)
         matches = _match_targets(logits, pboxes, tcls, tbox,
-                                 no_object, lambda_cls, lambda_box)
+                                 no_object, lambda_cls, lambda_box, algorithm)
         correct = 0.0
         objects = 0.0
         l1_sum = 0.0
@@ -378,13 +381,13 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
             objects += float(len(targets))
             if len(targets):
                 l1_sum += float(np.abs(pboxes[i, slots] - tbox[i][targets]).mean(-1).sum())
-        # per-image loss recomputed batch-wise for the loss metric
-        sub = {"label": label, "boxes": boxes}
-        if batch_mask is not None:
-            sub["batch_mask"] = batch_mask
-        loss_sum = float(loss_fn(
-            {"class_logits": Tensor(logits), "boxes": Tensor(pboxes)}, sub
-        ).item()) * float(mask.sum())
+        # per-image loss recomputed batch-wise for the loss metric; a
+        # batch that is all padding contributes nothing
+        if mask.sum() > 0:
+            sub = {"label": label, "boxes": boxes, "batch_mask": Tensor(mask)}
+            loss_sum = float(loss_fn(
+                {"class_logits": Tensor(logits), "boxes": Tensor(pboxes)}, sub
+            ).item()) * float(mask.sum())
         return {
             "matched_accuracy": (correct, max(objects, 0.0)),
             "box_l1": (l1_sum, objects),

@@ -7,6 +7,7 @@ raw little-endian array payloads in manifest order.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -45,12 +46,19 @@ def save_checkpoint(state, path: str):
         "rng": [state.rng.hi, state.rng.lo],
         "arrays": arrays,
     }).encode()
-    with open(path, "wb") as f:
+    # Write beside the target and rename over it, so a crash leaves the old
+    # file or the whole new one; the temp name must not match "ckpt_*".
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.tmp")
+    with open(tmp, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<II", _VERSION, len(header)))
         f.write(header)
         for p in payloads:
             f.write(p)
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path: str):

@@ -8,8 +8,6 @@ stay exact.
 
 from __future__ import annotations
 
-import queue
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,67 +102,6 @@ def pad_incomplete_batch(batch: dict, target: int) -> dict:
     return out
 
 
-def prefetch(it, depth: int):
-    """Run the source iterator on a background thread, ``depth`` ahead.
-
-    Yields the exact same sequence; source errors re-raise at the
-    consumer's next pull.
-    """
-    if depth < 1:
-        raise DatasetError(f"prefetch depth must be >= 1, got {depth}")
-    q: queue.Queue = queue.Queue(maxsize=depth)
-    _done = object()
-
-    def producer():
-        try:
-            for item in it:
-                q.put(item)
-        except BaseException as e:  # surfaced at the consumer
-            q.put(e)
-            return
-        q.put(_done)
-
-    thread = threading.Thread(target=producer, daemon=True)
-    thread.start()
-
-    def consumer():
-        while True:
-            item = q.get()
-            if item is _done:
-                return
-            if isinstance(item, BaseException):
-                raise item
-            yield item
-
-    return consumer()
-
-
-class cache:
-    """Materialize a finite iterator once; later passes replay values."""
-
-    def __init__(self, it):
-        self._source = iter(it)
-        self._items: list = []
-        self._exhausted = False
-
-    def __iter__(self):
-        i = 0
-        while True:
-            if i < len(self._items):
-                yield self._items[i]
-            elif self._exhausted:
-                return
-            else:
-                try:
-                    item = next(self._source)
-                except StopIteration:
-                    self._exhausted = True
-                    return
-                self._items.append(item)
-                yield item
-            i += 1
-
-
 # ---------------------------------------------------------------------------
 # synthetic task generators (each labels itself by construction)
 
@@ -193,21 +130,7 @@ def _gen_blobs(task_key, key, n, config: Config):
     return {
         "inputs": x.reshape((n,) + shape).astype(np.float32),
         "label": labels.astype(np.int64),
-    }, k, shape, False
-
-
-def _gen_blobs_multilabel(task_key, key, n, config: Config):
-    k = config.get("dataset.num_classes", 4)
-    shape = tuple(config.get("dataset.input_shape", [2]))
-    dim = int(np.prod(shape))
-    kl, kn = R.split(key, 2)
-    centers = _blob_centers(task_key, k, dim)
-    present = (R.uniform(kl, (n, k)) < 0.4).astype(np.float32)
-    x = present @ centers + 0.3 * R.normal(kn, (n, dim))
-    return {
-        "inputs": x.reshape((n,) + shape).astype(np.float32),
-        "label": present,
-    }, k, shape, True
+    }, k, shape
 
 
 def _gen_shapes_segmentation(task_key, key, n, config: Config):
@@ -234,7 +157,7 @@ def _gen_shapes_segmentation(task_key, key, n, config: Config):
         labels[i][disk] = 2
         images[i][disk] = -1.0
     images = (images + noise).astype(np.float32)[..., None]
-    return {"inputs": images, "label": labels}, 3, (size, size, 1), False
+    return {"inputs": images, "label": labels}, 3, (size, size, 1)
 
 
 def _gen_boxes_detection(task_key, key, n, config: Config):
@@ -261,25 +184,13 @@ def _gen_boxes_detection(task_key, key, n, config: Config):
             labels[i, j] = cls[j]
             boxes[i, j] = (y0 / size, x0 / size, (y0 + h) / size, (x0 + w) / size)
     images = (images + noise).astype(np.float32)[..., None]
-    return {"inputs": images, "label": labels, "boxes": boxes}, k, (size, size, 1), False
-
-
-def _gen_copy_seq2seq(task_key, key, n, config: Config):
-    length = config.get("dataset.seq_len", 8)
-    vocab = config.get("dataset.vocab_size", 8)
-    kl, kt = R.split(key, 2)
-    lens = R.randint(kl, (n,), 1, length + 1)
-    tokens = R.randint(kt, (n, length), 1, vocab)
-    tokens[np.arange(length)[None, :] >= lens[:, None]] = 0  # pad token
-    return {"inputs": tokens, "label": tokens.copy()}, vocab, (length,), False
+    return {"inputs": images, "label": labels, "boxes": boxes}, k, (size, size, 1)
 
 
 _GENERATORS = {
     "blobs_classification": _gen_blobs,
-    "blobs_multilabel": _gen_blobs_multilabel,
     "shapes_segmentation": _gen_shapes_segmentation,
     "boxes_detection": _gen_boxes_detection,
-    "copy_seq2seq": _gen_copy_seq2seq,
 }
 
 _DEFAULT_COUNTS = {"train": 256, "eval": 64}
@@ -308,20 +219,20 @@ def build_dataset(name: str, shard: ShardSpec, seed: R.RngKey,
         raise DatasetError("example counts must be >= 1")
 
     k_task, k_train, k_eval, k_shuffle = R.split(seed, 4)
-    train_arrays, num_classes, input_shape, onehot = gen(
+    train_arrays, num_classes, input_shape = gen(
         k_task, k_train, n_train, config)
     if config.get("dataset.eval_on_train", False):
         eval_arrays = {k: v.copy() for k, v in train_arrays.items()}
         n_eval = n_train
     else:
-        eval_arrays, _, _, _ = gen(k_task, k_eval, n_eval, config)
+        eval_arrays, _, _ = gen(k_task, k_eval, n_eval, config)
 
     meta = DatasetMetaData(
         num_classes=num_classes,
         input_shape=(-1,) + tuple(input_shape),
         num_train_examples=n_train,
         num_eval_examples=n_eval,
-        target_is_onehot=onehot,
+        target_is_onehot=False,
     )
 
     train_idx = shard_indices(n_train, shard)

@@ -24,13 +24,6 @@ def scoped(params: dict, prefix: str) -> dict:
     return {k[len(pre):]: v for k, v in params.items() if k.startswith(pre)}
 
 
-def merge(*dicts: dict) -> dict:
-    out = {}
-    for d in dicts:
-        out.update(d)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # initializers
 
@@ -166,10 +159,8 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
 
 def init_mlp(key, dim: int, hidden: int, dtype="f32") -> dict:
     k1, k2 = R.split(key, 2)
-    return merge(
-        prefixed("fc1", init_dense(k1, dim, hidden, dtype)),
-        prefixed("fc2", init_dense(k2, hidden, dim, dtype)),
-    )
+    return (prefixed("fc1", init_dense(k1, dim, hidden, dtype))
+            | prefixed("fc2", init_dense(k2, hidden, dim, dtype)))
 
 
 def mlp(x: Tensor, p: dict) -> Tensor:
@@ -178,12 +169,10 @@ def mlp(x: Tensor, p: dict) -> Tensor:
 
 def init_transformer_block(key, dim: int, mlp_dim: int, dtype="f32") -> dict:
     ka, km = R.split(key, 2)
-    return merge(
-        prefixed("ln1", init_layer_norm(dim, dtype)),
-        prefixed("attn", init_attention(ka, dim, dtype)),
-        prefixed("ln2", init_layer_norm(dim, dtype)),
-        prefixed("mlp", init_mlp(km, dim, mlp_dim, dtype)),
-    )
+    return (prefixed("ln1", init_layer_norm(dim, dtype))
+            | prefixed("attn", init_attention(ka, dim, dtype))
+            | prefixed("ln2", init_layer_norm(dim, dtype))
+            | prefixed("mlp", init_mlp(km, dim, mlp_dim, dtype)))
 
 
 def transformer_block(x: Tensor, p: dict, heads: int,
@@ -202,14 +191,12 @@ def transformer_block(x: Tensor, p: dict, heads: int,
 
 def init_decoder_block(key, dim: int, mlp_dim: int, dtype="f32") -> dict:
     ks, kc, km = R.split(key, 3)
-    return merge(
-        prefixed("ln1", init_layer_norm(dim, dtype)),
-        prefixed("self_attn", init_attention(ks, dim, dtype)),
-        prefixed("ln2", init_layer_norm(dim, dtype)),
-        prefixed("cross_attn", init_attention(kc, dim, dtype)),
-        prefixed("ln3", init_layer_norm(dim, dtype)),
-        prefixed("mlp", init_mlp(km, dim, mlp_dim, dtype)),
-    )
+    return (prefixed("ln1", init_layer_norm(dim, dtype))
+            | prefixed("self_attn", init_attention(ks, dim, dtype))
+            | prefixed("ln2", init_layer_norm(dim, dtype))
+            | prefixed("cross_attn", init_attention(kc, dim, dtype))
+            | prefixed("ln3", init_layer_norm(dim, dtype))
+            | prefixed("mlp", init_mlp(km, dim, mlp_dim, dtype)))
 
 
 def decoder_block(x: Tensor, memory: Tensor, p: dict, heads: int) -> Tensor:
@@ -229,12 +216,10 @@ def decoder_block(x: Tensor, memory: Tensor, p: dict, heads: int) -> Tensor:
 def init_mixer_block(key, tokens: int, dim: int, token_mlp: int,
                      channel_mlp: int, dtype="f32") -> dict:
     kt, kc = R.split(key, 2)
-    return merge(
-        prefixed("ln1", init_layer_norm(dim, dtype)),
-        prefixed("token_mix", init_mlp(kt, tokens, token_mlp, dtype)),
-        prefixed("ln2", init_layer_norm(dim, dtype)),
-        prefixed("channel_mix", init_mlp(kc, dim, channel_mlp, dtype)),
-    )
+    return (prefixed("ln1", init_layer_norm(dim, dtype))
+            | prefixed("token_mix", init_mlp(kt, tokens, token_mlp, dtype))
+            | prefixed("ln2", init_layer_norm(dim, dtype))
+            | prefixed("channel_mix", init_mlp(kc, dim, channel_mlp, dtype)))
 
 
 def mixer_block(x: Tensor, p: dict) -> Tensor:
@@ -252,10 +237,8 @@ def mixer_block(x: Tensor, p: dict) -> Tensor:
 
 def init_resnet_block(key, cin: int, cout: int, stride: int = 1, dtype="f32"):
     k1, k2, kp = R.split(key, 3)
-    params = merge(
-        prefixed("conv1", init_conv(k1, 3, 3, cin, cout, dtype)),
-        prefixed("conv2", init_conv(k2, 3, 3, cout, cout, dtype)),
-    )
+    params = (prefixed("conv1", init_conv(k1, 3, 3, cin, cout, dtype))
+              | prefixed("conv2", init_conv(k2, 3, 3, cout, cout, dtype)))
     state = {}
     for name, dim in (("bn1", cout), ("bn2", cout)):
         bp, bs = init_batch_norm(dim, dtype)
@@ -278,7 +261,7 @@ def resnet_block(x: Tensor, p: dict, state: dict, train: bool,
     h = conv(h, scoped(p, "conv2"))
     h, bn2 = batch_norm(h, scoped(p, "bn2"), scoped(state, "bn2"), train, momentum)
     y = T.relu(h + shortcut)
-    return y, merge(prefixed("bn1", bn1), prefixed("bn2", bn2))
+    return y, prefixed("bn1", bn1) | prefixed("bn2", bn2)
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +270,8 @@ def resnet_block(x: Tensor, p: dict, state: dict, train: bool,
 
 def init_double_conv(key, cin: int, cout: int, dtype="f32") -> dict:
     k1, k2 = R.split(key, 2)
-    return merge(
-        prefixed("conv1", init_conv(k1, 3, 3, cin, cout, dtype)),
-        prefixed("conv2", init_conv(k2, 3, 3, cout, cout, dtype)),
-    )
+    return (prefixed("conv1", init_conv(k1, 3, 3, cin, cout, dtype))
+            | prefixed("conv2", init_conv(k2, 3, 3, cout, cout, dtype)))
 
 
 def double_conv(x: Tensor, p: dict) -> Tensor:

@@ -6,10 +6,12 @@ prediction slots, n <= m):
 * ``hungarian`` — exact minimum-cost assignment (Jonker-Volgenant style
   augmenting shortest paths, O(n^2 m)), with a deterministic
   lexicographic tie-break among optima.
-* ``sinkhorn_match`` — entropy-regularized soft plan via Sinkhorn
-  iterations, rounded to a hard assignment (exact solve on the log-plan
-  by default, masked greedy argmax as a cheaper option).
+* ``sinkhorn_match`` — entropy-regularized soft plan via log-domain
+  Sinkhorn iterations, rounded to a hard assignment by an exact solve
+  on the log-plan.
 * ``greedy_match`` — cheap baseline picking globally minimal cells.
+
+``match`` runs any of them by name.
 """
 
 from __future__ import annotations
@@ -148,47 +150,20 @@ def greedy_match(costs) -> Assignment:
     return Assignment(row_to_col=tuple(int(c) for c in row_to_col), total_cost=total)
 
 
-def _round_plan(plan: np.ndarray, costs: np.ndarray, rounding: str) -> Assignment:
-    """Recover a hard assignment from a soft plan."""
-    n, m = costs.shape
-    work = plan[:n]
-    if rounding == "exact":
-        # At convergence -log(plan) equals the cost up to additive row and
-        # column potentials, which are constant over assignments, so an
-        # exact solve on the log-plan recovers the minimum-cost matching.
-        neg_log = -np.log(np.maximum(work, 1e-300))
-        row_to_col = np.asarray(_solve_jv(neg_log))
-    elif rounding == "greedy":
-        # greedy row-wise argmax with used-column masking, most
-        # confident row first
-        row_to_col = np.full(n, -1, dtype=np.int64)
-        order = np.argsort(-work.max(axis=1), kind="stable")
-        used = np.zeros(m, dtype=bool)
-        for i in order:
-            row = np.where(used, -np.inf, work[i])
-            j = int(np.argmax(row))
-            row_to_col[i] = j
-            used[j] = True
-    else:
-        raise MatcherError(f"unknown rounding {rounding!r}")
-    total = float(costs[np.arange(n), row_to_col].sum())
-    return Assignment(row_to_col=tuple(int(c) for c in row_to_col), total_cost=total)
-
-
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     mx = x.max(axis=axis, keepdims=True)
     out = np.log(np.exp(x - mx).sum(axis=axis)) + np.squeeze(mx, axis=axis)
     return out
 
 
-def sinkhorn_match(costs, epsilon: float = 0.01, iters: int = 1000,
-                   rounding: str = "exact"):
+def sinkhorn_match(costs, epsilon: float = 0.01, iters: int = 1000):
     """Entropy-regularized soft matching plus a rounded hard assignment.
 
     Returns ``(soft_plan, assignment, marginal_violation)`` where the
     plan has uniform marginals (rows sum to 1/n for square inputs; for
     n < m the matrix is padded with zero-cost rows so column mass is
-    balanced). Small epsilon runs in the log domain for stability.
+    balanced). Iterations run in the log domain for stability at any
+    epsilon.
     """
     costs = _validate(costs)
     if epsilon <= 0:
@@ -196,75 +171,41 @@ def sinkhorn_match(costs, epsilon: float = 0.01, iters: int = 1000,
     if iters < 1:
         raise MatcherError(f"iters must be >= 1, got {iters}")
     n, m = costs.shape
-    padded = costs
-    if n < m:
-        padded = np.vstack([costs, np.zeros((m - n, m))])
-    k = padded.shape[0]
-    target = 1.0 / k
-
-    if epsilon > 0.05:
-        # plain-domain iterations; fall back to log domain on underflow
-        kern = np.exp(-padded / epsilon)
-        u = np.full(k, 1.0)
-        v = np.full(m, 1.0)
-        ok = True
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for _ in range(iters):
-                kv = kern @ v
-                if (kv <= 0).any() or not np.isfinite(kv).all():
-                    ok = False
-                    break
-                u = target / kv
-                ku = kern.T @ u
-                if (ku <= 0).any() or not np.isfinite(ku).all():
-                    ok = False
-                    break
-                v = target / ku
-        plan = (u[:, None] * kern * v[None, :]) if ok else None
-        if plan is None or not np.isfinite(plan).all():
-            plan = _sinkhorn_uniform_log(padded, epsilon, iters, target)
-    else:
-        plan = _sinkhorn_uniform_log(padded, epsilon, iters, target)
-
-    if not np.isfinite(plan).all():
-        raise MatcherError("sinkhorn failed to produce a finite plan")
-    violation = float(np.abs(plan.sum(axis=1) - target).max())
-    soft_plan = plan[:n]
-    return soft_plan, _round_plan(soft_plan, costs, rounding), violation
-
-
-def _sinkhorn_uniform_log(costs: np.ndarray, epsilon: float, iters: int,
-                          target: float) -> np.ndarray:
-    k, m = costs.shape
-    log_a = -costs / epsilon
+    padded = np.vstack([costs, np.zeros((m - n, m))])
+    target = 1.0 / m  # uniform marginal on both sides of the square plan
+    log_a = -padded / epsilon
     log_r = np.log(target)
-    f = np.zeros(k)
+    f = np.zeros(m)
     g = np.zeros(m)
     for _ in range(iters):
         f = log_r - _logsumexp(log_a + g[None, :], axis=1)
         g = log_r - _logsumexp(log_a + f[:, None], axis=0)
-    return np.exp(log_a + f[:, None] + g[None, :])
+    plan = np.exp(log_a + f[:, None] + g[None, :])
+    if not np.isfinite(plan).all():
+        raise MatcherError("sinkhorn failed to produce a finite plan")
+    violation = float(np.abs(plan.sum(axis=1) - target).max())
+    soft_plan = plan[:n]
+    # At convergence -log(plan) equals the cost up to additive row and
+    # column potentials, which are constant over assignments, so an
+    # exact solve on the log-plan recovers the minimum-cost matching.
+    row_to_col = _solve_jv(-np.log(np.maximum(soft_plan, 1e-300)))
+    total = float(costs[np.arange(n), row_to_col].sum())
+    return soft_plan, Assignment(row_to_col=tuple(int(c) for c in row_to_col),
+                                 total_cost=total), violation
 
 
+# Entries look the solvers up by module-global name at call time, so a
+# solver replaced on this module (e.g. wrapped for profiling) still runs.
 _ALGORITHMS = {
-    "hungarian": hungarian,
-    "greedy": greedy_match,
+    "hungarian": lambda c: hungarian(c),
+    "greedy": lambda c: greedy_match(c),
     "sinkhorn": lambda c: sinkhorn_match(c)[1],
 }
 
 
-def batched_match(costs, algorithm: str = "hungarian") -> list[Assignment]:
-    """Apply a matcher to every [n, m] slice of a [B, n, m] stack."""
+def match(costs, algorithm: str = "hungarian") -> Assignment:
+    """Solve one [n, m] cost matrix with the named algorithm."""
     fn = _ALGORITHMS.get(algorithm)
     if fn is None:
         raise MatcherError(f"unknown algorithm {algorithm!r}; have {sorted(_ALGORITHMS)}")
-    costs = np.asarray(costs, dtype=np.float64)
-    if costs.ndim != 3:
-        raise MatcherError(f"batched_match expects [B, n, m], got shape {costs.shape}")
-    out = []
-    for b in range(costs.shape[0]):
-        try:
-            out.append(fn(costs[b]))
-        except MatcherError as e:
-            raise MatcherError(f"slice {b}: {e}") from None
-    return out
+    return fn(costs)

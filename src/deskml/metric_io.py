@@ -26,7 +26,6 @@ class MetricWriter:
     def __init__(self, sink: IO[str], clock: Callable[[], float] = _time.time):
         self._sink = sink
         self._clock = clock
-        self._last_step = -1
 
     def write(self, step: int, metrics: dict[str, float]):
         records = [
@@ -34,7 +33,6 @@ class MetricWriter:
             for name, value in metrics.items()
         ]
         write_metrics(self._sink, records)
-        self._last_step = step
 
 
 def write_metrics(sink: IO[str], records: list[MetricRecord]):

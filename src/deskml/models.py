@@ -92,11 +92,7 @@ def classification_loss(logits: Tensor, batch: dict,
     k = logits.shape[-1]
     if num_classes is not None and k != num_classes:
         raise ModelError(f"logits have {k} classes, dataset has {num_classes}")
-    label = batch["label"]
-    if label.ndim == logits.ndim:  # one-hot
-        onehot = label.data.astype(np.float64)
-    else:
-        onehot = _one_hot(label, k)
+    onehot = _one_hot(batch["label"], k)
     if label_smoothing > 0.0:
         onehot = onehot * (1.0 - label_smoothing) + label_smoothing / k
     mask = _example_mask(batch, logits.shape[0])
@@ -105,23 +101,6 @@ def classification_loss(logits: Tensor, batch: dict,
         raise ModelError("all examples masked out")
     logp = T.log_softmax(logits, axis=-1)
     per_ex = -T.tsum(logp * Tensor(onehot.astype(logits.data.dtype)), axis=-1)
-    return T.tsum(per_ex * Tensor(mask.astype(logits.data.dtype))) * (1.0 / denom)
-
-
-def multilabel_loss(logits: Tensor, batch: dict) -> Tensor:
-    """Per-example sum of sigmoid binary cross-entropies, masked mean."""
-    label = batch["label"]
-    if label.shape != logits.shape:
-        raise ModelError(f"label shape {label.shape} != logits shape {logits.shape}")
-    y = Tensor(label.data.astype(logits.data.dtype))
-    mask = _example_mask(batch, logits.shape[0])
-    denom = mask.sum()
-    if denom <= 0:
-        raise ModelError("all examples masked out")
-    # stable BCE: max(x,0) - x*y + log(1 + exp(-|x|))
-    absx = T.relu(logits) + T.relu(-logits)
-    bce = T.relu(logits) - logits * y + T.log(T.exp(-absx) + 1.0)
-    per_ex = T.tsum(bce, axis=-1)
     return T.tsum(per_ex * Tensor(mask.astype(logits.data.dtype))) * (1.0 / denom)
 
 
@@ -142,23 +121,6 @@ def segmentation_loss(logits: Tensor, batch: dict) -> Tensor:
     return T.tsum(per_ex * Tensor(mask.astype(logits.data.dtype))) * (1.0 / denom)
 
 
-def encoder_decoder_loss(logits: Tensor, batch: dict, pad_token: int = 0) -> Tensor:
-    """Token-level cross-entropy over non-pad tokens of unmasked examples."""
-    label = batch["label"]
-    b, t, v = logits.shape
-    if label.shape != (b, t):
-        raise ModelError(f"label shape {label.shape} != {(b, t)}")
-    onehot = _one_hot(label, v)
-    ex_mask = _example_mask(batch, b)
-    tok_mask = (label.data != pad_token).astype(np.float64) * ex_mask[:, None]
-    denom = tok_mask.sum()
-    if denom <= 0:
-        raise ModelError("no unmasked non-pad tokens")
-    logp = T.log_softmax(logits, axis=-1)
-    per_tok = -T.tsum(logp * Tensor(onehot.astype(logits.data.dtype)), axis=-1)
-    return T.tsum(per_tok * Tensor(tok_mask.astype(logits.data.dtype))) * (1.0 / denom)
-
-
 # ---------------------------------------------------------------------------
 # metric functions (pure numpy; values are sums paired with normalizers)
 
@@ -167,28 +129,11 @@ def classification_metrics(logits, label, batch_mask=None) -> MetricTable:
     x = logits.data
     mask = np.ones(x.shape[0]) if batch_mask is None else batch_mask.data.astype(np.float64)
     ids = label.data
-    if ids.ndim == x.ndim:
-        ids = ids.argmax(-1)
     correct = (x.argmax(-1) == ids).astype(np.float64)
     loss = _ce_sum(x, ids)
     return {
         "accuracy": (float((correct * mask).sum()), float(mask.sum())),
         "loss": (float((loss * mask).sum()), float(mask.sum())),
-    }
-
-
-def multilabel_metrics(logits, label, batch_mask=None, threshold=0.5) -> MetricTable:
-    x = logits.data.astype(np.float64)
-    y = label.data.astype(np.float64)
-    mask = np.ones(x.shape[0]) if batch_mask is None else batch_mask.data.astype(np.float64)
-    prob = 1.0 / (1.0 + np.exp(-x))
-    pred = (prob >= threshold).astype(np.float64)
-    tp = ((pred * y).sum(-1) * mask).sum()
-    pp = (pred.sum(-1) * mask).sum()
-    bce = (np.maximum(x, 0) - x * y + np.log1p(np.exp(-np.abs(x)))).sum(-1)
-    return {
-        "precision@0.5": (float(tp), float(pp)),
-        "loss": (float((bce * mask).sum()), float(mask.sum())),
     }
 
 
@@ -218,37 +163,9 @@ def segmentation_metrics(logits, label, batch_mask=None) -> MetricTable:
     }
 
 
-def encoder_decoder_metrics(logits, label, batch_mask=None, pad_token=0) -> MetricTable:
-    x = logits.data.astype(np.float64)
-    b, t, v = x.shape
-    ids = label.data
-    ex_mask = np.ones(b) if batch_mask is None else batch_mask.data.astype(np.float64)
-    tok_mask = (ids != pad_token).astype(np.float64) * ex_mask[:, None]
-    correct = ((x.argmax(-1) == ids).astype(np.float64) * tok_mask).sum()
-    ce = _ce_sum(x.reshape(-1, v), ids.reshape(-1)).reshape(b, t)
-    return {
-        "token_accuracy": (float(correct), float(tok_mask.sum())),
-        "loss": (float((ce * tok_mask).sum()), float(tok_mask.sum())),
-    }
-
-
 def _ce_sum(x: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Per-row softmax cross-entropy against integer ids."""
     z = x - x.max(-1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(-1, keepdims=True))
     return -logp[np.arange(x.shape[0]), ids.astype(np.int64)]
 
-
-_TASK_METRICS = {
-    "classification": classification_metrics,
-    "multilabel": multilabel_metrics,
-    "segmentation": segmentation_metrics,
-    "encoder_decoder": encoder_decoder_metrics,
-}
-
-
-def get_metrics_fn(task: str) -> Callable:
-    fn = _TASK_METRICS.get(task)
-    if fn is None:
-        raise ModelError(f"unknown task {task!r}; have {sorted(_TASK_METRICS)}")
-    return fn

@@ -274,21 +274,6 @@ def gelu(a) -> Tensor:
     return _make(out, (a,), backward)
 
 
-_ELEMENTWISE = {
-    "add": add, "sub": sub, "mul": mul, "div": div,
-    "relu": relu, "gelu": gelu, "exp": exp, "log": log,
-    "sigmoid": sigmoid, "tanh": tanh,
-}
-
-
-def elementwise(op: str, a, b=None) -> Tensor:
-    """Dispatch an elementwise op by name."""
-    fn = _ELEMENTWISE.get(op)
-    if fn is None:
-        raise ValueError(f"unknown elementwise op {op!r}; have {sorted(_ELEMENTWISE)}")
-    return fn(a) if b is None else fn(a, b)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra / reductions
 
@@ -325,21 +310,6 @@ def tmean(a, axis=None, keepdims=False) -> Tensor:
     a = _as_tensor(a)
     n = a.size if axis is None else a.shape[axis]
     return tsum(a, axis, keepdims) * (1.0 / n)
-
-
-def tmax(a, axis, keepdims=False) -> Tensor:
-    a = _as_tensor(a)
-    out = a.data.max(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        g = np.asarray(g)
-        full = out if keepdims else np.expand_dims(out, axis)
-        mask = (a.data == full)
-        mask = mask / mask.sum(axis=axis, keepdims=True)  # split ties evenly
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (mask * gg,)
-
-    return _make(out, (a,), backward)
 
 
 def softmax(a, axis=-1) -> Tensor:
@@ -503,15 +473,6 @@ def max_pool2d(a, size: int = 2) -> Tensor:
         return (gb.reshape(b, h, w, c),)
 
     return _make(out, (a,), backward)
-
-
-def avg_pool2d(a, size: int = 2) -> Tensor:
-    a = _as_tensor(a)
-    b, h, w, c = a.shape
-    if h % size or w % size:
-        raise ValueError(f"avg_pool2d: spatial dims {h}x{w} not divisible by {size}")
-    blocks = reshape(a, (b, h // size, size, w // size, size, c))
-    return tmean(tmean(blocks, axis=4), axis=2)
 
 
 def upsample_nearest2d(a, factor: int = 2) -> Tensor:

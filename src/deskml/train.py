@@ -8,14 +8,15 @@ tables are summed componentwise before normalization.
 
 from __future__ import annotations
 
+import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from . import rng as R
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import Config
 from .data import ShardSpec, build_dataset
 from .metric_io import MetricWriter
@@ -139,28 +140,26 @@ def init_train_state(contract: ModelContract, opt: OptimizerSpec,
     )
 
 
-def _run_device(arch, params, model_state, batch, contract, metric_fn,
-                train: bool, key=None):
-    """One device's forward pass (and loss, when training)."""
+def _run_device(arch, params, model_state, batch, contract, metric_fn, key):
+    """One device's training forward pass, loss, gradients and metrics."""
     stash = {}
 
     def objective(p):
         outputs, new_ms = arch.apply(p, model_state, batch["inputs"],
-                                     train=train, rng=key)
+                                     train=True, rng=key)
         stash["outputs"] = outputs
         stash["model_state"] = new_ms
         return contract.loss_fn(outputs, batch)
 
-    if train:
-        loss, grads = value_and_grad(objective, params)
-    else:
-        loss = objective(params)
-        grads = None
+    loss, grads = value_and_grad(objective, params)
+    table = _device_metrics(metric_fn, stash["outputs"], batch)
+    return loss, grads, stash["model_state"], table
+
+
+def _device_metrics(metric_fn, outputs, batch: dict) -> dict:
     aux = {k: v for k, v in batch.items()
            if k not in ("inputs", "label", "batch_mask")}
-    table = metric_fn(stash["outputs"], batch["label"],
-                      batch.get("batch_mask"), **aux)
-    return loss, grads, stash["model_state"], table
+    return metric_fn(outputs, batch["label"], batch.get("batch_mask"), **aux)
 
 
 def _sum_tables(tables: list) -> dict:
@@ -193,7 +192,7 @@ def train_step(state: TrainState, device_batches: list, topology: Topology,
     for d, batch in enumerate(device_batches):  # ascending device order
         loss, grads, new_ms, table = _run_device(
             arch, state.params, state.model_state, batch, contract,
-            metric_fn, train=True, key=keys[d])
+            metric_fn, keys[d])
         if not np.isfinite(loss.item()):
             raise TrainError(f"non-finite loss at step {state.step}, device {d}")
         if grad_sum is None:
@@ -230,10 +229,9 @@ def eval_step(state: TrainState, device_batches: list,
     metric_fn = contract.get_metrics_fn()
     tables = []
     for batch in device_batches:
-        _, _, new_ms, table = _run_device(
-            arch, state.params, state.model_state, batch, contract,
-            metric_fn, train=False)
-        tables.append(table)
+        outputs, _ = arch.apply(state.params, state.model_state,
+                                batch["inputs"], train=False)
+        tables.append(_device_metrics(metric_fn, outputs, batch))
     return _sum_tables(tables)
 
 
@@ -261,6 +259,36 @@ def _split_device_batches(batch: dict, devices: int) -> list:
     ]
 
 
+def _check_same_layout(fresh: TrainState, loaded: TrainState, path: str):
+    """Refuse a checkpoint whose arrays differ from the model's in name,
+    shape or dtype (e.g. one written under another ``model.hidden``)."""
+    def layout(state):
+        return {f"{group} {name!r}": f"{t.data.dtype}{list(t.data.shape)}"
+                for group in ("params", "model_state", "opt_state")
+                for name, t in getattr(state, group).items()}
+
+    want, got = layout(fresh), layout(loaded)
+    for key in sorted(want.keys() | got.keys()):
+        if want.get(key) != got.get(key):
+            raise TrainError(f"{path}: {key} is {got.get(key, 'absent')} in the "
+                             f"checkpoint but {want.get(key, 'absent')} in the model")
+
+
+def _truncate_records(path: str, step: int) -> int:
+    """Cut a metrics file after its last whole record at or before
+    ``step``; returns the number of records kept."""
+    count = size = 0
+    if os.path.exists(path):
+        with open(path, "rb") as f:
+            for line in f:
+                if not line.endswith(b"\n") or json.loads(line)["step"] > step:
+                    break
+                count += 1
+                size += len(line)
+        os.truncate(path, size)
+    return count
+
+
 _TRAINER_KINDS = ("classification", "segmentation", "detection")
 
 
@@ -270,8 +298,11 @@ def run_trainer(kind: str, config: Config, workdir: str,
 
     Writes ``<workdir>/metrics.jsonl`` (with a deterministic logical
     clock so identical runs are byte-identical) and ``ckpt_<step>.bin``
-    at every eval and at the end. ``stop_when`` is checked against eval
-    metrics to allow stopping as soon as a target is reached.
+    at every eval and at the end. On a workdir that already holds
+    checkpoints it resumes from the newest one that loads, truncating
+    ``metrics.jsonl`` to that step, so the finished files equal those of
+    an uninterrupted run. ``stop_when`` is checked against eval metrics
+    to allow stopping as soon as a target is reached.
     """
     if kind not in _TRAINER_KINDS:
         raise TrainError(f"unknown trainer kind {kind!r}; have {_TRAINER_KINDS}")
@@ -314,19 +345,25 @@ def run_trainer(kind: str, config: Config, workdir: str,
     state = init_train_state(contract, opt, k_init, input_shape,
                              config.get("model.dtype", "f32"))
 
-    # resume from the latest checkpoint already in the workdir, if any
-    resumed = False
+    # resume from the newest readable checkpoint in the workdir, if any
+    resumed_at = -1
     if config.get("resume", True):
         ckpts = sorted(
-            (int(f[5:-4]), f) for f in os.listdir(workdir)
-            if f.startswith("ckpt_") and f.endswith(".bin"))
-        if ckpts:
-            step, fname = ckpts[-1]
-            state = load_checkpoint(os.path.join(workdir, fname))
+            ((int(f[5:-4]), f) for f in os.listdir(workdir)
+             if f.startswith("ckpt_") and f.endswith(".bin")), reverse=True)
+        for _, fname in ckpts:
+            path = os.path.join(workdir, fname)
+            try:
+                loaded = load_checkpoint(path)
+            except CheckpointError:
+                continue  # torn or corrupt: fall back to an older one
+            _check_same_layout(state, loaded, path)
+            state = loaded
             for ds in datasets:  # replay the consumed prefix of the stream
-                for _ in range(step):
+                for _ in range(state.step):
                     next(ds.train_iter)
-            resumed = True
+            resumed_at = state.step
+            break
 
     def run_eval(st: TrainState) -> dict:
         tables = []
@@ -336,15 +373,17 @@ def run_trainer(kind: str, config: Config, workdir: str,
                 tables.append(eval_step(st, dev, contract))
         return aggregate_metrics(tables)
 
-    clock_state = {"t": 0.0}
+    # keep the records up to the resumed step (none on a fresh start); the
+    # clock counts records, so a resumed file continues it exactly
+    metrics_path = os.path.join(workdir, "metrics.jsonl")
+    clock_state = {"t": float(_truncate_records(metrics_path, resumed_at))}
 
     def logical_clock():
         clock_state["t"] += 1.0
         return clock_state["t"]
 
     final_metrics = {}
-    mode = "a" if resumed else "w"
-    with open(os.path.join(workdir, "metrics.jsonl"), mode) as sink:
+    with open(metrics_path, "a") as sink:
         writer = MetricWriter(sink, clock=logical_clock)
         train_tables = []
 

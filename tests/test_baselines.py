@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from deskml import baselines as B
+from deskml import matchers
 from deskml import rng as R
 from deskml import tensor as T
 from deskml import train as TR
 from deskml.config import Config
 from deskml.data import DatasetMetaData
-from deskml.models import registered_models
+from deskml.models import ModelError, registered_models
 from deskml.tensor import Tensor
 from gradcheck import check_grads
 
@@ -127,6 +128,32 @@ class TestDetrLoss:
         b = contract.loss_fn(out, {"label": Tensor(labels[:, perm]),
                                    "boxes": Tensor(boxes[:, perm])}).item()
         assert a == pytest.approx(b, rel=1e-9)
+
+    @pytest.mark.parametrize("algorithm, solver", [
+        ("greedy", "greedy_match"), ("sinkhorn", "sinkhorn_match")])
+    def test_configured_matcher_replaces_hungarian(self, monkeypatch,
+                                                   algorithm, solver):
+        calls = dict.fromkeys(("hungarian", solver), 0)
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(matchers, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(matchers, name, counted)
+        contract = B.build_detr_mini(
+            Config({"model": {"dtype": "f64", "matcher": algorithm}}),
+            image_meta(k=2, size=16))
+        labels = Tensor(np.array([[0, 1, 2], [1, 2, 2]], np.int64))
+        boxes = Tensor(R.uniform(R.RngKey.from_seed(4), (2, 3, 4)))
+        out = self.outputs()
+        contract.loss_fn(out, {"label": labels, "boxes": boxes})
+        assert calls == {"hungarian": 0, solver: 2}  # one per image
+        contract.get_metrics_fn()(out, labels, None, boxes=boxes)
+        assert calls["hungarian"] == 0 and calls[solver] > 2
+
+    def test_unknown_matcher_rejected_at_build(self):
+        with pytest.raises(ModelError, match="nope"):
+            B.build_detr_mini(Config({"model": {"matcher": "nope"}}),
+                              image_meta(k=2, size=16))
 
     def test_perfect_prediction_metrics(self):
         contract = self.make()

@@ -69,46 +69,6 @@ class TestPadIncompleteBatch:
                                     "label": Tensor(np.ones(2))}, 4)
 
 
-class TestPrefetch:
-    def test_passthrough_sequence(self):
-        assert list(D.prefetch(iter(range(50)), depth=4)) == list(range(50))
-
-    def test_source_error_surfaces(self):
-        def bad():
-            yield 1
-            raise RuntimeError("boom")
-        it = D.prefetch(bad(), depth=2)
-        assert next(it) == 1
-        with pytest.raises(RuntimeError, match="boom"):
-            next(it)
-
-    def test_depth_validated(self):
-        with pytest.raises(D.DatasetError):
-            D.prefetch(iter([]), depth=0)
-
-
-class TestCache:
-    def test_source_consumed_once(self):
-        pulls = []
-
-        def source():
-            for i in range(5):
-                pulls.append(i)
-                yield i
-
-        c = D.cache(source())
-        assert list(c) == list(range(5))
-        assert list(c) == list(range(5))
-        assert pulls == list(range(5))
-
-    def test_interleaved_partial_passes(self):
-        c = D.cache(iter([10, 20, 30]))
-        a = iter(c)
-        assert next(a) == 10
-        assert list(c) == [10, 20, 30]
-        assert list(a) == [20, 30]
-
-
 class TestBuildDataset:
     def test_unknown_name_lists_registered(self):
         with pytest.raises(D.DatasetError, match="blobs_classification"):
@@ -193,12 +153,6 @@ class TestBuildDataset:
         bx = b["boxes"].data[real]
         assert np.all((bx >= 0.0) & (bx <= 1.0))
         assert np.all(bx[:, 2] > bx[:, 0]) and np.all(bx[:, 3] > bx[:, 1])
-
-    def test_seq2seq_copy_task(self):
-        ds = D.build_dataset("copy_seq2seq", spec(), R.RngKey.from_seed(6))
-        b = next(ds.train_iter)
-        assert np.array_equal(b["inputs"].data, b["label"].data)
-        assert b["inputs"].data.min() >= 0
 
     def test_eval_on_train_reuses_training_examples(self):
         cfg = Config({"dataset": {"num_train_examples": 8,

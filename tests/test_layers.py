@@ -25,11 +25,6 @@ class TestNamespacing:
         d = {"w": Tensor(np.ones(2)), "b": Tensor(np.zeros(2))}
         assert L.scoped(L.prefixed("enc/fc1", d), "enc/fc1").keys() == d.keys()
 
-    def test_merge_is_left_to_right(self):
-        out = L.merge({"a": 1}, {"a": 2, "b": 3})
-        assert out == {"a": 2, "b": 3}
-
-
 class TestDense:
     def test_zero_weight_gives_bias(self):
         p = {"w": T.zeros((3, 2)), "b": Tensor(np.array([1.0, -1.0], np.float32))}

@@ -118,12 +118,7 @@ class TestSinkhorn:
         h = M.hungarian(costs)
         assert a.total_cost <= 1.05 * h.total_cost + 1e-12
 
-    def test_greedy_rounding_available(self):
-        costs = R.uniform(R.RngKey.from_seed(15), (4, 4))
-        _, a, _ = M.sinkhorn_match(costs, epsilon=0.05, rounding="greedy")
-        assert len(set(a.row_to_col)) == 4
-
-    def test_large_epsilon_plain_domain(self):
+    def test_large_epsilon_near_uniform(self):
         costs = R.uniform(R.RngKey.from_seed(16), (5, 5))
         plan, _, viol = M.sinkhorn_match(costs, epsilon=1.0)
         assert viol < 1e-6
@@ -136,37 +131,34 @@ class TestSinkhorn:
             M.sinkhorn_match(costs, epsilon=0.0)
         with pytest.raises(M.MatcherError, match="iters"):
             M.sinkhorn_match(costs, iters=0)
-        with pytest.raises(M.MatcherError, match="rounding"):
-            M.sinkhorn_match(costs, rounding="nope")
 
 
-class TestBatched:
-    def test_empty_batch(self):
-        assert M.batched_match(np.zeros((0, 3, 3))) == []
-
-    def test_matches_per_slice_solver(self):
-        costs = R.uniform(R.RngKey.from_seed(17), (16, 4, 6))
-        out = M.batched_match(costs)
-        assert len(out) == 16
-        for b in range(16):
-            assert out[b] == M.hungarian(costs[b])
+class TestMatch:
+    def test_default_is_hungarian(self):
+        costs = R.uniform(R.RngKey.from_seed(17), (4, 6))
+        assert M.match(costs) == M.hungarian(costs)
 
     def test_algorithms_selectable(self):
-        costs = R.uniform(R.RngKey.from_seed(18), (2, 3, 3))
-        for alg in ("hungarian", "greedy", "sinkhorn"):
-            assert len(M.batched_match(costs, algorithm=alg)) == 2
+        costs = R.uniform(R.RngKey.from_seed(18), (3, 3))
+        assert M.match(costs, "greedy") == M.greedy_match(costs)
+        assert M.match(costs, "sinkhorn") == M.sinkhorn_match(costs)[1]
         with pytest.raises(M.MatcherError, match="unknown algorithm"):
-            M.batched_match(costs, algorithm="nope")
+            M.match(costs, algorithm="nope")
 
-    def test_slice_error_is_attributed(self):
-        costs = np.zeros((3, 2, 2))
-        costs[1, 0, 0] = np.nan
-        with pytest.raises(M.MatcherError, match="slice 1"):
-            M.batched_match(costs)
+    def test_solvers_looked_up_at_call_time(self, monkeypatch):
+        calls = []
+
+        def recorded(costs):
+            calls.append(costs.shape)
+            return M.Assignment(row_to_col=(0,), total_cost=0.0)
+
+        monkeypatch.setattr(M, "hungarian", recorded)
+        M.match(np.zeros((1, 2)))
+        assert calls == [(1, 2)]
 
     def test_shape_validation(self):
-        with pytest.raises(M.MatcherError, match=r"\[B, n, m\]"):
-            M.batched_match(np.zeros((3, 3)))
+        with pytest.raises(M.MatcherError, match="2-D"):
+            M.match(np.zeros((3, 3, 3)))
 
 
 @given(st.integers(0, 10_000))

@@ -24,12 +24,6 @@ class TestElementwise:
     def test_sigmoid_zero(self):
         assert T.sigmoid(T.tensor(0.0)).item() == pytest.approx(0.5)
 
-    def test_dispatch_by_name(self):
-        x = T.tensor([1.0, 2.0])
-        assert np.array_equal(T.elementwise("add", x, x).data, [2.0, 4.0])
-        with pytest.raises(ValueError, match="unknown elementwise op"):
-            T.elementwise("nope", x)
-
     def test_binary_dtype_mismatch(self):
         a = T.tensor([1.0], dtype="f32")
         b = T.tensor([1.0], dtype="f64")

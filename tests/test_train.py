@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -217,6 +218,7 @@ class TestCheckpoint:
                                  contract, opt)
         path = str(tmp_path / "ckpt_1.bin")
         CK.save_checkpoint(state, path)
+        assert os.listdir(tmp_path) == ["ckpt_1.bin"]  # no temp file left
         loaded = CK.load_checkpoint(path)
         assert loaded.step == state.step
         assert loaded.rng == state.rng
@@ -325,3 +327,74 @@ class TestRunTrainer:
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(TR.TrainError, match="unknown trainer kind"):
             TR.run_trainer("nope", trainer_config(), str(tmp_path / "x"))
+
+    @pytest.mark.parametrize("model, dataset, kind", [
+        ("fully_connected_classification", "blobs_classification",
+         "classification"),
+        ("detr_detection", "boxes_detection", "detection")])
+    def test_eval_with_an_all_padding_device_batch(self, tmp_path, model,
+                                                   dataset, kind):
+        # 24 eval examples over 2 hosts leave each host a last batch of 4
+        # real and 4 padding rows, so its second device sees only padding
+        cfg = Config({
+            "model": {"name": model},
+            "dataset": {"name": dataset, "num_train_examples": 16,
+                        "num_eval_examples": 24},
+            "topology": {"host_count": 2, "devices_per_host": 2},
+            "batch_size": 4, "total_steps": 1,
+        })
+        out = TR.run_trainer(kind, cfg, str(tmp_path / "pad"), seed=0)
+        assert np.isfinite(out["loss"])
+
+
+def read_bytes(path):
+    with open(path, "rb") as f:
+        return f.read()
+
+
+class TestResume:
+    def config(self, hidden=(64,), total_steps=10):
+        return trainer_config(
+            total_steps=total_steps, eval_every=5,
+            model={"name": "fully_connected_classification",
+                   "hidden": list(hidden)})
+
+    def full_run(self, tmp_path):
+        wd = str(tmp_path / "full")
+        TR.run_trainer("classification", self.config(), wd, seed=3)
+        return wd
+
+    def assert_same_files(self, a, b, names):
+        for name in names:
+            assert read_bytes(os.path.join(a, name)) == \
+                read_bytes(os.path.join(b, name)), name
+
+    def test_stray_records_after_checkpoint_are_dropped(self, tmp_path):
+        full = self.full_run(tmp_path)
+        split = str(tmp_path / "split")
+        TR.run_trainer("classification", self.config(total_steps=5), split,
+                       seed=3)
+        # a record written after the step-5 checkpoint, then a crash
+        with open(os.path.join(split, "metrics.jsonl"), "a") as f:
+            f.write(json.dumps({"step": 6, "name": "train_loss",
+                                "value": 0.5, "time": 99.0}) + "\n")
+        TR.run_trainer("classification", self.config(), split, seed=3)
+        self.assert_same_files(full, split, ["metrics.jsonl", "ckpt_10.bin"])
+
+    def test_torn_newest_checkpoint_falls_back_to_older(self, tmp_path):
+        full = self.full_run(tmp_path)
+        split = str(tmp_path / "split")
+        TR.run_trainer("classification", self.config(), split, seed=3)
+        newest = os.path.join(split, "ckpt_10.bin")
+        raw = read_bytes(newest)
+        with open(newest, "wb") as f:
+            f.write(raw[:len(raw) // 2])
+        TR.run_trainer("classification", self.config(), split, seed=3)
+        self.assert_same_files(full, split, ["metrics.jsonl", "ckpt_10.bin"])
+
+    def test_changed_layout_refused(self, tmp_path):
+        wd = str(tmp_path / "run")
+        TR.run_trainer("classification", self.config(total_steps=5), wd, seed=3)
+        with pytest.raises(TR.TrainError, match="dense0/b"):
+            TR.run_trainer("classification", self.config(hidden=(128,)), wd,
+                           seed=3)
