@@ -245,20 +245,22 @@ def build_unet(config: Config, meta: DatasetMetaData) -> ModelContract:
 
 
 def _match_targets(class_logits: np.ndarray, boxes: np.ndarray,
-                   tcls: np.ndarray, tbox: np.ndarray, no_object: int,
-                   lambda_cls: float, lambda_box: float, algorithm: str):
+                   tcls: np.ndarray, tbox: np.ndarray, mask: np.ndarray,
+                   no_object: int, lambda_cls: float, lambda_box: float,
+                   algorithm: str):
     """Per-image target->slot assignments by the named matcher.
 
     Cost of putting target j on slot s is
     lambda_cls * (1 - p_s(class_j)) + lambda_box * L1(box_s, box_j).
-    Returns a list of (target_indices, slot_indices) pairs.
+    Images masked out (padding) are left unmatched. Returns a list of
+    (target_indices, slot_indices) pairs.
     """
     b, s, _ = class_logits.shape
     out = []
     for i in range(b):
         real = np.nonzero(tcls[i] != no_object)[0]
-        if len(real) == 0:
-            out.append((real, np.array([], np.int64)))
+        if len(real) == 0 or mask[i] == 0:
+            out.append((real[:0], np.array([], np.int64)))
             continue
         z = class_logits[i] - class_logits[i].max(-1, keepdims=True)
         prob = np.exp(z) / np.exp(z).sum(-1, keepdims=True)  # [s, k+1]
@@ -268,6 +270,19 @@ def _match_targets(class_logits: np.ndarray, boxes: np.ndarray,
         asg = matchers.match(cost, algorithm)
         out.append((real, np.asarray(asg.row_to_col, np.int64)))
     return out
+
+
+def _batch_mask(batch_mask, b: int) -> np.ndarray:
+    return np.ones(b) if batch_mask is None else batch_mask.data.astype(np.float64)
+
+
+# Key under which DETR's loss_fn leaves its matches and loss value on the
+# outputs dict, for the metric function called on the same outputs.
+_MATCHED = "_matched"
+
+
+def _targets(batch: dict) -> tuple:
+    return batch["label"], batch["boxes"], batch.get("batch_mask")
 
 
 def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
@@ -326,16 +341,21 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
         boxes = T.sigmoid(L.dense(q, L.scoped(params, "box_head")))
         return {"class_logits": class_logits, "boxes": boxes}, model_state
 
-    def loss_fn(outputs, batch):
+    def match(outputs, batch):
+        return _match_targets(
+            outputs["class_logits"].data, outputs["boxes"].data,
+            batch["label"].data, batch["boxes"].data,
+            _batch_mask(batch.get("batch_mask"), outputs["boxes"].shape[0]),
+            no_object, lambda_cls, lambda_box, algorithm)
+
+    def set_loss(outputs, batch, matches):
+        """Mean over unmasked images of slot CE plus lambda_box * L1."""
         logits = outputs["class_logits"]
         boxes = outputs["boxes"]
         b, s, _ = logits.shape
         tcls = batch["label"].data
         tbox = batch["boxes"].data
-        mask = np.ones(b) if "batch_mask" not in batch \
-            else batch["batch_mask"].data.astype(np.float64)
-        matches = _match_targets(logits.data, boxes.data, tcls, tbox,
-                                 no_object, lambda_cls, lambda_box, algorithm)
+        mask = _batch_mask(batch.get("batch_mask"), b)
         # classification targets over all slots; no-object where unmatched
         slot_cls = np.full((b, s), no_object, np.int64)
         sel = np.zeros((b, max_objects, s))  # one-hot target->slot
@@ -360,15 +380,28 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
             raise ModelError("all examples masked out")
         return T.tsum(per_image * Tensor(mask.astype(logits.data.dtype))) * (1.0 / denom)
 
+    def loss_fn(outputs, batch):
+        matches = match(outputs, batch)
+        loss = set_loss(outputs, batch, matches)
+        # the metric function reuses these for the same outputs and batch
+        outputs[_MATCHED] = (_targets(batch), matches, loss.item())
+        return loss
+
     def metric_fn(outputs, label, batch_mask=None, boxes=None):
+        batch = {"label": label, "boxes": boxes}
+        if batch_mask is not None:
+            batch["batch_mask"] = batch_mask
+        record = outputs.get(_MATCHED)
+        if record is not None and all(
+                a is b for a, b in zip(record[0], _targets(batch))):
+            _, matches, loss = record
+        else:
+            matches, loss = match(outputs, batch), None
         logits = outputs["class_logits"].data
         pboxes = outputs["boxes"].data
-        b = logits.shape[0]
         tcls = label.data
         tbox = boxes.data
-        mask = np.ones(b) if batch_mask is None else batch_mask.data.astype(np.float64)
-        matches = _match_targets(logits, pboxes, tcls, tbox,
-                                 no_object, lambda_cls, lambda_box, algorithm)
+        mask = _batch_mask(batch_mask, logits.shape[0])
         correct = 0.0
         objects = 0.0
         l1_sum = 0.0
@@ -381,13 +414,11 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
             objects += float(len(targets))
             if len(targets):
                 l1_sum += float(np.abs(pboxes[i, slots] - tbox[i][targets]).mean(-1).sum())
-        # per-image loss recomputed batch-wise for the loss metric; a
-        # batch that is all padding contributes nothing
+        # a batch that is all padding contributes no loss
         if mask.sum() > 0:
-            sub = {"label": label, "boxes": boxes, "batch_mask": Tensor(mask)}
-            loss_sum = float(loss_fn(
-                {"class_logits": Tensor(logits), "boxes": Tensor(pboxes)}, sub
-            ).item()) * float(mask.sum())
+            if loss is None:
+                loss = set_loss(outputs, batch, matches).item()
+            loss_sum = float(loss) * float(mask.sum())
         return {
             "matched_accuracy": (correct, max(objects, 0.0)),
             "box_l1": (l1_sum, objects),

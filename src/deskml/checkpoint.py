@@ -1,7 +1,7 @@
 """Self-describing binary checkpoints for TrainState.
 
-Layout: magic, version, JSON manifest (step, rng, array headers), then
-raw little-endian array payloads in manifest order.
+Layout: magic, version, JSON manifest (step, rng, the run's fingerprint,
+array headers), then raw little-endian array payloads in manifest order.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ def save_checkpoint(state, path: str):
     header = json.dumps({
         "step": state.step,
         "rng": [state.rng.hi, state.rng.lo],
+        "fingerprint": state.fingerprint,
         "arrays": arrays,
     }).encode()
     # Write beside the target and rename over it, so a crash leaves the old
@@ -95,6 +96,7 @@ def load_checkpoint(path: str):
             model_state=groups["model_state"],
             opt_state=groups["opt_state"],
             rng=RngKey(header["rng"][0], header["rng"][1]),
+            fingerprint=header.get("fingerprint"),
         )
     except CheckpointError:
         raise

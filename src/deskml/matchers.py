@@ -45,8 +45,13 @@ def _validate(costs: np.ndarray) -> np.ndarray:
     return costs
 
 
-def _solve_jv(costs: np.ndarray) -> np.ndarray:
-    """Minimum-cost row->col assignment via shortest augmenting paths."""
+def _solve_jv(costs: np.ndarray):
+    """Minimum-cost row->col assignment via shortest augmenting paths.
+
+    Returns ``(row_to_col, u, v)``: the assignment and its dual
+    potentials, with ``costs - u[:, None] - v[None, :] >= 0``, equality
+    on the assignment, ``v <= 0`` and ``v == 0`` on unassigned columns.
+    """
     n, m = costs.shape
     u = np.zeros(n + 1)
     v = np.zeros(m + 1)
@@ -81,11 +86,11 @@ def _solve_jv(costs: np.ndarray) -> np.ndarray:
     for j in range(1, m + 1):
         if col_row[j] > 0:
             row_to_col[col_row[j] - 1] = j - 1
-    return row_to_col
+    return row_to_col, u[1:], v[1:]
 
 
 def _optimal_cost(costs: np.ndarray) -> float:
-    rc = _solve_jv(costs)
+    rc = _solve_jv(costs)[0]
     return float(costs[np.arange(costs.shape[0]), rc].sum())
 
 
@@ -98,35 +103,43 @@ def hungarian(costs) -> Assignment:
     """
     costs = _validate(costs)
     n, m = costs.shape
-    best = _optimal_cost(costs)
+    jv, u, v = _solve_jv(costs)
+    best = float(costs[np.arange(n), jv].sum())
     scale = max(1.0, float(np.abs(costs).max()))
     tol = 1e-9 * scale * max(n, 1)
+    # Any assignment costs the optimum plus at least the reduced costs
+    # c - u - v of its edges (the duals are feasible, v <= 0, and v is 0
+    # off the optimum), so an edge whose reduced cost exceeds the
+    # tolerance lies on no optimal assignment. Twice the tolerance
+    # leaves room for rounding in u and v; a tight edge is solved below.
+    tight = costs - u[:, None] - v[None, :] <= 2 * tol
 
     # Fix rows in order to the smallest column that still admits an
-    # optimal completion of the remaining subproblem.
+    # optimal completion of the remaining subproblem. While the prefix
+    # fixed so far is the JV optimum's, JV's own column completes it.
     free_cols = list(range(m))
     remaining = best
     chosen = []
+    on_jv = True
     for i in range(n):
         rest_rows = np.arange(i + 1, n)
-        for c in sorted(free_cols):
+        for c in free_cols:
             sub_budget = remaining - costs[i, c]
-            if sub_budget < -tol:
-                continue
             if len(rest_rows) == 0:
-                if abs(sub_budget) <= tol:
-                    chosen.append(c)
-                    free_cols.remove(c)
-                    remaining = sub_budget
-                    break
-                continue
-            cols = [cc for cc in free_cols if cc != c]
-            sub = costs[np.ix_(rest_rows, cols)]
-            if abs(_optimal_cost(sub) - sub_budget) <= tol:
-                chosen.append(c)
-                free_cols.remove(c)
-                remaining = sub_budget
-                break
+                if abs(sub_budget) > tol:
+                    continue
+            elif not (on_jv and c == jv[i]):
+                if not tight[i, c]:
+                    continue
+                cols = [cc for cc in free_cols if cc != c]
+                sub = costs[np.ix_(rest_rows, cols)]
+                if abs(_optimal_cost(sub) - sub_budget) > tol:
+                    continue
+            chosen.append(c)
+            free_cols.remove(c)
+            remaining = sub_budget
+            on_jv = on_jv and c == jv[i]
+            break
         else:
             raise MatcherError("internal error: no optimal completion found")
 
@@ -188,7 +201,7 @@ def sinkhorn_match(costs, epsilon: float = 0.01, iters: int = 1000):
     # At convergence -log(plan) equals the cost up to additive row and
     # column potentials, which are constant over assignments, so an
     # exact solve on the log-plan recovers the minimum-cost matching.
-    row_to_col = _solve_jv(-np.log(np.maximum(soft_plan, 1e-300)))
+    row_to_col = _solve_jv(-np.log(np.maximum(soft_plan, 1e-300)))[0]
     total = float(costs[np.arange(n), row_to_col].sum())
     return soft_plan, Assignment(row_to_col=tuple(int(c) for c in row_to_col),
                                  total_cost=total), violation

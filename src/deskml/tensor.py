@@ -262,12 +262,12 @@ def gelu(a) -> Tensor:
     """GELU, tanh approximation."""
     a = _as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x ** 3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     out = 0.5 * x * (1.0 + t)
 
     def backward(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
+        dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
         grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
         return (g * grad,)
 
@@ -467,10 +467,10 @@ def max_pool2d(a, size: int = 2) -> Tensor:
 
     def backward(g):
         full = out[:, :, None, :, None, :]
-        mask = (blocks == full)
-        mask = mask / mask.sum(axis=(2, 4), keepdims=True)
+        mask = (blocks == full).astype(a.data.dtype)
+        mask /= mask.sum(axis=(2, 4), keepdims=True)
         gb = mask * g[:, :, None, :, None, :]
-        return (gb.reshape(b, h, w, c),)
+        return (gb.reshape(b, h, w, c).astype(a.data.dtype, copy=False),)
 
     return _make(out, (a,), backward)
 

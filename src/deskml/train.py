@@ -73,6 +73,9 @@ class TrainState:
     model_state: dict
     opt_state: dict
     rng: R.RngKey
+    # the run's seed and config (see ``_run_fingerprint``), saved with
+    # each checkpoint so a resume under another config is refused
+    fingerprint: dict | None = None
 
 
 def _init_opt_state(params: dict, opt: OptimizerSpec) -> dict:
@@ -212,7 +215,8 @@ def train_step(state: TrainState, device_batches: list, topology: Topology,
     }
     new_params, new_opt = _apply_update(
         state.params, mean_grads, state.opt_state, opt, state.step)
-    new_state = TrainState(
+    new_state = replace(
+        state,
         step=state.step + 1,
         params=new_params,
         model_state=new_model_state,
@@ -274,6 +278,46 @@ def _check_same_layout(fresh: TrainState, loaded: TrainState, path: str):
                              f"checkpoint but {want.get(key, 'absent')} in the model")
 
 
+# config keys a resumed run may change: a run is extended by raising its
+# step budget, and ``resume`` only says whether to resume
+_RESUMABLE_KEYS = ("total_steps", "resume")
+
+
+def _run_fingerprint(config: Config, seed: int) -> dict:
+    """The seed and the config as dotted keys, less ``_RESUMABLE_KEYS``,
+    in the JSON form a checkpoint stores."""
+    flat = {}
+
+    def walk(node, prefix):
+        for key, value in node.items():
+            if isinstance(value, dict) and value:
+                walk(value, f"{prefix}{key}.")
+            elif prefix + key not in _RESUMABLE_KEYS:
+                flat[prefix + key] = value
+
+    walk(config.to_dict(), "")
+    return json.loads(json.dumps({"seed": seed, "config": flat}))
+
+
+def _check_same_run(fresh: TrainState, loaded: TrainState, path: str):
+    """Refuse a checkpoint written under another seed or config."""
+    want, got = fresh.fingerprint, loaded.fingerprint
+    if got is None:
+        raise TrainError(f"{path}: the checkpoint records no config")
+    if want["seed"] != got["seed"]:
+        raise TrainError(f"{path}: seed is {got['seed']} in the checkpoint "
+                         f"but {want['seed']} in this run")
+
+    def show(values, key):
+        return repr(values[key]) if key in values else "absent"
+
+    want, got = want["config"], got["config"]
+    for key in sorted(want.keys() | got.keys()):
+        if key not in want or key not in got or want[key] != got[key]:
+            raise TrainError(f"{path}: config key {key!r} is {show(got, key)} "
+                             f"in the checkpoint but {show(want, key)} in this run")
+
+
 def _truncate_records(path: str, step: int) -> int:
     """Cut a metrics file after its last whole record at or before
     ``step``; returns the number of records kept."""
@@ -301,7 +345,9 @@ def run_trainer(kind: str, config: Config, workdir: str,
     at every eval and at the end. On a workdir that already holds
     checkpoints it resumes from the newest one that loads, truncating
     ``metrics.jsonl`` to that step, so the finished files equal those of
-    an uninterrupted run. ``stop_when`` is checked against eval metrics
+    an uninterrupted run. A checkpoint written under another seed, or a
+    config differing in more than ``total_steps`` and ``resume``, is
+    refused with ``TrainError``. ``stop_when`` is checked against eval metrics
     to allow stopping as soon as a target is reached.
     """
     if kind not in _TRAINER_KINDS:
@@ -344,6 +390,7 @@ def run_trainer(kind: str, config: Config, workdir: str,
     input_shape = (1,) + tuple(meta.input_shape[1:])
     state = init_train_state(contract, opt, k_init, input_shape,
                              config.get("model.dtype", "f32"))
+    state = replace(state, fingerprint=_run_fingerprint(config, seed))
 
     # resume from the newest readable checkpoint in the workdir, if any
     resumed_at = -1
@@ -358,6 +405,7 @@ def run_trainer(kind: str, config: Config, workdir: str,
             except CheckpointError:
                 continue  # torn or corrupt: fall back to an older one
             _check_same_layout(state, loaded, path)
+            _check_same_run(state, loaded, path)
             state = loaded
             for ds in datasets:  # replay the consumed prefix of the stream
                 for _ in range(state.step):

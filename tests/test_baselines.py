@@ -148,7 +148,57 @@ class TestDetrLoss:
         contract.loss_fn(out, {"label": labels, "boxes": boxes})
         assert calls == {"hungarian": 0, solver: 2}  # one per image
         contract.get_metrics_fn()(out, labels, None, boxes=boxes)
-        assert calls["hungarian"] == 0 and calls[solver] > 2
+        assert calls == {"hungarian": 0, solver: 2}  # loss_fn's matches reused
+
+    def count_hungarian(self, monkeypatch):
+        calls = []
+        hungarian = matchers.hungarian
+
+        def counted(costs):
+            calls.append(costs.shape)
+            return hungarian(costs)
+
+        monkeypatch.setattr(matchers, "hungarian", counted)
+        return calls
+
+    def small_batch(self, mask=None):
+        labels = np.array([[0, 1, 2], [2, 2, 2], [1, 2, 2], [0, 0, 1]], np.int64)
+        batch = {"inputs": Tensor(R.normal(R.RngKey.from_seed(8), (4, 16, 16, 1)),
+                                  dtype="f32"),
+                 "label": Tensor(labels),
+                 "boxes": Tensor(R.uniform(R.RngKey.from_seed(9), (4, 3, 4)))}
+        if mask is not None:
+            batch["batch_mask"] = Tensor(np.array(mask, np.float32))
+        return batch
+
+    def small_state(self):
+        contract = B.build_detr_mini(
+            Config({"model": {"dim": 16, "heads": 2, "mlp_dim": 16}}),
+            image_meta(k=2, size=16))
+        opt = TR.OptimizerSpec()
+        state = TR.init_train_state(contract, opt, R.RngKey.from_seed(0),
+                                    (1, 16, 16, 1))
+        return contract, state
+
+    def test_train_step_matches_once_and_reports_its_loss(self, monkeypatch):
+        calls = self.count_hungarian(monkeypatch)
+        contract, state = self.small_state()
+        batch = self.small_batch()
+        loss, _, _, table = TR._run_device(
+            contract.build_model(), state.params, state.model_state, batch,
+            contract, contract.get_metrics_fn(), R.RngKey.from_seed(1))
+        assert len(calls) == 3  # one per image with objects
+        assert table["loss"] == (loss.item() * 4.0, 4.0)
+
+    def test_eval_matches_each_real_image_once(self, monkeypatch):
+        calls = self.count_hungarian(monkeypatch)
+        contract, state = self.small_state()
+        # the last row is padding: it has objects but is masked out
+        table = TR.eval_step(state, [self.small_batch(mask=[1, 1, 1, 0])],
+                             contract)
+        assert calls == [(2, 8), (1, 8)]
+        assert table["matched_accuracy"][1] == 3.0
+        assert np.isfinite(table["loss"][0]) and table["loss"][1] == 3.0
 
     def test_unknown_matcher_rejected_at_build(self):
         with pytest.raises(ModelError, match="nope"):

@@ -19,7 +19,69 @@ def brute_force(costs):
     return best, float(best_cost)
 
 
+def reference_hungarian(costs):
+    """Lexicographically smallest optimum by one optimal sub-solve per
+    candidate column, with no pruning by the duals."""
+    costs = np.asarray(costs, dtype=np.float64)
+    n, m = costs.shape
+    best = M._optimal_cost(costs)
+    tol = 1e-9 * max(1.0, float(np.abs(costs).max())) * max(n, 1)
+    free_cols = list(range(m))
+    remaining = best
+    chosen = []
+    for i in range(n):
+        rest_rows = np.arange(i + 1, n)
+        for c in sorted(free_cols):
+            sub_budget = remaining - costs[i, c]
+            if sub_budget < -tol:
+                continue
+            if len(rest_rows) == 0:
+                if abs(sub_budget) <= tol:
+                    break
+                continue
+            sub = costs[np.ix_(rest_rows, [cc for cc in free_cols if cc != c])]
+            if abs(M._optimal_cost(sub) - sub_budget) <= tol:
+                break
+        else:
+            raise AssertionError("no optimal completion")
+        chosen.append(c)
+        free_cols.remove(c)
+        remaining = sub_budget
+    return M.Assignment(row_to_col=tuple(chosen),
+                        total_cost=float(costs[np.arange(n), chosen].sum()))
+
+
+def reference_case(kind, seed):
+    k_shape, k_cost = R.split(R.RngKey.from_seed(seed), 2)
+    n, m = (int(x) for x in R.randint(k_shape, (2,), 1, 9))
+    n, m = min(n, m, 4), max(n, m)
+    if kind == "row":
+        n = 1
+    elif kind == "square":
+        m = n
+    u = R.uniform(k_cost, (n, m))
+    if kind == "ties":
+        return np.floor(u * 3.0)  # entries in {0, 1, 2}
+    if kind == "equal":
+        return np.full((n, m), u[0, 0])
+    return u
+
+
 class TestHungarian:
+    @pytest.mark.parametrize("seed", range(25))
+    @pytest.mark.parametrize("kind", ["uniform", "ties", "equal", "row", "square"])
+    def test_equals_reference(self, kind, seed):
+        costs = reference_case(kind, seed)
+        assert M.hungarian(costs) == reference_hungarian(costs)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_negative_costs(self, seed):
+        costs = np.floor(R.uniform(R.RngKey.from_seed(300 + seed), (3, 4)) * 3.0) - 2.0
+        a = M.hungarian(costs)
+        perm, best = brute_force(costs)  # lexicographically first optimum
+        assert a.row_to_col == perm
+        assert a.total_cost == best
+
     def test_identity_costs(self):
         a = M.hungarian(1.0 - np.eye(3))
         assert a.row_to_col == (0, 1, 2)

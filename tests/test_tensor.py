@@ -216,3 +216,46 @@ class TestSpatialOps:
         up = T.upsample_nearest2d(x, 2)
         assert up.shape == (2, 6, 6, 4)
         check_grads(lambda p: T.tsum(T.upsample_nearest2d(p["x"]) ** 2.0), {"x": x})
+
+
+# every differentiable op, applied to float32 inputs a, b [2, 4, 4, 2]
+# and kernel k [3, 3, 2, 2]
+_OPS = {
+    "add": lambda a, b, k: T.add(a, b),
+    "sub": lambda a, b, k: T.sub(a, b),
+    "mul": lambda a, b, k: T.mul(a, b),
+    "div": lambda a, b, k: T.div(a, b),
+    "neg": lambda a, b, k: T.neg(a),
+    "power": lambda a, b, k: T.power(a, 0.5),
+    "exp": lambda a, b, k: T.exp(a),
+    "log": lambda a, b, k: T.log(a),
+    "relu": lambda a, b, k: T.relu(a),
+    "sigmoid": lambda a, b, k: T.sigmoid(a),
+    "tanh": lambda a, b, k: T.tanh(a),
+    "gelu": lambda a, b, k: T.gelu(a),
+    "matmul": lambda a, b, k: T.matmul(a, T.transpose(b, (0, 1, 3, 2))),
+    "tsum": lambda a, b, k: T.tsum(a, axis=1),
+    "tmean": lambda a, b, k: T.tmean(a, axis=1),
+    "softmax": lambda a, b, k: T.softmax(a) * b,
+    "log_softmax": lambda a, b, k: T.log_softmax(a) * b,
+    "reshape": lambda a, b, k: T.reshape(a, (2, 32)),
+    "transpose": lambda a, b, k: T.transpose(a),
+    "concat": lambda a, b, k: T.concat([a, b], axis=3),
+    "take": lambda a, b, k: T.take(a, (slice(None), 1)),
+    "astype": lambda a, b, k: T.astype(a, "f64"),
+    "pad2d": lambda a, b, k: T.pad2d(a, 1),
+    "conv2d": lambda a, b, k: T.conv2d(a, k, stride=2),
+    "max_pool2d": lambda a, b, k: T.max_pool2d(a),
+    "upsample_nearest2d": lambda a, b, k: T.upsample_nearest2d(a),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_OPS))
+def test_float32_inputs_get_float32_gradients(op):
+    keys = R.split(R.RngKey.from_seed(21), 3)
+    params = {name: T.Tensor(R.uniform(key, shape) + 0.5, dtype="f32")
+              for name, key, shape in zip("abk", keys, [(2, 4, 4, 2)] * 2
+                                          + [(3, 3, 2, 2)])}
+    grads = T.grad(lambda p: T.tsum(_OPS[op](p["a"], p["b"], p["k"])), params)
+    for name, g in grads.items():
+        assert g.data.dtype == np.float32, name

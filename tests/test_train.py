@@ -398,3 +398,14 @@ class TestResume:
         with pytest.raises(TR.TrainError, match="dense0/b"):
             TR.run_trainer("classification", self.config(hidden=(128,)), wd,
                            seed=3)
+
+    def test_changed_config_refused(self, tmp_path):
+        wd = str(tmp_path / "run")
+        TR.run_trainer("classification", self.config(total_steps=5), wd, seed=3)
+        faster = Config({**self.config().to_dict(),
+                         "optimizer": {"kind": "adam", "lr": 0.5}})
+        with pytest.raises(TR.TrainError, match="'optimizer.lr' is 0.01 in the "
+                                                "checkpoint but 0.5 in this run"):
+            TR.run_trainer("classification", faster, wd, seed=3)
+        with pytest.raises(TR.TrainError, match="seed is 3 in the checkpoint"):
+            TR.run_trainer("classification", self.config(), wd, seed=4)
