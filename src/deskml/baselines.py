@@ -17,7 +17,9 @@ from .config import Config
 from .data import DatasetMetaData
 from .models import (ArchitectureHandle, ModelContract, ModelError,
                      classification_loss, classification_metrics,
-                     register_model, segmentation_loss, segmentation_metrics)
+                     example_mask, masked_mean, register_model,
+                     segmentation_loss, segmentation_metrics,
+                     softmax_cross_entropy)
 from .tensor import Tensor
 
 
@@ -33,7 +35,7 @@ def _classification_contract(config, meta, arch) -> ModelContract:
                                    label_smoothing=smoothing)
 
     return ModelContract(
-        config=config, meta=meta, build_model=lambda: arch,
+        meta=meta, build_model=lambda: arch,
         loss_fn=loss_fn, get_metrics_fn=lambda: classification_metrics)
 
 
@@ -234,7 +236,7 @@ def build_unet(config: Config, meta: DatasetMetaData) -> ModelContract:
         return logits, model_state
 
     return ModelContract(
-        config=config, meta=meta,
+        meta=meta,
         build_model=lambda: ArchitectureHandle(init, apply),
         loss_fn=segmentation_loss,
         get_metrics_fn=lambda: segmentation_metrics)
@@ -270,10 +272,6 @@ def _match_targets(class_logits: np.ndarray, boxes: np.ndarray,
         asg = matchers.match(cost, algorithm)
         out.append((real, np.asarray(asg.row_to_col, np.int64)))
     return out
-
-
-def _batch_mask(batch_mask, b: int) -> np.ndarray:
-    return np.ones(b) if batch_mask is None else batch_mask.data.astype(np.float64)
 
 
 # Key under which DETR's loss_fn leaves its matches and loss value on the
@@ -345,7 +343,7 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
         return _match_targets(
             outputs["class_logits"].data, outputs["boxes"].data,
             batch["label"].data, batch["boxes"].data,
-            _batch_mask(batch.get("batch_mask"), outputs["boxes"].shape[0]),
+            example_mask(batch.get("batch_mask"), outputs["boxes"].shape[0]),
             no_object, lambda_cls, lambda_box, algorithm)
 
     def set_loss(outputs, batch, matches):
@@ -355,7 +353,7 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
         b, s, _ = logits.shape
         tcls = batch["label"].data
         tbox = batch["boxes"].data
-        mask = _batch_mask(batch.get("batch_mask"), b)
+        mask = example_mask(batch.get("batch_mask"), b)
         # classification targets over all slots; no-object where unmatched
         slot_cls = np.full((b, s), no_object, np.int64)
         sel = np.zeros((b, max_objects, s))  # one-hot target->slot
@@ -364,9 +362,7 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
             slot_cls[i, slots] = tcls[i][targets]
             sel[i, targets, slots] = 1.0
             n_obj[i] = len(targets)
-        onehot = np.eye(k + 1)[slot_cls]
-        logp = T.log_softmax(logits, axis=-1)
-        ce = -T.tsum(logp * Tensor(onehot.astype(logits.data.dtype)), axis=-1)
+        ce = softmax_cross_entropy(logits, np.eye(k + 1)[slot_cls])
         ce_per_image = T.tmean(ce, axis=-1)
         # L1 over matched slots, normalized per image by its object count
         matched = Tensor(sel.astype(boxes.data.dtype)) @ boxes  # [b, M, 4]
@@ -375,10 +371,7 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
         l1 = T.tsum(T.tsum(T.relu(diff) + T.relu(-diff), axis=-1), axis=-1)
         l1_per_image = l1 * Tensor((1.0 / np.maximum(n_obj, 1.0)).astype(boxes.data.dtype))
         per_image = ce_per_image + l1_per_image * lambda_box
-        denom = mask.sum()
-        if denom <= 0:
-            raise ModelError("all examples masked out")
-        return T.tsum(per_image * Tensor(mask.astype(logits.data.dtype))) * (1.0 / denom)
+        return masked_mean(per_image, mask, mask.sum())
 
     def loss_fn(outputs, batch):
         matches = match(outputs, batch)
@@ -401,7 +394,7 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
         pboxes = outputs["boxes"].data
         tcls = label.data
         tbox = boxes.data
-        mask = _batch_mask(batch_mask, logits.shape[0])
+        mask = example_mask(batch_mask, logits.shape[0])
         correct = 0.0
         objects = 0.0
         l1_sum = 0.0
@@ -426,7 +419,7 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
         }
 
     return ModelContract(
-        config=config, meta=meta,
+        meta=meta,
         build_model=lambda: ArchitectureHandle(init, apply),
         loss_fn=loss_fn, get_metrics_fn=lambda: metric_fn)
 

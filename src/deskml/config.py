@@ -35,10 +35,6 @@ class Config:
     def require(self, path: str):
         return self.get(path, required=True)
 
-    def has(self, path: str) -> bool:
-        sentinel = object()
-        return self.get(path, sentinel) is not sentinel
-
     def to_dict(self) -> dict:
         return copy.deepcopy(self._values)
 

@@ -28,7 +28,6 @@ class DatasetMetaData:
     num_train_examples: int
     num_eval_examples: int
     target_is_onehot: bool
-    input_dtype: str = "f32"
 
 
 @dataclass(frozen=True)

@@ -301,12 +301,7 @@ def unet_up(x: Tensor, skip: Tensor, p: dict) -> Tensor:
 
 
 def init_patch_embed(key, patch: int, cin: int, dim: int, dtype="f32") -> dict:
-    k, = R.split(key, 1)
-    d_in = patch * patch * cin
-    return {
-        "w": he_uniform(k, (d_in, dim), fan_in=d_in, dtype=dtype),
-        "b": T.zeros((dim,), dtype=dtype),
-    }
+    return init_dense(key, patch * patch * cin, dim, dtype)
 
 
 def patch_embed(x: Tensor, p: dict, patch: int) -> Tensor:
@@ -317,7 +312,7 @@ def patch_embed(x: Tensor, p: dict, patch: int) -> Tensor:
     gh, gw = h // patch, w // patch
     tokens = x.reshape((b, gh, patch, gw, patch, c))
     tokens = tokens.transpose((0, 1, 3, 2, 4, 5)).reshape((b, gh * gw, patch * patch * c))
-    return tokens @ p["w"] + p["b"]
+    return dense(tokens, p)
 
 
 def init_positional_embedding(key, tokens: int, dim: int, dtype="f32") -> dict:

@@ -14,7 +14,6 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .config import Config
 from .data import DatasetMetaData
 from .tensor import Tensor
 
@@ -35,7 +34,6 @@ class ArchitectureHandle:
 
 @dataclass(frozen=True)
 class ModelContract:
-    config: Config
     meta: DatasetMetaData
     build_model: Callable[[], ArchitectureHandle]
     loss_fn: Callable  # (outputs, batch) -> scalar Tensor
@@ -71,11 +69,12 @@ def registered_models() -> list[str]:
 # loss helpers
 
 
-def _example_mask(batch: dict, n: int) -> np.ndarray:
-    mask = batch.get("batch_mask")
-    if mask is None:
+def example_mask(batch_mask: Tensor | None, n: int) -> np.ndarray:
+    """Per-example weights of a batch of ``n``: 0 marks padding; all ones
+    when the batch carries no mask."""
+    if batch_mask is None:
         return np.ones(n, np.float64)
-    return mask.data.astype(np.float64)
+    return batch_mask.data.astype(np.float64)
 
 
 def _one_hot(label: Tensor, k: int) -> np.ndarray:
@@ -83,6 +82,19 @@ def _one_hot(label: Tensor, k: int) -> np.ndarray:
     if ids.min() < 0 or ids.max() >= k:
         raise ModelError(f"label ids outside [0, {k})")
     return np.eye(k, dtype=np.float64)[ids]
+
+
+def softmax_cross_entropy(logits: Tensor, onehot: np.ndarray) -> Tensor:
+    """Cross-entropy of softmax(logits) against ``onehot`` over the last axis."""
+    logp = T.log_softmax(logits, axis=-1)
+    return -T.tsum(logp * Tensor(onehot.astype(logits.data.dtype)), axis=-1)
+
+
+def masked_mean(values: Tensor, mask: np.ndarray, count) -> Tensor:
+    """Sum of per-example ``values`` weighted by ``mask``, over ``count``."""
+    if count <= 0:
+        raise ModelError("all examples masked out")
+    return T.tsum(values * Tensor(mask.astype(values.data.dtype))) * (1.0 / count)
 
 
 def classification_loss(logits: Tensor, batch: dict,
@@ -95,13 +107,8 @@ def classification_loss(logits: Tensor, batch: dict,
     onehot = _one_hot(batch["label"], k)
     if label_smoothing > 0.0:
         onehot = onehot * (1.0 - label_smoothing) + label_smoothing / k
-    mask = _example_mask(batch, logits.shape[0])
-    denom = mask.sum()
-    if denom <= 0:
-        raise ModelError("all examples masked out")
-    logp = T.log_softmax(logits, axis=-1)
-    per_ex = -T.tsum(logp * Tensor(onehot.astype(logits.data.dtype)), axis=-1)
-    return T.tsum(per_ex * Tensor(mask.astype(logits.data.dtype))) * (1.0 / denom)
+    mask = example_mask(batch.get("batch_mask"), logits.shape[0])
+    return masked_mean(softmax_cross_entropy(logits, onehot), mask, mask.sum())
 
 
 def segmentation_loss(logits: Tensor, batch: dict) -> Tensor:
@@ -110,15 +117,10 @@ def segmentation_loss(logits: Tensor, batch: dict) -> Tensor:
     b, h, w, k = logits.shape
     if label.shape != (b, h, w):
         raise ModelError(f"label shape {label.shape} != spatial {(b, h, w)}")
-    onehot = _one_hot(label, k)
-    mask = _example_mask(batch, b)
-    denom = mask.sum() * h * w
-    if denom <= 0:
-        raise ModelError("all examples masked out")
-    logp = T.log_softmax(logits, axis=-1)
-    per_px = -T.tsum(logp * Tensor(onehot.astype(logits.data.dtype)), axis=-1)
+    per_px = softmax_cross_entropy(logits, _one_hot(label, k))
     per_ex = T.tsum(T.tsum(per_px, axis=-1), axis=-1)
-    return T.tsum(per_ex * Tensor(mask.astype(logits.data.dtype))) * (1.0 / denom)
+    mask = example_mask(batch.get("batch_mask"), b)
+    return masked_mean(per_ex, mask, mask.sum() * h * w)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +129,7 @@ def segmentation_loss(logits: Tensor, batch: dict) -> Tensor:
 
 def classification_metrics(logits, label, batch_mask=None) -> MetricTable:
     x = logits.data
-    mask = np.ones(x.shape[0]) if batch_mask is None else batch_mask.data.astype(np.float64)
+    mask = example_mask(batch_mask, x.shape[0])
     ids = label.data
     correct = (x.argmax(-1) == ids).astype(np.float64)
     loss = _ce_sum(x, ids)
@@ -141,7 +143,7 @@ def segmentation_metrics(logits, label, batch_mask=None) -> MetricTable:
     x = logits.data.astype(np.float64)
     b, h, w, k = x.shape
     ids = label.data
-    mask = np.ones(b) if batch_mask is None else batch_mask.data.astype(np.float64)
+    mask = example_mask(batch_mask, b)
     pred = x.argmax(-1)
     correct = ((pred == ids).astype(np.float64).sum(axis=(1, 2)) * mask).sum()
     pixels = mask.sum() * h * w

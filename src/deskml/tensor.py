@@ -23,7 +23,7 @@ _DTYPE_NAMES = {np.dtype(v): k for k, v in _DTYPES.items()}
 class Tensor:
     __slots__ = ("data", "_parents", "_backward", "requires_grad")
 
-    def __init__(self, data, dtype=None, requires_grad=False, _parents=(), _backward=None):
+    def __init__(self, data, dtype=None, requires_grad=False):
         if isinstance(data, Tensor):
             data = data.data
         if isinstance(dtype, str):
@@ -32,9 +32,9 @@ class Tensor:
         if arr.dtype not in _DTYPE_NAMES:
             arr = arr.astype(np.float64 if arr.dtype.kind == "f" else np.int64)
         self.data = arr
-        self._parents = _parents
-        self._backward = _backward
-        self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
+        self._parents = ()
+        self._backward = None
+        self.requires_grad = requires_grad
 
     @property
     def shape(self):
@@ -57,9 +57,6 @@ class Tensor:
 
     def item(self):
         return self.data.item()
-
-    def numpy(self):
-        return self.data
 
     def __repr__(self):
         return f"Tensor({self.data!r}, dtype={self.dtype})"
@@ -158,19 +155,23 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _check_binary(a: Tensor, b: Tensor, op: str):
+def _operands(a, b, op: str) -> tuple[Tensor, Tensor]:
+    """Both operands of a binary op as Tensors of one dtype (a python
+    scalar ``b`` takes a float ``a``'s dtype)."""
+    a = _as_tensor(a)
+    b = _as_tensor(b, like=a)
     if a.data.dtype != b.data.dtype:
         raise TypeError(f"{op}: dtype mismatch {a.dtype} vs {b.dtype}")
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ValueError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
+    return a, b
 
 
 def _make(data, parents, backward):
+    """An op's result; it records a tape node (parents and backward rule)
+    only when some parent needs a gradient."""
+    out = Tensor(data)
     if any(p.requires_grad for p in parents):
-        return Tensor(data, _parents=parents, _backward=backward)
-    return Tensor(data)
+        out._parents, out._backward, out.requires_grad = parents, backward, True
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -178,34 +179,26 @@ def _make(data, parents, backward):
 
 
 def add(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
-    _check_binary(a, b, "add")
+    a, b = _operands(a, b, "add")
     return _make(a.data + b.data, (a, b),
                  lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
 def sub(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
-    _check_binary(a, b, "sub")
+    a, b = _operands(a, b, "sub")
     return _make(a.data - b.data, (a, b),
                  lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
 
 
 def mul(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
-    _check_binary(a, b, "mul")
+    a, b = _operands(a, b, "mul")
     return _make(a.data * b.data, (a, b),
                  lambda g: (_unbroadcast(g * b.data, a.shape),
                             _unbroadcast(g * a.data, b.shape)))
 
 
 def div(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
-    _check_binary(a, b, "div")
+    a, b = _operands(a, b, "div")
     return _make(a.data / b.data, (a, b),
                  lambda g: (_unbroadcast(g / b.data, a.shape),
                             _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
@@ -387,11 +380,10 @@ def take(a, idx) -> Tensor:
 
 def astype(a, dtype) -> Tensor:
     a = _as_tensor(a)
-    np_dtype = _DTYPES[dtype] if isinstance(dtype, str) else dtype
-    if a.requires_grad and np.dtype(np_dtype).kind == "f":
-        return _make(a.data.astype(np_dtype), (a,),
-                     lambda g: (g.astype(a.data.dtype),))
-    return Tensor(a.data.astype(np_dtype))
+    out = a.data.astype(_DTYPES[dtype] if isinstance(dtype, str) else dtype)
+    if out.dtype.kind != "f":
+        return Tensor(out)
+    return _make(out, (a,), lambda g: (g.astype(a.data.dtype),))
 
 
 def pad2d(a, pad: int) -> Tensor:

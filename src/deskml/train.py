@@ -47,9 +47,6 @@ class OptimizerSpec:
     kind: str = "adam"  # sgd | sgd_momentum | adam
     lr: float | Callable = 1e-3
     momentum: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     grad_clip: float | None = None
 
     def lr_at(self, step: int) -> float:
@@ -57,6 +54,10 @@ class OptimizerSpec:
         if lr < 0:
             raise TrainError(f"negative learning rate {lr} at step {step}")
         return lr
+
+
+# Adam's moment decay rates and denominator epsilon (Kingma & Ba defaults)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 def cosine_decay(base_lr: float, total_steps: int) -> Callable:
@@ -114,25 +115,25 @@ def _apply_update(params: dict, grads: dict, opt_state: dict,
             upd = lr * m
         else:  # adam
             t = step + 1
-            m = opt.beta1 * opt_state[f"{name}/m"].data + (1 - opt.beta1) * gi
-            v = opt.beta2 * opt_state[f"{name}/v"].data + (1 - opt.beta2) * gi * gi
+            m = _BETA1 * opt_state[f"{name}/m"].data + (1 - _BETA1) * gi
+            v = _BETA2 * opt_state[f"{name}/v"].data + (1 - _BETA2) * gi * gi
             new_slots[f"{name}/m"] = Tensor(m.astype(p.dtype))
             new_slots[f"{name}/v"] = Tensor(v.astype(p.dtype))
-            mhat = m / (1 - opt.beta1 ** t)
-            vhat = v / (1 - opt.beta2 ** t)
-            upd = lr * mhat / (np.sqrt(vhat) + opt.eps)
+            mhat = m / (1 - _BETA1 ** t)
+            vhat = v / (1 - _BETA2 ** t)
+            upd = lr * mhat / (np.sqrt(vhat) + _EPS)
         new_params[name] = Tensor((p.astype(np.float64) - upd).astype(p.dtype))
     return new_params, new_slots
 
 
 def init_train_state(contract: ModelContract, opt: OptimizerSpec,
-                     rng: R.RngKey, input_shape, input_dtype="f32") -> TrainState:
+                     rng: R.RngKey, input_shape, dtype="f32") -> TrainState:
     """Initialize params/state on an all-zeros dummy input."""
     if input_shape[0] < 1:
         raise TrainError(f"input shape needs a concrete batch extent: {input_shape}")
     arch = contract.build_model()
     k_init, k_state = R.split(rng, 2)
-    dummy = Tensor(np.zeros(input_shape), dtype=input_dtype)
+    dummy = Tensor(np.zeros(input_shape), dtype=dtype)
     params, model_state = arch.init(k_init, dummy)
     return TrainState(
         step=0,
@@ -335,6 +336,9 @@ def _truncate_records(path: str, step: int) -> int:
 
 _TRAINER_KINDS = ("classification", "segmentation", "detection")
 
+# the keys under ``optimizer`` that run_trainer reads
+_OPTIMIZER_KEYS = ("kind", "lr", "momentum", "grad_clip", "cosine_decay")
+
 
 def run_trainer(kind: str, config: Config, workdir: str,
                 seed: int = 0, stop_when: Callable | None = None) -> dict:
@@ -346,8 +350,10 @@ def run_trainer(kind: str, config: Config, workdir: str,
     checkpoints it resumes from the newest one that loads, truncating
     ``metrics.jsonl`` to that step, so the finished files equal those of
     an uninterrupted run. A checkpoint written under another seed, or a
-    config differing in more than ``total_steps`` and ``resume``, is
-    refused with ``TrainError``. ``stop_when`` is checked against eval metrics
+    config differing in more than ``total_steps`` and ``resume``, or at a
+    step past ``total_steps``, is refused with ``TrainError``; so are
+    ``eval_every < 1`` and an ``optimizer`` key the optimizer does not
+    read. ``stop_when`` is checked against eval metrics
     to allow stopping as soon as a target is reached.
     """
     if kind not in _TRAINER_KINDS:
@@ -361,6 +367,12 @@ def run_trainer(kind: str, config: Config, workdir: str,
     per_device_batch = config.get("batch_size", 32)
     total_steps = config.get("total_steps", 200)
     eval_every = config.get("eval_every", max(total_steps // 4, 1))
+    if eval_every < 1:
+        raise TrainError(f"config key 'eval_every' must be >= 1, got {eval_every}")
+    for key in sorted(config.get("optimizer", {})):
+        if key not in _OPTIMIZER_KEYS:
+            raise TrainError(f"unknown config key 'optimizer.{key}'; "
+                             f"the optimizer reads {list(_OPTIMIZER_KEYS)}")
 
     root = R.RngKey.from_seed(seed)
     k_data, k_init = R.split(root, 2)
@@ -406,6 +418,9 @@ def run_trainer(kind: str, config: Config, workdir: str,
                 continue  # torn or corrupt: fall back to an older one
             _check_same_layout(state, loaded, path)
             _check_same_run(state, loaded, path)
+            if loaded.step > total_steps:
+                raise TrainError(f"{path}: the checkpoint is at step {loaded.step}, "
+                                 f"past total_steps {total_steps}")
             state = loaded
             for ds in datasets:  # replay the consumed prefix of the stream
                 for _ in range(state.step):

@@ -270,3 +270,19 @@ def test_every_baseline_trains_one_step(tmp_path):
         cfg["dataset"] = merged["dataset"]
         out = TR.run_trainer(kind, Config(cfg), str(tmp_path / name), seed=0)
         assert "loss" in out
+
+
+@pytest.mark.parametrize("name", sorted(B.BASELINES))
+def test_fixed_seed_runs_are_byte_identical(tmp_path, name):
+    _, defaults, kind = B.BASELINES[name]
+    cfg = Config({"model": {"name": name}, "batch_size": 8, "total_steps": 4,
+                  "eval_every": 2, "optimizer": {"kind": "adam", "lr": 1e-3},
+                  "dataset": {**defaults["dataset"], "num_train_examples": 32,
+                              "num_eval_examples": 20}})
+    files = []
+    for run in ("a", "b"):
+        wd = tmp_path / run
+        TR.run_trainer(kind, cfg, str(wd), seed=3)
+        files.append({f: (wd / f).read_bytes()
+                      for f in ("metrics.jsonl", "ckpt_2.bin", "ckpt_4.bin")})
+    assert files[0] == files[1]

@@ -259,3 +259,23 @@ def test_float32_inputs_get_float32_gradients(op):
     grads = T.grad(lambda p: T.tsum(_OPS[op](p["a"], p["b"], p["k"])), params)
     for name, g in grads.items():
         assert g.data.dtype == np.float32, name
+
+
+@pytest.mark.parametrize("op", sorted(_OPS))
+def test_no_tape_node_without_a_gradient(op):
+    keys = R.split(R.RngKey.from_seed(22), 3)
+    a, b, k = (T.Tensor(R.uniform(key, shape) + 0.5, dtype="f32")
+               for key, shape in zip(keys, [(2, 4, 4, 2)] * 2 + [(3, 3, 2, 2)]))
+    out = _OPS[op](a, b, k)
+    assert out._backward is None
+    assert out._parents == ()
+    assert not out.requires_grad
+
+
+def test_float_astype_needing_a_gradient_records_a_node():
+    a = T.Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+    out = T.astype(a, "f64")
+    assert out.requires_grad
+    assert out._parents == (a,)
+    assert out._backward is not None
+    assert not T.astype(a, "i32").requires_grad

@@ -43,7 +43,7 @@ def quadratic_contract():
         return {"loss": (float((outputs.data ** 2).sum() / 2), 1.0)}
 
     return ModelContract(
-        config=Config(), meta=mlp_meta(),
+        meta=mlp_meta(),
         build_model=lambda: ArchitectureHandle(init, apply),
         loss_fn=loss_fn, get_metrics_fn=lambda: metric_fn)
 
@@ -328,6 +328,19 @@ class TestRunTrainer:
         with pytest.raises(TR.TrainError, match="unknown trainer kind"):
             TR.run_trainer("nope", trainer_config(), str(tmp_path / "x"))
 
+    @pytest.mark.parametrize("eval_every", [0, -1])
+    def test_eval_every_below_one_refused(self, tmp_path, eval_every):
+        with pytest.raises(TR.TrainError, match="'eval_every' must be >= 1"):
+            TR.run_trainer("classification", trainer_config(eval_every=eval_every),
+                           str(tmp_path / "x"))
+
+    def test_unread_optimizer_key_refused(self, tmp_path):
+        cfg = trainer_config(optimizer={"kind": "adam", "lr": 1e-2, "beta2": 0.5})
+        wd = str(tmp_path / "x")
+        with pytest.raises(TR.TrainError, match="'optimizer.beta2'"):
+            TR.run_trainer("classification", cfg, wd)
+        assert not os.path.exists(os.path.join(wd, "metrics.jsonl"))
+
     @pytest.mark.parametrize("model, dataset, kind", [
         ("fully_connected_classification", "blobs_classification",
          "classification"),
@@ -409,3 +422,12 @@ class TestResume:
             TR.run_trainer("classification", faster, wd, seed=3)
         with pytest.raises(TR.TrainError, match="seed is 3 in the checkpoint"):
             TR.run_trainer("classification", self.config(), wd, seed=4)
+
+    def test_checkpoint_past_total_steps_refused(self, tmp_path):
+        wd = self.full_run(tmp_path)
+        before = read_bytes(os.path.join(wd, "metrics.jsonl"))
+        with pytest.raises(TR.TrainError,
+                           match="at step 10, past total_steps 5"):
+            TR.run_trainer("classification", self.config(total_steps=5), wd,
+                           seed=3)
+        assert read_bytes(os.path.join(wd, "metrics.jsonl")) == before
