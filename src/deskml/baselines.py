@@ -437,4 +437,4 @@ BASELINES = {
 }
 
 for _name, (_factory, _defaults, _kind) in BASELINES.items():
-    register_model(_name, _factory)
+    register_model(_name, _factory, _defaults)

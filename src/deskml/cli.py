@@ -10,7 +10,7 @@ import json
 import sys
 
 from . import baselines
-from .config import Config, ConfigError, load_config, override
+from .config import ConfigError, load_config, override
 from .train import run_trainer
 
 EXIT_USAGE = 2
@@ -43,12 +43,10 @@ def cli_main(argv=None) -> int:
         config = load_config(args.config)
         config = override(config, args.override)
         model_name = config.require("model.name")
-        if model_name in baselines.BASELINES:
-            _, defaults, kind = baselines.BASELINES[model_name]
-            merged = _merge_defaults(defaults, config.to_dict())
-            config = Config(merged)
-        else:
-            kind = config.require("trainer")
+        if model_name not in baselines.BASELINES:
+            raise ConfigError(f"unknown model {model_name!r}; "
+                              f"registered: {sorted(baselines.BASELINES)}")
+        kind = baselines.BASELINES[model_name][2]
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -61,17 +59,6 @@ def cli_main(argv=None) -> int:
 
     print(json.dumps(metrics, sort_keys=True))
     return 0
-
-
-def _merge_defaults(defaults: dict, explicit: dict) -> dict:
-    """Deep-merge, explicit values winning over catalog defaults."""
-    out = dict(defaults)
-    for key, value in explicit.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge_defaults(out[key], value)
-        else:
-            out[key] = value
-    return out
 
 
 def main():  # console entry point

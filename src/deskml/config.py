@@ -15,13 +15,16 @@ class Config:
 
     Values live in a plain nested dict; lookup uses dotted paths
     (``config.get("model.name")``). Missing required keys raise rather
-    than silently defaulting.
+    than silently defaulting. Every path looked up is recorded, so
+    ``unread`` can name the keys that nothing read.
     """
 
     def __init__(self, values: dict | None = None):
         self._values = copy.deepcopy(values) if values else {}
+        self._read: set[str] = set()
 
     def get(self, path: str, default=None, *, required=False):
+        self._read.add(path)
         node = self._values
         parts = path.split(".")
         for i, part in enumerate(parts):
@@ -37,6 +40,36 @@ class Config:
 
     def to_dict(self) -> dict:
         return copy.deepcopy(self._values)
+
+    def with_defaults(self, defaults: dict) -> Config:
+        """A copy with every key of ``defaults`` that this config lacks
+        added after its own keys; the values and key order here win."""
+        def fill(values, extra):
+            for key, value in extra.items():
+                if key not in values:
+                    values[key] = value
+                elif isinstance(values[key], dict) and isinstance(value, dict):
+                    fill(values[key], value)
+            return values
+
+        return Config(fill(self.to_dict(), defaults))
+
+    def unread(self) -> list[str]:
+        """Dotted paths of the leaf keys that no ``get`` has read (nor
+        any map above them), in key order."""
+        out = []
+
+        def walk(node, prefix):
+            for key, value in node.items():
+                if prefix + key in self._read:
+                    continue
+                if isinstance(value, dict):
+                    walk(value, f"{prefix}{key}.")
+                else:
+                    out.append(prefix + key)
+
+        walk(self._values, "")
+        return out
 
     def __eq__(self, other):
         return isinstance(other, Config) and self._values == other._values

@@ -27,7 +27,6 @@ class DatasetMetaData:
     input_shape: tuple  # leading extent is the batch placeholder (-1)
     num_train_examples: int
     num_eval_examples: int
-    target_is_onehot: bool
 
 
 @dataclass(frozen=True)
@@ -231,7 +230,6 @@ def build_dataset(name: str, shard: ShardSpec, seed: R.RngKey,
         input_shape=(-1,) + tuple(input_shape),
         num_train_examples=n_train,
         num_eval_examples=n_eval,
-        target_is_onehot=False,
     )
 
     train_idx = shard_indices(n_train, shard)

@@ -3,59 +3,31 @@
 from __future__ import annotations
 
 import json
-import time as _time
-from dataclasses import dataclass
-from typing import IO, Callable
-
-
-@dataclass(frozen=True)
-class MetricRecord:
-    step: int
-    name: str
-    value: float
-    time: float
+from typing import IO
 
 
 class MetricWriter:
-    """Single-writer, append-only metric sink.
+    """Single-writer, append-only metric sink: one JSON line per record,
+    flushed after each ``write``.
 
-    ``clock`` defaults to wall time; pass a deterministic clock when
-    byte-identical output across runs matters.
+    A record's ``time`` is its ordinal in the file (1.0, 2.0, ...), so
+    identical runs write identical bytes; ``start`` is the number of
+    records the file already holds.
     """
 
-    def __init__(self, sink: IO[str], clock: Callable[[], float] = _time.time):
+    def __init__(self, sink: IO[str], start: int = 0):
         self._sink = sink
-        self._clock = clock
+        self._count = start
 
     def write(self, step: int, metrics: dict[str, float]):
-        records = [
-            MetricRecord(step=step, name=name, value=float(value), time=float(self._clock()))
-            for name, value in metrics.items()
-        ]
-        write_metrics(self._sink, records)
-
-
-def write_metrics(sink: IO[str], records: list[MetricRecord]):
-    """Append one JSON line per record and flush."""
-    for r in records:
-        if r.step < 0:
-            raise ValueError(f"negative step {r.step}")
-        sink.write(json.dumps(
-            {"step": r.step, "name": r.name, "value": r.value, "time": r.time}
-        ) + "\n")
-    sink.flush()
-
-
-def read_metrics(path: str) -> list[MetricRecord]:
-    records = []
-    with open(path) as f:
-        for line in f:
-            obj = json.loads(line)
-            records.append(MetricRecord(
-                step=obj["step"], name=obj["name"],
-                value=obj["value"], time=obj["time"],
-            ))
-    return records
+        if step < 0:
+            raise ValueError(f"negative step {step}")
+        for name, value in metrics.items():
+            self._count += 1
+            self._sink.write(json.dumps({"step": step, "name": name,
+                                         "value": float(value),
+                                         "time": float(self._count)}) + "\n")
+        self._sink.flush()
 
 
 def count_params(params: dict) -> int:

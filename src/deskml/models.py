@@ -43,22 +43,30 @@ class ModelContract:
 # ---------------------------------------------------------------------------
 # registry
 
-_REGISTRY: dict[str, Callable] = {}
+_REGISTRY: dict[str, tuple[Callable, dict]] = {}
 
 
-def register_model(name: str, factory: Callable):
-    """Register a (config, meta) -> ModelContract factory."""
+def register_model(name: str, factory: Callable, defaults: dict | None = None):
+    """Register a (config, meta) -> ModelContract factory, with the config
+    values ``run_trainer`` fills in where a run's config leaves them out."""
     if name in _REGISTRY:
         raise ModelError(f"model {name!r} already registered")
-    _REGISTRY[name] = factory
+    _REGISTRY[name] = (factory, defaults or {})
+
+
+def _registered(name: str) -> tuple[Callable, dict]:
+    if name not in _REGISTRY:
+        raise ModelError(
+            f"unknown model {name!r}; registered: {sorted(_REGISTRY)}")
+    return _REGISTRY[name]
 
 
 def get_model_cls(name: str) -> Callable:
-    factory = _REGISTRY.get(name)
-    if factory is None:
-        raise ModelError(
-            f"unknown model {name!r}; registered: {sorted(_REGISTRY)}")
-    return factory
+    return _registered(name)[0]
+
+
+def model_defaults(name: str) -> dict:
+    return _registered(name)[1]
 
 
 def registered_models() -> list[str]:

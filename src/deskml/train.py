@@ -20,7 +20,7 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import Config
 from .data import ShardSpec, build_dataset
 from .metric_io import MetricWriter
-from .models import ModelContract, get_model_cls
+from .models import ModelContract, get_model_cls, model_defaults
 from .tensor import Tensor, value_and_grad
 
 
@@ -280,8 +280,8 @@ def _check_same_layout(fresh: TrainState, loaded: TrainState, path: str):
 
 
 # config keys a resumed run may change: a run is extended by raising its
-# step budget, and ``resume`` only says whether to resume
-_RESUMABLE_KEYS = ("total_steps", "resume")
+# step budget
+_RESUMABLE_KEYS = ("total_steps",)
 
 
 def _run_fingerprint(config: Config, seed: int) -> dict:
@@ -336,29 +336,29 @@ def _truncate_records(path: str, step: int) -> int:
 
 _TRAINER_KINDS = ("classification", "segmentation", "detection")
 
-# the keys under ``optimizer`` that run_trainer reads
-_OPTIMIZER_KEYS = ("kind", "lr", "momentum", "grad_clip", "cosine_decay")
-
 
 def run_trainer(kind: str, config: Config, workdir: str,
                 seed: int = 0, stop_when: Callable | None = None) -> dict:
     """Full training loop; returns the final aggregated eval metrics.
 
-    Writes ``<workdir>/metrics.jsonl`` (with a deterministic logical
-    clock so identical runs are byte-identical) and ``ckpt_<step>.bin``
-    at every eval and at the end. On a workdir that already holds
+    The model's registered defaults fill in the keys ``config`` leaves
+    out. Writes ``<workdir>/metrics.jsonl`` (records numbered in order,
+    so identical runs are byte-identical) and ``ckpt_<step>.bin`` at
+    every eval and at the end. On a workdir that already holds
     checkpoints it resumes from the newest one that loads, truncating
     ``metrics.jsonl`` to that step, so the finished files equal those of
-    an uninterrupted run. A checkpoint written under another seed, or a
-    config differing in more than ``total_steps`` and ``resume``, or at a
-    step past ``total_steps``, is refused with ``TrainError``; so are
-    ``eval_every < 1`` and an ``optimizer`` key the optimizer does not
-    read. ``stop_when`` is checked against eval metrics
+    an uninterrupted run; when that checkpoint is at ``total_steps`` the
+    run is finished, and its final eval is recomputed and returned with
+    nothing trained or written. A checkpoint written under another seed,
+    or a config differing in more than ``total_steps``, or at a step
+    past ``total_steps``, is refused with ``TrainError``; so are
+    ``eval_every < 1`` and a config key that nothing reads, before
+    anything is written. ``stop_when`` is checked against eval metrics
     to allow stopping as soon as a target is reached.
     """
     if kind not in _TRAINER_KINDS:
         raise TrainError(f"unknown trainer kind {kind!r}; have {_TRAINER_KINDS}")
-    os.makedirs(workdir, exist_ok=True)
+    config = config.with_defaults(model_defaults(config.require("model.name")))
 
     topology = Topology(
         host_count=config.get("topology.host_count", 1),
@@ -369,10 +369,6 @@ def run_trainer(kind: str, config: Config, workdir: str,
     eval_every = config.get("eval_every", max(total_steps // 4, 1))
     if eval_every < 1:
         raise TrainError(f"config key 'eval_every' must be >= 1, got {eval_every}")
-    for key in sorted(config.get("optimizer", {})):
-        if key not in _OPTIMIZER_KEYS:
-            raise TrainError(f"unknown config key 'optimizer.{key}'; "
-                             f"the optimizer reads {list(_OPTIMIZER_KEYS)}")
 
     root = R.RngKey.from_seed(seed)
     k_data, k_init = R.split(root, 2)
@@ -389,44 +385,43 @@ def run_trainer(kind: str, config: Config, workdir: str,
     factory = get_model_cls(config.require("model.name"))
     contract = factory(config, meta)
 
+    lr = config.get("optimizer.lr", 1e-3)
     opt = OptimizerSpec(
         kind=config.get("optimizer.kind", "adam"),
-        lr=config.get("optimizer.lr", 1e-3),
+        lr=(cosine_decay(lr, total_steps)
+            if config.get("optimizer.cosine_decay", False) else lr),
         momentum=config.get("optimizer.momentum", 0.9),
         grad_clip=config.get("optimizer.grad_clip"),
     )
-    if config.get("optimizer.cosine_decay", False):
-        opt = replace(opt, lr=cosine_decay(config.get("optimizer.lr", 1e-3),
-                                           total_steps))
 
     input_shape = (1,) + tuple(meta.input_shape[1:])
     state = init_train_state(contract, opt, k_init, input_shape,
                              config.get("model.dtype", "f32"))
+    unread = config.unread()
+    if unread:
+        raise TrainError(f"unknown config key {unread[0]!r}: nothing reads it")
     state = replace(state, fingerprint=_run_fingerprint(config, seed))
 
     # resume from the newest readable checkpoint in the workdir, if any
+    os.makedirs(workdir, exist_ok=True)
     resumed_at = -1
-    if config.get("resume", True):
-        ckpts = sorted(
-            ((int(f[5:-4]), f) for f in os.listdir(workdir)
-             if f.startswith("ckpt_") and f.endswith(".bin")), reverse=True)
-        for _, fname in ckpts:
-            path = os.path.join(workdir, fname)
-            try:
-                loaded = load_checkpoint(path)
-            except CheckpointError:
-                continue  # torn or corrupt: fall back to an older one
-            _check_same_layout(state, loaded, path)
-            _check_same_run(state, loaded, path)
-            if loaded.step > total_steps:
-                raise TrainError(f"{path}: the checkpoint is at step {loaded.step}, "
-                                 f"past total_steps {total_steps}")
-            state = loaded
-            for ds in datasets:  # replay the consumed prefix of the stream
-                for _ in range(state.step):
-                    next(ds.train_iter)
-            resumed_at = state.step
-            break
+    ckpts = sorted(
+        ((int(f[5:-4]), f) for f in os.listdir(workdir)
+         if f.startswith("ckpt_") and f.endswith(".bin")), reverse=True)
+    for _, fname in ckpts:
+        path = os.path.join(workdir, fname)
+        try:
+            loaded = load_checkpoint(path)
+        except CheckpointError:
+            continue  # torn or corrupt: fall back to an older one
+        _check_same_layout(state, loaded, path)
+        _check_same_run(state, loaded, path)
+        if loaded.step > total_steps:
+            raise TrainError(f"{path}: the checkpoint is at step {loaded.step}, "
+                             f"past total_steps {total_steps}")
+        state = loaded
+        resumed_at = state.step
+        break
 
     def run_eval(st: TrainState) -> dict:
         tables = []
@@ -436,18 +431,20 @@ def run_trainer(kind: str, config: Config, workdir: str,
                 tables.append(eval_step(st, dev, contract))
         return aggregate_metrics(tables)
 
+    if resumed_at == total_steps:  # a finished run: its final eval again
+        return run_eval(state)
+    for ds in datasets:  # replay the consumed prefix of the stream
+        for _ in range(state.step):
+            next(ds.train_iter)
+
     # keep the records up to the resumed step (none on a fresh start); the
-    # clock counts records, so a resumed file continues it exactly
+    # writer numbers records on from there, so a resumed file continues
+    # an uninterrupted run's exactly
     metrics_path = os.path.join(workdir, "metrics.jsonl")
-    clock_state = {"t": float(_truncate_records(metrics_path, resumed_at))}
-
-    def logical_clock():
-        clock_state["t"] += 1.0
-        return clock_state["t"]
-
+    kept = _truncate_records(metrics_path, resumed_at)
     final_metrics = {}
     with open(metrics_path, "a") as sink:
-        writer = MetricWriter(sink, clock=logical_clock)
+        writer = MetricWriter(sink, start=kept)
         train_tables = []
 
         def do_eval(step):

@@ -252,8 +252,7 @@ def test_criterion_4_aggregation():
 
 def test_criterion_5_data_parallel():
     meta = DatasetMetaData(num_classes=3, input_shape=(-1, 2),
-                           num_train_examples=320, num_eval_examples=32,
-                           target_is_onehot=False)
+                           num_train_examples=320, num_eval_examples=32)
     cfg = Config({"model": {"dtype": "f64"}})
     contract = build_mlp(cfg, meta)
     opt = TR.OptimizerSpec(kind="adam", lr=1e-2)
@@ -416,8 +415,7 @@ def test_criterion_8_contract_conformance():
 
     # (c) DETR-mini loss exactly invariant to target-order permutation
     meta = DatasetMetaData(num_classes=2, input_shape=(-1, 16, 16, 1),
-                           num_train_examples=8, num_eval_examples=8,
-                           target_is_onehot=False)
+                           num_train_examples=8, num_eval_examples=8)
     contract = BASELINES["detr_detection"][0](
         Config({"model": {"dtype": "f64"}}), meta)
     ks = R.split(key(5), 3)

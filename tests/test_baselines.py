@@ -15,8 +15,7 @@ from gradcheck import check_grads
 
 def image_meta(k=4, size=8, c=1):
     return DatasetMetaData(num_classes=k, input_shape=(-1, size, size, c),
-                           num_train_examples=64, num_eval_examples=16,
-                           target_is_onehot=False)
+                           num_train_examples=64, num_eval_examples=16)
 
 
 def init_and_apply(contract, batch, dtype="f32", train=False):
@@ -47,7 +46,7 @@ def test_catalog_entries_are_complete():
 
 class TestOutputShapes:
     def test_mlp(self):
-        meta = DatasetMetaData(4, (-1, 2), 64, 16, False)
+        meta = DatasetMetaData(4, (-1, 2), 64, 16)
         _, _, out, _ = init_and_apply(B.build_mlp(Config(), meta), 8)
         assert out.shape == (8, 4)
 

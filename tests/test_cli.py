@@ -5,6 +5,8 @@ import numpy as np
 
 from deskml import checkpoint as CK
 from deskml.cli import EXIT_CONFIG, EXIT_USAGE, cli_main
+from deskml.config import Config
+from deskml.train import run_trainer
 
 
 def write_config(tmp_path, extra=None):
@@ -73,3 +75,29 @@ def test_unknown_override_key_is_config_error(tmp_path, capsys):
                      "--override", "no.such.key=1"])
     capsys.readouterr()
     assert code == EXIT_CONFIG
+
+
+def test_unknown_model_is_config_error(tmp_path, capsys):
+    wd = str(tmp_path / "x")
+    code = cli_main(["run", "--config",
+                     write_config(tmp_path, {"model": {"name": "no_such_model"}}),
+                     "--workdir", wd])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "'no_such_model'" in err and "vit_classification" in err
+    assert not os.path.exists(wd)
+
+
+def test_minimal_config_runs_the_same_in_library_and_cli(tmp_path, capsys):
+    # the README's minimal config, shortened to two steps
+    values = {"model": {"name": "vit_classification"}, "total_steps": 2}
+    lib, cli = str(tmp_path / "lib"), str(tmp_path / "cli")
+    metrics = run_trainer("classification", Config(values), lib, seed=0)
+    path = tmp_path / "minimal.json"
+    path.write_text(json.dumps(values))
+    assert cli_main(["run", "--config", str(path), "--workdir", cli]) == 0
+    assert json.loads(capsys.readouterr().out) == metrics
+    with open(os.path.join(lib, "metrics.jsonl"), "rb") as f:
+        expected = f.read()
+    with open(os.path.join(cli, "metrics.jsonl"), "rb") as f:
+        assert f.read() == expected

@@ -77,3 +77,23 @@ def test_serialization_round_trip(tmp_path):
     cfg = C.Config({"a": {"b": [1, 2, 3], "c": "x"}, "d": 1.5})
     path = write(tmp_path, C.dumps(cfg))
     assert C.load_config(path) == cfg
+
+
+def test_with_defaults_adds_only_missing_keys_after_the_callers():
+    cfg = C.Config({"model": {"name": "m"}, "dataset": {"size": 4}})
+    merged = cfg.with_defaults({"dataset": {"name": "d", "size": 8},
+                                "model": "not a map", "seed": 1})
+    assert merged.to_dict() == {"model": {"name": "m"},
+                                "dataset": {"size": 4, "name": "d"}, "seed": 1}
+    assert list(merged.to_dict()) == ["model", "dataset", "seed"]
+    assert list(merged.to_dict()["dataset"]) == ["size", "name"]
+    assert cfg.to_dict() == {"model": {"name": "m"}, "dataset": {"size": 4}}
+
+
+def test_unread_names_leaves_no_get_covered():
+    cfg = C.Config({"a": {"b": 1, "c": 2}, "d": {"e": 3}, "f": {}, "g": 4})
+    assert cfg.unread() == ["a.b", "a.c", "d.e", "g"]
+    cfg.get("a.b")
+    cfg.get("d")  # reading a map reads every key under it
+    cfg.get("g.h", 0)  # a missing path below a leaf does not read the leaf
+    assert cfg.unread() == ["a.c", "g"]

@@ -7,13 +7,9 @@ from deskml import metric_io as M
 from deskml import tensor as T
 
 
-def rec(step, name="loss", value=1.0, time=0.0):
-    return M.MetricRecord(step=step, name=name, value=value, time=time)
-
-
 def test_single_record_single_line():
     sink = io.StringIO()
-    M.write_metrics(sink, [rec(3, "acc", 0.5, 12.0)])
+    M.MetricWriter(sink, start=11).write(3, {"acc": 0.5})
     lines = sink.getvalue().splitlines()
     assert len(lines) == 1
     obj = json.loads(lines[0])
@@ -22,31 +18,42 @@ def test_single_record_single_line():
 
 def test_order_preserved():
     sink = io.StringIO()
-    M.write_metrics(sink, [rec(i, value=float(i)) for i in range(100)])
-    lines = sink.getvalue().splitlines()
+    w = M.MetricWriter(sink)
+    for i in range(100):
+        w.write(i, {"loss": float(i)})
+    lines = [json.loads(l) for l in sink.getvalue().splitlines()]
     assert len(lines) == 100
-    assert [json.loads(l)["value"] for l in lines] == [float(i) for i in range(100)]
-
-
-def test_round_trip(tmp_path):
-    path = tmp_path / "metrics.jsonl"
-    records = [rec(i, name=f"m{i % 3}", value=i * 0.25, time=float(i)) for i in range(20)]
-    with open(path, "w") as f:
-        M.write_metrics(f, records)
-    assert M.read_metrics(str(path)) == records
+    assert [r["value"] for r in lines] == [float(i) for i in range(100)]
+    assert [r["time"] for r in lines] == [float(i + 1) for i in range(100)]
 
 
 def test_negative_step_rejected():
-    with pytest.raises(ValueError):
-        M.write_metrics(io.StringIO(), [rec(-1)])
+    sink = io.StringIO()
+    with pytest.raises(ValueError, match="negative step -1"):
+        M.MetricWriter(sink).write(-1, {"loss": 1.0})
+    assert sink.getvalue() == ""
 
 
 def test_writer_appends():
     sink = io.StringIO()
-    w = M.MetricWriter(sink, clock=lambda: 0.0)
+    w = M.MetricWriter(sink)
     w.write(0, {"loss": 2.0})
     w.write(1, {"loss": 1.0, "acc": 0.5})
     assert len(sink.getvalue().splitlines()) == 3
+
+
+def test_each_write_flushes():
+    class Sink(io.StringIO):
+        flushes = 0
+
+        def flush(self):
+            self.flushes += 1
+
+    sink = Sink()
+    w = M.MetricWriter(sink)
+    w.write(0, {"loss": 2.0, "acc": 0.5})
+    w.write(1, {})
+    assert sink.flushes == 2
 
 
 def test_count_params():

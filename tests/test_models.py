@@ -20,6 +20,17 @@ class TestRegistry:
         finally:
             M._REGISTRY.pop("_tmp_model")
 
+    def test_defaults_stored_with_the_factory(self):
+        M.register_model("_tmp_defaults", lambda cfg, meta: None,
+                         defaults={"dataset": {"name": "blobs_classification"}})
+        try:
+            assert M.model_defaults("_tmp_defaults") == {
+                "dataset": {"name": "blobs_classification"}}
+        finally:
+            M._REGISTRY.pop("_tmp_defaults")
+        assert M.model_defaults("vit_classification")["dataset"][
+            "input_shape"] == [8, 8, 1]
+
     def test_duplicate_rejected(self):
         M.register_model("_tmp_dup", lambda cfg, meta: None)
         try:

@@ -18,8 +18,7 @@ from deskml.tensor import Tensor
 
 def mlp_meta(dim=2, k=3):
     return DatasetMetaData(num_classes=k, input_shape=(-1, dim),
-                           num_train_examples=64, num_eval_examples=16,
-                           target_is_onehot=False)
+                           num_train_examples=64, num_eval_examples=16)
 
 
 def fresh_state(contract, opt=None, seed=0, dim=2, dtype="f32"):
@@ -341,6 +340,35 @@ class TestRunTrainer:
             TR.run_trainer("classification", cfg, wd)
         assert not os.path.exists(os.path.join(wd, "metrics.jsonl"))
 
+    @pytest.mark.parametrize("key, extra", [
+        ("model.dropuot", {"model": {"name": "fully_connected_classification",
+                                     "dropuot": 0.1}}),
+        ("dataset.num_train_exmples", {"dataset": {
+            "name": "blobs_classification", "num_train_examples": 64,
+            "num_eval_examples": 16, "num_train_exmples": 32}}),
+        ("trainer", {"trainer": "classification"}),
+        ("resume", {"resume": False}),
+    ])
+    def test_unread_key_refused(self, tmp_path, key, extra):
+        wd = str(tmp_path / "x")
+        with pytest.raises(TR.TrainError, match=f"'{key}': nothing reads it"):
+            TR.run_trainer("classification", trainer_config(**extra), wd)
+        assert not os.path.exists(wd)
+
+    def test_model_defaults_fill_missing_keys(self, tmp_path):
+        # vit_classification's registered defaults supply the dataset
+        cfg = Config({"model": {"name": "vit_classification"},
+                      "total_steps": 1, "batch_size": 8,
+                      "dataset": {"num_train_examples": 16,
+                                  "num_eval_examples": 8}})
+        wd = str(tmp_path / "vit")
+        assert "accuracy" in TR.run_trainer("classification", cfg, wd)
+        fingerprint = CK.load_checkpoint(os.path.join(wd, "ckpt_1.bin")).fingerprint
+        # the caller's keys keep their order; defaults come after them
+        assert list(fingerprint["config"]) == [
+            "model.name", "batch_size", "dataset.num_train_examples",
+            "dataset.num_eval_examples", "dataset.name", "dataset.input_shape"]
+
     @pytest.mark.parametrize("model, dataset, kind", [
         ("fully_connected_classification", "blobs_classification",
          "classification"),
@@ -363,6 +391,13 @@ class TestRunTrainer:
 def read_bytes(path):
     with open(path, "rb") as f:
         return f.read()
+
+
+def snapshot(workdir):
+    """Each file's bytes and modification time."""
+    return {name: (read_bytes(os.path.join(workdir, name)),
+                   os.stat(os.path.join(workdir, name)).st_mtime_ns)
+            for name in os.listdir(workdir)}
 
 
 class TestResume:
@@ -431,3 +466,21 @@ class TestResume:
             TR.run_trainer("classification", self.config(total_steps=5), wd,
                            seed=3)
         assert read_bytes(os.path.join(wd, "metrics.jsonl")) == before
+
+    def test_finished_run_rerun_returns_its_final_eval(self, tmp_path):
+        wd = str(tmp_path / "run")
+        first = TR.run_trainer("classification", self.config(), wd, seed=3)
+        before = snapshot(wd)
+        again = TR.run_trainer("classification", self.config(), wd, seed=3)
+        assert again == first and "accuracy" in again
+        assert snapshot(wd) == before
+
+    def test_zero_step_rerun_appends_nothing(self, tmp_path):
+        wd = str(tmp_path / "run")
+        cfg = self.config(total_steps=0)
+        first = TR.run_trainer("classification", cfg, wd, seed=3)
+        before = snapshot(wd)
+        assert len(before["metrics.jsonl"][0].splitlines()) == 2
+        again = TR.run_trainer("classification", cfg, wd, seed=3)
+        assert again == first
+        assert snapshot(wd) == before
