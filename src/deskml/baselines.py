@@ -15,7 +15,7 @@ from . import rng as R
 from . import tensor as T
 from .config import Config
 from .data import DatasetMetaData
-from .models import (ArchitectureHandle, ModelContract, ModelError,
+from .models import (ArchitectureHandle, ModelContract, ModelError, _one_hot,
                      classification_loss, classification_metrics,
                      example_mask, masked_mean, register_model,
                      segmentation_loss, segmentation_metrics,
@@ -246,34 +246,6 @@ def build_unet(config: Config, meta: DatasetMetaData) -> ModelContract:
 # DETR-mini
 
 
-def _match_targets(class_logits: np.ndarray, boxes: np.ndarray,
-                   tcls: np.ndarray, tbox: np.ndarray, mask: np.ndarray,
-                   no_object: int, lambda_cls: float, lambda_box: float,
-                   algorithm: str):
-    """Per-image target->slot assignments by the named matcher.
-
-    Cost of putting target j on slot s is
-    lambda_cls * (1 - p_s(class_j)) + lambda_box * L1(box_s, box_j).
-    Images masked out (padding) are left unmatched. Returns a list of
-    (target_indices, slot_indices) pairs.
-    """
-    b, s, _ = class_logits.shape
-    out = []
-    for i in range(b):
-        real = np.nonzero(tcls[i] != no_object)[0]
-        if len(real) == 0 or mask[i] == 0:
-            out.append((real[:0], np.array([], np.int64)))
-            continue
-        z = class_logits[i] - class_logits[i].max(-1, keepdims=True)
-        prob = np.exp(z) / np.exp(z).sum(-1, keepdims=True)  # [s, k+1]
-        cls_cost = 1.0 - prob[:, tcls[i][real]].T  # [n, s]
-        box_cost = np.abs(tbox[i][real][:, None, :] - boxes[i][None, :, :]).sum(-1)
-        cost = lambda_cls * cls_cost + lambda_box * box_cost
-        asg = matchers.match(cost, algorithm)
-        out.append((real, np.asarray(asg.row_to_col, np.int64)))
-    return out
-
-
 # Key under which DETR's loss_fn leaves its matches and loss value on the
 # outputs dict, for the metric function called on the same outputs.
 _MATCHED = "_matched"
@@ -340,11 +312,28 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
         return {"class_logits": class_logits, "boxes": boxes}, model_state
 
     def match(outputs, batch):
-        return _match_targets(
-            outputs["class_logits"].data, outputs["boxes"].data,
-            batch["label"].data, batch["boxes"].data,
-            example_mask(batch.get("batch_mask"), outputs["boxes"].shape[0]),
-            no_object, lambda_cls, lambda_box, algorithm)
+        """Per-image (target indices, slot indices) by the named matcher.
+
+        Cost of putting target j on slot s is
+        lambda_cls * (1 - p_s(class_j)) + lambda_box * L1(box_s, box_j).
+        Images masked out (padding) are left unmatched.
+        """
+        prob = T.softmax(outputs["class_logits"].detach()).data  # [b, s, k+1]
+        pboxes = outputs["boxes"].data
+        tcls, tbox = batch["label"].data, batch["boxes"].data
+        mask = example_mask(batch.get("batch_mask"), len(pboxes))
+        out = []
+        for i in range(len(pboxes)):
+            real = np.nonzero(tcls[i] != no_object)[0]
+            if len(real) == 0 or mask[i] == 0:
+                out.append((real[:0], np.array([], np.int64)))
+                continue
+            cls_cost = 1.0 - prob[i][:, tcls[i][real]].T  # [n, s]
+            box_cost = np.abs(tbox[i][real][:, None, :] - pboxes[i][None, :, :]).sum(-1)
+            asg = matchers.match(lambda_cls * cls_cost + lambda_box * box_cost,
+                                 algorithm)
+            out.append((real, np.asarray(asg.row_to_col, np.int64)))
+        return out
 
     def set_loss(outputs, batch, matches):
         """Mean over unmasked images of slot CE plus lambda_box * L1."""
@@ -362,7 +351,7 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
             slot_cls[i, slots] = tcls[i][targets]
             sel[i, targets, slots] = 1.0
             n_obj[i] = len(targets)
-        ce = softmax_cross_entropy(logits, np.eye(k + 1)[slot_cls])
+        ce = softmax_cross_entropy(logits, _one_hot(Tensor(slot_cls), k + 1))
         ce_per_image = T.tmean(ce, axis=-1)
         # L1 over matched slots, normalized per image by its object count
         matched = Tensor(sel.astype(boxes.data.dtype)) @ boxes  # [b, M, 4]

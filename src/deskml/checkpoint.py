@@ -16,6 +16,8 @@ from .tensor import Tensor
 
 _MAGIC = b"DKMC"
 _VERSION = 1
+# the TrainState fields saved as arrays, in file order
+ARRAY_GROUPS = ("params", "model_state", "opt_state")
 
 
 class CheckpointError(Exception):
@@ -23,14 +25,10 @@ class CheckpointError(Exception):
 
 
 def save_checkpoint(state, path: str):
-    groups = {
-        "params": state.params,
-        "model_state": state.model_state,
-        "opt_state": state.opt_state,
-    }
     arrays = []
     payloads = []
-    for group, tree in groups.items():
+    for group in ARRAY_GROUPS:
+        tree = getattr(state, group)
         for name in sorted(tree):
             arr = np.ascontiguousarray(tree[name].data)
             arr = arr.astype(arr.dtype.newbyteorder("<"))
@@ -78,7 +76,7 @@ def load_checkpoint(path: str):
         if version != _VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
         header = json.loads(raw[12:12 + hlen])
-        groups = {"params": {}, "model_state": {}, "opt_state": {}}
+        groups = {group: {} for group in ARRAY_GROUPS}
         offset = 12 + hlen
         for spec in header["arrays"]:
             dtype = np.dtype(spec["dtype"])
@@ -92,9 +90,7 @@ def load_checkpoint(path: str):
             offset += nbytes
         return TrainState(
             step=int(header["step"]),
-            params=groups["params"],
-            model_state=groups["model_state"],
-            opt_state=groups["opt_state"],
+            **groups,
             rng=RngKey(header["rng"][0], header["rng"][1]),
             fingerprint=header.get("fingerprint"),
         )

@@ -54,22 +54,28 @@ class Config:
 
         return Config(fill(self.to_dict(), defaults))
 
-    def unread(self) -> list[str]:
-        """Dotted paths of the leaf keys that no ``get`` has read (nor
-        any map above them), in key order."""
-        out = []
-
+    def leaves(self):
+        """Yield ``(dotted path, value)`` of every leaf key in key order;
+        an empty map is a leaf."""
         def walk(node, prefix):
             for key, value in node.items():
-                if prefix + key in self._read:
-                    continue
-                if isinstance(value, dict):
-                    walk(value, f"{prefix}{key}.")
+                if isinstance(value, dict) and value:
+                    yield from walk(value, f"{prefix}{key}.")
                 else:
-                    out.append(prefix + key)
+                    yield prefix + key, value
 
-        walk(self._values, "")
-        return out
+        return walk(self._values, "")
+
+    def unread(self) -> list[str]:
+        """Dotted paths of the leaf keys that no ``get`` has read (nor
+        any map above them), in key order; an empty map holds no key."""
+        def read(path):
+            parts = path.split(".")
+            return any(".".join(parts[:i]) in self._read
+                       for i in range(1, len(parts) + 1))
+
+        return [path for path, value in self.leaves()
+                if value != {} and not read(path)]
 
     def __eq__(self, other):
         return isinstance(other, Config) and self._values == other._values
@@ -98,10 +104,6 @@ def load_config(path: str) -> Config:
 
 def dumps(config: Config) -> str:
     return json.dumps(config.to_dict(), indent=2, sort_keys=True)
-
-
-def loads(text: str) -> Config:
-    return Config(json.loads(text) if text.strip() else {})
 
 
 def _parse_value(text: str, existing):

@@ -131,6 +131,14 @@ def _gen_blobs(task_key, key, n, config: Config):
     }, k, shape
 
 
+def _rect(v, size: int) -> tuple:
+    """(top, left, height, width) of a rectangle inside a ``size`` square,
+    its sides 3 to size // 2 + 1, placed by four uniforms ``v``."""
+    h = 3 + int(v[0] * (size // 2 - 2))
+    w = 3 + int(v[1] * (size // 2 - 2))
+    return int(v[2] * (size - h)), int(v[3] * (size - w)), h, w
+
+
 def _gen_shapes_segmentation(task_key, key, n, config: Config):
     size = config.get("dataset.image_size", 16)
     keys = R.split(key, n + 1)
@@ -140,11 +148,7 @@ def _gen_shapes_segmentation(task_key, key, n, config: Config):
     yy, xx = np.mgrid[0:size, 0:size]
     for i in range(n):
         vals = R.uniform(keys[i + 1], (8,))
-        # rectangle (class 1)
-        h = 3 + int(vals[0] * (size // 2 - 2))
-        w = 3 + int(vals[1] * (size // 2 - 2))
-        y0 = int(vals[2] * (size - h))
-        x0 = int(vals[3] * (size - w))
+        y0, x0, h, w = _rect(vals[:4], size)  # class 1
         labels[i, y0:y0 + h, x0:x0 + w] = 1
         images[i, y0:y0 + h, x0:x0 + w] = 1.0
         # disk (class 2, drawn on top)
@@ -173,10 +177,7 @@ def _gen_boxes_detection(task_key, key, n, config: Config):
         geom = R.uniform(kg, (max_objects, 4))
         cls = R.randint(kn_, (max_objects,), 0, k)
         for j in range(count):
-            h = 3 + int(geom[j, 0] * (size // 2 - 2))
-            w = 3 + int(geom[j, 1] * (size // 2 - 2))
-            y0 = int(geom[j, 2] * (size - h))
-            x0 = int(geom[j, 3] * (size - w))
+            y0, x0, h, w = _rect(geom[j], size)
             value = 1.0 if cls[j] == 0 else -1.0
             images[i, y0:y0 + h, x0:x0 + w] = value
             labels[i, j] = cls[j]

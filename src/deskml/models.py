@@ -175,7 +175,6 @@ def segmentation_metrics(logits, label, batch_mask=None) -> MetricTable:
 
 def _ce_sum(x: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Per-row softmax cross-entropy against integer ids."""
-    z = x - x.max(-1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(-1, keepdims=True))
+    logp = T.log_softmax(Tensor(x)).data
     return -logp[np.arange(x.shape[0]), ids.astype(np.int64)]
 

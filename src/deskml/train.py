@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 
 from . import rng as R
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import (ARRAY_GROUPS, CheckpointError, load_checkpoint,
+                         save_checkpoint)
 from .config import Config
 from .data import ShardSpec, build_dataset
 from .metric_io import MetricWriter
@@ -42,12 +43,24 @@ class Topology:
         return self.host_count * self.devices_per_host
 
 
+# the state slots each optimizer kind keeps per parameter
+_SLOTS = {"sgd": (), "sgd_momentum": ("m",), "adam": ("m", "v")}
+
+
 @dataclass(frozen=True)
 class OptimizerSpec:
-    kind: str = "adam"  # sgd | sgd_momentum | adam
+    kind: str = "adam"  # a key of _SLOTS
     lr: float | Callable = 1e-3
     momentum: float = 0.9
     grad_clip: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in _SLOTS:
+            raise TrainError(f"unknown optimizer kind {self.kind!r}; "
+                             f"have {sorted(_SLOTS)}")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise TrainError(
+                f"optimizer.grad_clip must be > 0, got {self.grad_clip}")
 
     def lr_at(self, step: int) -> float:
         lr = self.lr(step) if callable(self.lr) else self.lr
@@ -80,25 +93,15 @@ class TrainState:
 
 
 def _init_opt_state(params: dict, opt: OptimizerSpec) -> dict:
-    slots = {}
-    if opt.kind == "sgd":
-        return slots
-    if opt.kind == "sgd_momentum":
-        for name, p in params.items():
-            slots[f"{name}/m"] = Tensor(np.zeros_like(p.data))
-        return slots
-    if opt.kind == "adam":
-        for name, p in params.items():
-            slots[f"{name}/m"] = Tensor(np.zeros_like(p.data))
-            slots[f"{name}/v"] = Tensor(np.zeros_like(p.data))
-        return slots
-    raise TrainError(f"unknown optimizer kind {opt.kind!r}")
+    return {f"{name}/{slot}": Tensor(np.zeros_like(p.data))
+            for name, p in params.items() for slot in _SLOTS[opt.kind]}
 
 
-def _apply_update(params: dict, grads: dict, opt_state: dict,
+def _apply_update(params: dict, g: dict, opt_state: dict,
                   opt: OptimizerSpec, step: int):
+    """Apply float64 mean gradients ``g`` (name -> array); returns the
+    new params and optimizer slots."""
     lr = opt.lr_at(step)
-    g = {k: v.data.astype(np.float64) for k, v in grads.items()}
     if opt.grad_clip is not None:
         norm = np.sqrt(sum(float((x * x).sum()) for x in g.values()))
         if norm > opt.grad_clip:
@@ -209,7 +212,7 @@ def train_step(state: TrainState, device_batches: list, topology: Topology,
                 state_sum[k] = state_sum[k] + v.data
         tables.append(table)
 
-    mean_grads = {k: Tensor(v / d_total) for k, v in grad_sum.items()}
+    mean_grads = {k: v / d_total for k, v in grad_sum.items()}
     new_model_state = {
         k: Tensor((state_sum[k] / d_total).astype(state.model_state[k].data.dtype))
         for k in state_sum
@@ -269,7 +272,7 @@ def _check_same_layout(fresh: TrainState, loaded: TrainState, path: str):
     shape or dtype (e.g. one written under another ``model.hidden``)."""
     def layout(state):
         return {f"{group} {name!r}": f"{t.data.dtype}{list(t.data.shape)}"
-                for group in ("params", "model_state", "opt_state")
+                for group in ARRAY_GROUPS
                 for name, t in getattr(state, group).items()}
 
     want, got = layout(fresh), layout(loaded)
@@ -279,24 +282,13 @@ def _check_same_layout(fresh: TrainState, loaded: TrainState, path: str):
                              f"checkpoint but {want.get(key, 'absent')} in the model")
 
 
-# config keys a resumed run may change: a run is extended by raising its
-# step budget
-_RESUMABLE_KEYS = ("total_steps",)
-
-
 def _run_fingerprint(config: Config, seed: int) -> dict:
-    """The seed and the config as dotted keys, less ``_RESUMABLE_KEYS``,
-    in the JSON form a checkpoint stores."""
-    flat = {}
-
-    def walk(node, prefix):
-        for key, value in node.items():
-            if isinstance(value, dict) and value:
-                walk(value, f"{prefix}{key}.")
-            elif prefix + key not in _RESUMABLE_KEYS:
-                flat[prefix + key] = value
-
-    walk(config.to_dict(), "")
+    """The seed and the config as dotted keys, in the JSON form a
+    checkpoint stores. ``total_steps`` is left out, so a run can be
+    extended, unless a cosine schedule spans it."""
+    keep_steps = config.get("optimizer.cosine_decay", False)
+    flat = {path: value for path, value in config.leaves()
+            if keep_steps or path != "total_steps"}
     return json.loads(json.dumps({"seed": seed, "config": flat}))
 
 
@@ -350,10 +342,11 @@ def run_trainer(kind: str, config: Config, workdir: str,
     an uninterrupted run; when that checkpoint is at ``total_steps`` the
     run is finished, and its final eval is recomputed and returned with
     nothing trained or written. A checkpoint written under another seed,
-    or a config differing in more than ``total_steps``, or at a step
-    past ``total_steps``, is refused with ``TrainError``; so are
-    ``eval_every < 1`` and a config key that nothing reads, before
-    anything is written. ``stop_when`` is checked against eval metrics
+    or a config differing in more than ``total_steps`` (in that too under
+    ``optimizer.cosine_decay``), or at a step past ``total_steps``, is
+    refused with ``TrainError``; so are ``eval_every < 1``,
+    ``optimizer.grad_clip <= 0`` and a config key that nothing reads,
+    before anything is written. ``stop_when`` is checked against eval metrics
     to allow stopping as soon as a target is reached.
     """
     if kind not in _TRAINER_KINDS:

@@ -340,6 +340,16 @@ class TestRunTrainer:
             TR.run_trainer("classification", cfg, wd)
         assert not os.path.exists(os.path.join(wd, "metrics.jsonl"))
 
+    @pytest.mark.parametrize("grad_clip", [0, -1])
+    def test_grad_clip_not_above_zero_refused(self, tmp_path, grad_clip):
+        # 0 would skip every update, a negative bound would ascend
+        cfg = trainer_config(optimizer={"kind": "sgd", "lr": 0.1,
+                                        "grad_clip": grad_clip})
+        wd = str(tmp_path / "x")
+        with pytest.raises(TR.TrainError, match="grad_clip must be > 0"):
+            TR.run_trainer("classification", cfg, wd)
+        assert not os.path.exists(wd)
+
     @pytest.mark.parametrize("key, extra", [
         ("model.dropuot", {"model": {"name": "fully_connected_classification",
                                      "dropuot": 0.1}}),
@@ -484,3 +494,88 @@ class TestResume:
         again = TR.run_trainer("classification", cfg, wd, seed=3)
         assert again == first
         assert snapshot(wd) == before
+
+    def cosine_config(self, total_steps):
+        return trainer_config(
+            total_steps=total_steps, eval_every=5,
+            optimizer={"kind": "sgd", "lr": 0.05, "cosine_decay": True})
+
+    def test_extending_a_cosine_run_refused(self, tmp_path):
+        # the schedule spans total_steps, so raising it would restart the
+        # decay part-way through the run
+        wd = str(tmp_path / "run")
+        TR.run_trainer("classification", self.cosine_config(10), wd, seed=3)
+        before = snapshot(wd)
+        with pytest.raises(TR.TrainError, match="'total_steps' is 10 in the "
+                                                "checkpoint but 20 in this run"):
+            TR.run_trainer("classification", self.cosine_config(20), wd, seed=3)
+        assert snapshot(wd) == before
+
+    def test_interrupted_cosine_run_resumes(self, tmp_path):
+        full = str(tmp_path / "full")
+        TR.run_trainer("classification", self.cosine_config(10), full, seed=3)
+        split = str(tmp_path / "split")
+        TR.run_trainer("classification", self.cosine_config(10), split, seed=3,
+                       stop_when=lambda metrics: True)  # stops at step 5
+        assert sorted(os.listdir(split)) == ["ckpt_5.bin", "metrics.jsonl"]
+        TR.run_trainer("classification", self.cosine_config(10), split, seed=3)
+        self.assert_same_files(full, split, ["metrics.jsonl", "ckpt_5.bin",
+                                             "ckpt_10.bin"])
+
+
+class Interrupt(Exception):
+    pass
+
+
+def vit_2x2_config():
+    return Config({
+        "model": {"name": "vit_classification", "dropout": 0.1},
+        "dataset": {"name": "blobs_classification", "input_shape": [8, 8, 1],
+                    "num_train_examples": 32, "num_eval_examples": 28},
+        "topology": {"host_count": 2, "devices_per_host": 2},
+        "batch_size": 4, "eval_every": 2, "total_steps": 6,
+        "optimizer": {"kind": "adam", "lr": 1e-2},
+    })
+
+
+@pytest.fixture(scope="module")
+def vit_2x2_files(tmp_path_factory):
+    """Every file of the uninterrupted run, by name."""
+    wd = str(tmp_path_factory.mktemp("vit_2x2_full"))
+    TR.run_trainer("classification", vit_2x2_config(), wd, seed=3)
+    return {name: read_bytes(os.path.join(wd, name)) for name in os.listdir(wd)}
+
+
+# (function in deskml.train, which call of it, raise before or after it runs):
+# every train step, and both sides of each of the three checkpoint saves
+INTERRUPTS = [(fn, call, when)
+              for fn, calls in (("train_step", 6), ("save_checkpoint", 3))
+              for call in range(1, calls + 1) for when in ("before", "after")]
+
+
+@pytest.mark.parametrize("fn, call, when", INTERRUPTS,
+                         ids=[f"{fn}-{call}-{when}" for fn, call, when in INTERRUPTS])
+def test_interrupted_anywhere_resumes_byte_identical(tmp_path, monkeypatch,
+                                                     vit_2x2_files, fn, call, when):
+    real = getattr(TR, fn)
+    calls = []
+
+    def interrupting(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == call and when == "before":
+            raise Interrupt
+        out = real(*args, **kwargs)
+        if len(calls) == call:
+            raise Interrupt
+        return out
+
+    wd = str(tmp_path / "run")
+    with monkeypatch.context() as m:
+        m.setattr(TR, fn, interrupting)
+        with pytest.raises(Interrupt):
+            TR.run_trainer("classification", vit_2x2_config(), wd, seed=3)
+    TR.run_trainer("classification", vit_2x2_config(), wd, seed=3)
+    files = {name: read_bytes(os.path.join(wd, name)) for name in os.listdir(wd)}
+    assert sorted(files) == sorted(vit_2x2_files)
+    for name in files:
+        assert files[name] == vit_2x2_files[name], name
