@@ -59,10 +59,11 @@ def build_mlp(config: Config, meta: DatasetMetaData) -> ModelContract:
         return params, {}
 
     def apply(params, model_state, inputs, train=False, rng=None):
+        s = L.scopes(params)
         h = inputs.astype(dtype).reshape((inputs.shape[0], d_in))
         n_layers = len(hidden) + 1
         for i in range(n_layers):
-            h = L.dense(h, L.scoped(params, f"dense{i}"))
+            h = L.dense(h, s[f"dense{i}"])
             if i < n_layers - 1:
                 h = T.relu(h)
         return h, model_state
@@ -102,17 +103,18 @@ def build_vit(config: Config, meta: DatasetMetaData) -> ModelContract:
         return params, {}
 
     def apply(params, model_state, inputs, train=False, rng=None):
-        x = L.patch_embed(inputs.astype(dtype), L.scoped(params, "patch"), patch)
+        s = L.scopes(params)
+        x = L.patch_embed(inputs.astype(dtype), s["patch"], patch)
         b = x.shape[0]
         cls = params["cls_token"] + T.zeros((b, 1, dim), dtype=dtype)
         x = T.concat([cls, x], axis=1)
-        x = L.add_positional_embedding(x, L.scoped(params, "pos"))
+        x = L.add_positional_embedding(x, s["pos"])
         keys = R.split(rng, depth) if rng is not None else [None] * depth
         for i in range(depth):
-            x = L.transformer_block(x, L.scoped(params, f"block{i}"), heads,
+            x = L.transformer_block(x, s[f"block{i}"], heads,
                                     train=train, drop_rate=drop, key=keys[i])
-        x = L.layer_norm(x, L.scoped(params, "ln"))
-        logits = L.dense(x[:, 0], L.scoped(params, "head"))
+        x = L.layer_norm(x, s["ln"])
+        logits = L.dense(x[:, 0], s["head"])
         return logits, model_state
 
     return _classification_contract(config, meta, ArchitectureHandle(init, apply))
@@ -146,11 +148,12 @@ def build_mixer(config: Config, meta: DatasetMetaData) -> ModelContract:
         return params, {}
 
     def apply(params, model_state, inputs, train=False, rng=None):
-        x = L.patch_embed(inputs.astype(dtype), L.scoped(params, "patch"), patch)
+        s = L.scopes(params)
+        x = L.patch_embed(inputs.astype(dtype), s["patch"], patch)
         for i in range(depth):
-            x = L.mixer_block(x, L.scoped(params, f"block{i}"))
-        x = L.layer_norm(x, L.scoped(params, "ln"))
-        logits = L.dense(T.tmean(x, axis=1), L.scoped(params, "head"))
+            x = L.mixer_block(x, s[f"block{i}"])
+        x = L.layer_norm(x, s["ln"])
+        logits = L.dense(T.tmean(x, axis=1), s["head"])
         return logits, model_state
 
     return _classification_contract(config, meta, ArchitectureHandle(init, apply))
@@ -185,18 +188,17 @@ def build_resnet(config: Config, meta: DatasetMetaData) -> ModelContract:
         return params, state
 
     def apply(params, model_state, inputs, train=False, rng=None):
-        h = L.conv(inputs.astype(dtype), L.scoped(params, "stem"))
-        h, stem_bn = L.batch_norm(h, L.scoped(params, "stem_bn"),
-                                  L.scoped(model_state, "stem_bn"), train, momentum)
+        s, ss = L.scopes(params), L.scopes(model_state)
+        h = L.conv(inputs.astype(dtype), s["stem"])
+        h, stem_bn = L.batch_norm(h, s["stem_bn"], ss["stem_bn"], train, momentum)
         h = T.relu(h)
         new_state = L.prefixed("stem_bn", stem_bn)
         for i, (_, stride) in enumerate(stages):
-            h, bs = L.resnet_block(h, L.scoped(params, f"block{i}"),
-                                   L.scoped(model_state, f"block{i}"),
+            h, bs = L.resnet_block(h, s[f"block{i}"], ss[f"block{i}"],
                                    train, stride=stride, momentum=momentum)
             new_state.update(L.prefixed(f"block{i}", bs))
         pooled = T.tmean(T.tmean(h, axis=1), axis=1)
-        logits = L.dense(pooled, L.scoped(params, "head"))
+        logits = L.dense(pooled, s["head"])
         return logits, new_state
 
     return _classification_contract(config, meta, ArchitectureHandle(init, apply))
@@ -226,13 +228,14 @@ def build_unet(config: Config, meta: DatasetMetaData) -> ModelContract:
         return params, {}
 
     def apply(params, model_state, inputs, train=False, rng=None):
+        s = L.scopes(params)
         x = inputs.astype(dtype)
-        skip1, x = L.unet_down(x, L.scoped(params, "down1"))
-        skip2, x = L.unet_down(x, L.scoped(params, "down2"))
-        x = L.double_conv(x, L.scoped(params, "bottleneck"))
-        x = L.unet_up(x, skip2, L.scoped(params, "up1"))
-        x = L.unet_up(x, skip1, L.scoped(params, "up2"))
-        logits = L.conv(x, L.scoped(params, "head"))
+        skip1, x = L.unet_down(x, s["down1"])
+        skip2, x = L.unet_down(x, s["down2"])
+        x = L.double_conv(x, s["bottleneck"])
+        x = L.unet_up(x, skip2, s["up1"])
+        x = L.unet_up(x, skip1, s["up2"])
+        logits = L.conv(x, s["head"])
         return logits, model_state
 
     return ModelContract(
@@ -297,18 +300,19 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
         return params, {}
 
     def apply(params, model_state, inputs, train=False, rng=None):
+        s = L.scopes(params)
         b = inputs.shape[0]
-        x = T.relu(L.conv(inputs.astype(dtype), L.scoped(params, "conv1"), stride=2))
-        x = T.relu(L.conv(x, L.scoped(params, "conv2"), stride=2))
+        x = T.relu(L.conv(inputs.astype(dtype), s["conv1"], stride=2))
+        x = T.relu(L.conv(x, s["conv2"], stride=2))
         x = x.reshape((b, tokens, dim))
-        x = L.add_positional_embedding(x, L.scoped(params, "pos"))
+        x = L.add_positional_embedding(x, s["pos"])
         for e in range(enc_depth):
-            x = L.transformer_block(x, L.scoped(params, f"enc{e}"), heads, train=train)
+            x = L.transformer_block(x, s[f"enc{e}"], heads, train=train)
         q = params["queries"] + T.zeros((b, num_slots, dim), dtype=dtype)
         for d in range(dec_depth):
-            q = L.decoder_block(q, x, L.scoped(params, f"dec{d}"), heads)
-        class_logits = L.dense(q, L.scoped(params, "cls_head"))
-        boxes = T.sigmoid(L.dense(q, L.scoped(params, "box_head")))
+            q = L.decoder_block(q, x, s[f"dec{d}"], heads)
+        class_logits = L.dense(q, s["cls_head"])
+        boxes = T.sigmoid(L.dense(q, s["box_head"]))
         return {"class_logits": class_logits, "boxes": boxes}, model_state
 
     def match(outputs, batch):

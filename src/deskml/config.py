@@ -68,14 +68,18 @@ class Config:
 
     def unread(self) -> list[str]:
         """Dotted paths of the leaf keys that no ``get`` has read (nor
-        any map above them), in key order; an empty map holds no key."""
+        any map above them), in key order. An empty map also counts as
+        read when a path below it was looked up."""
         def read(path):
             parts = path.split(".")
             return any(".".join(parts[:i]) in self._read
                        for i in range(1, len(parts) + 1))
 
+        def read_below(path):
+            return any(r.startswith(path + ".") for r in self._read)
+
         return [path for path, value in self.leaves()
-                if value != {} and not read(path)]
+                if not read(path) and not (value == {} and read_below(path))]
 
     def __eq__(self, other):
         return isinstance(other, Config) and self._values == other._values

@@ -3,7 +3,7 @@ conv, norm, mixer, residual and U-Net blocks.
 
 All blocks are pure functions over (inputs, params, state). Parameters
 live in flat ``name -> Tensor`` dicts; composite blocks are wired
-together with '/'-separated prefixes via ``prefixed``/``scoped``.
+together with '/'-separated prefixes via ``prefixed``/``scopes``.
 """
 
 from __future__ import annotations
@@ -19,9 +19,16 @@ def prefixed(prefix: str, d: dict) -> dict:
     return {f"{prefix}/{k}": v for k, v in d.items()}
 
 
-def scoped(params: dict, prefix: str) -> dict:
-    pre = prefix + "/"
-    return {k[len(pre):]: v for k, v in params.items() if k.startswith(pre)}
+def scopes(params: dict) -> dict[str, dict]:
+    """Group a flat dict by first path segment in one pass:
+    ``{"a/b/c": x}`` becomes ``{"a": {"b/c": x}}``; keys without a '/'
+    belong to no scope."""
+    out: dict[str, dict] = {}
+    for k, v in params.items():
+        head, sep, rest = k.partition("/")
+        if sep:
+            out.setdefault(head, {})[rest] = v
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +151,10 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         # [b, n, d] -> [b, heads, n, dh]
         return x.reshape((b, n, heads, dh)).transpose((0, 2, 1, 3))
 
-    qh = split_heads(dense(q, scoped(p, "q")), nq)
-    kh = split_heads(dense(k, scoped(p, "k")), nk)
-    vh = split_heads(dense(v, scoped(p, "v")), nk)
+    s = scopes(p)
+    qh = split_heads(dense(q, s["q"]), nq)
+    kh = split_heads(dense(k, s["k"]), nk)
+    vh = split_heads(dense(v, s["v"]), nk)
 
     logits = (qh @ kh.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
     if mask is not None:
@@ -154,7 +162,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     weights = T.softmax(logits, axis=-1)
     out = weights @ vh  # [b, heads, nq, dh]
     out = out.transpose((0, 2, 1, 3)).reshape((b, nq, d))
-    return dense(out, scoped(p, "o"))
+    return dense(out, s["o"])
 
 
 def init_mlp(key, dim: int, hidden: int, dtype="f32") -> dict:
@@ -164,7 +172,8 @@ def init_mlp(key, dim: int, hidden: int, dtype="f32") -> dict:
 
 
 def mlp(x: Tensor, p: dict) -> Tensor:
-    return dense(T.gelu(dense(x, scoped(p, "fc1"))), scoped(p, "fc2"))
+    s = scopes(p)
+    return dense(T.gelu(dense(x, s["fc1"])), s["fc2"])
 
 
 def init_transformer_block(key, dim: int, mlp_dim: int, dtype="f32") -> dict:
@@ -182,11 +191,12 @@ def transformer_block(x: Tensor, p: dict, heads: int,
     k1 = k2 = None
     if train and drop_rate > 0.0:
         k1, k2 = R.split(key, 2)
-    h = layer_norm(x, scoped(p, "ln1"))
-    x = x + dropout(multi_head_attention(h, h, h, heads, scoped(p, "attn")),
+    s = scopes(p)
+    h = layer_norm(x, s["ln1"])
+    x = x + dropout(multi_head_attention(h, h, h, heads, s["attn"]),
                     drop_rate, train, k1)
-    h = layer_norm(x, scoped(p, "ln2"))
-    return x + dropout(mlp(h, scoped(p, "mlp")), drop_rate, train, k2)
+    h = layer_norm(x, s["ln2"])
+    return x + dropout(mlp(h, s["mlp"]), drop_rate, train, k2)
 
 
 def init_decoder_block(key, dim: int, mlp_dim: int, dtype="f32") -> dict:
@@ -201,12 +211,13 @@ def init_decoder_block(key, dim: int, mlp_dim: int, dtype="f32") -> dict:
 
 def decoder_block(x: Tensor, memory: Tensor, p: dict, heads: int) -> Tensor:
     """Pre-LN decoder block: self-attention, cross-attention, MLP."""
-    h = layer_norm(x, scoped(p, "ln1"))
-    x = x + multi_head_attention(h, h, h, heads, scoped(p, "self_attn"))
-    h = layer_norm(x, scoped(p, "ln2"))
-    x = x + multi_head_attention(h, memory, memory, heads, scoped(p, "cross_attn"))
-    h = layer_norm(x, scoped(p, "ln3"))
-    return x + mlp(h, scoped(p, "mlp"))
+    s = scopes(p)
+    h = layer_norm(x, s["ln1"])
+    x = x + multi_head_attention(h, h, h, heads, s["self_attn"])
+    h = layer_norm(x, s["ln2"])
+    x = x + multi_head_attention(h, memory, memory, heads, s["cross_attn"])
+    h = layer_norm(x, s["ln3"])
+    return x + mlp(h, s["mlp"])
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +235,12 @@ def init_mixer_block(key, tokens: int, dim: int, token_mlp: int,
 
 def mixer_block(x: Tensor, p: dict) -> Tensor:
     """Token-mixing MLP across positions, then channel-mixing MLP."""
-    h = layer_norm(x, scoped(p, "ln1")).transpose((0, 2, 1))
-    h = mlp(h, scoped(p, "token_mix")).transpose((0, 2, 1))
+    s = scopes(p)
+    h = layer_norm(x, s["ln1"]).transpose((0, 2, 1))
+    h = mlp(h, s["token_mix"]).transpose((0, 2, 1))
     x = x + h
-    h = layer_norm(x, scoped(p, "ln2"))
-    return x + mlp(h, scoped(p, "channel_mix"))
+    h = layer_norm(x, s["ln2"])
+    return x + mlp(h, s["channel_mix"])
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +264,15 @@ def init_resnet_block(key, cin: int, cout: int, stride: int = 1, dtype="f32"):
 def resnet_block(x: Tensor, p: dict, state: dict, train: bool,
                  stride: int = 1, momentum: float = 0.9):
     """conv-BN-relu twice plus a (projected) shortcut; returns (y, new_state)."""
+    s, ss = scopes(p), scopes(state)
     shortcut = x
-    if "proj/w" in p:
-        shortcut = conv(x, scoped(p, "proj"), stride=stride, padding="valid")
-    h = conv(x, scoped(p, "conv1"), stride=stride)
-    h, bn1 = batch_norm(h, scoped(p, "bn1"), scoped(state, "bn1"), train, momentum)
+    if "proj" in s:
+        shortcut = conv(x, s["proj"], stride=stride, padding="valid")
+    h = conv(x, s["conv1"], stride=stride)
+    h, bn1 = batch_norm(h, s["bn1"], ss["bn1"], train, momentum)
     h = T.relu(h)
-    h = conv(h, scoped(p, "conv2"))
-    h, bn2 = batch_norm(h, scoped(p, "bn2"), scoped(state, "bn2"), train, momentum)
+    h = conv(h, s["conv2"])
+    h, bn2 = batch_norm(h, s["bn2"], ss["bn2"], train, momentum)
     y = T.relu(h + shortcut)
     return y, prefixed("bn1", bn1) | prefixed("bn2", bn2)
 
@@ -275,8 +288,9 @@ def init_double_conv(key, cin: int, cout: int, dtype="f32") -> dict:
 
 
 def double_conv(x: Tensor, p: dict) -> Tensor:
-    h = T.relu(conv(x, scoped(p, "conv1")))
-    return T.relu(conv(h, scoped(p, "conv2")))
+    s = scopes(p)
+    h = T.relu(conv(x, s["conv1"]))
+    return T.relu(conv(h, s["conv2"]))
 
 
 def unet_down(x: Tensor, p: dict):

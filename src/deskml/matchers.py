@@ -53,28 +53,38 @@ def _solve_jv(costs: np.ndarray):
     on the assignment, ``v <= 0`` and ``v == 0`` on unassigned columns.
     """
     n, m = costs.shape
-    u = np.zeros(n + 1)
-    v = np.zeros(m + 1)
-    col_row = np.zeros(m + 1, dtype=np.int64)  # 1-based row matched to column
-    way = np.zeros(m + 1, dtype=np.int64)
+    rows = costs.tolist()
+    u = [0.0] * (n + 1)
+    v = [0.0] * (m + 1)
+    col_row = [0] * (m + 1)  # 1-based row matched to column
+    way = [0] * (m + 1)
     for i in range(1, n + 1):
         col_row[0] = i
         j0 = 0
-        minv = np.full(m + 1, np.inf)
-        used = np.zeros(m + 1, dtype=bool)
+        minv = [np.inf] * (m + 1)
+        used = [False] * (m + 1)
         while True:
             used[j0] = True
             i0 = col_row[j0]
-            cur = costs[i0 - 1] - u[i0] - v[1:]
-            better = ~used[1:] & (cur < minv[1:])
-            minv[1:][better] = cur[better]
-            way[1:][better] = j0
-            free = np.where(~used[1:])[0] + 1
-            j1 = free[np.argmin(minv[free])]
+            row, ui = rows[i0 - 1], u[i0]
+            # Relax the free columns and take the first minimum among
+            # them in column order, as np.argmin does.
+            j1 = 0
+            for j in range(1, m + 1):
+                if not used[j]:
+                    cur = row[j - 1] - ui - v[j]
+                    if cur < minv[j]:
+                        minv[j] = cur
+                        way[j] = j0
+                    if j1 == 0 or minv[j] < minv[j1]:
+                        j1 = j
             delta = minv[j1]
-            u[col_row[used]] += delta
-            v[used] -= delta
-            minv[~used] -= delta
+            for j in range(m + 1):
+                if used[j]:
+                    u[col_row[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
             j0 = j1
             if col_row[j0] == 0:
                 break
@@ -86,7 +96,7 @@ def _solve_jv(costs: np.ndarray):
     for j in range(1, m + 1):
         if col_row[j] > 0:
             row_to_col[col_row[j] - 1] = j - 1
-    return row_to_col, u[1:], v[1:]
+    return row_to_col, np.array(u[1:]), np.array(v[1:])
 
 
 def _optimal_cost(costs: np.ndarray) -> float:

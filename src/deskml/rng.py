@@ -10,15 +10,41 @@ from __future__ import annotations
 
 import numpy as np
 
-_C240 = np.uint64(0x1BD11BDAA9FC1A22)
+_C240 = 0x1BD11BDAA9FC1A22
+_MASK = 0xFFFFFFFFFFFFFFFF
 # Rotation schedule for Threefry-2x64, 20 rounds.
 _ROT = (16, 42, 12, 31, 16, 32, 24, 21)
+# The rotations of each 4-round group, between two key injections.
+_ROT_GROUPS = (_ROT[:4], _ROT[4:], _ROT[:4], _ROT[4:], _ROT[:4])
+# Up to this many counters the cipher runs on Python ints. numpy's fixed
+# cost per call (~76 us) exceeds the int rounds' 5-7 us per counter up
+# to a crossover measured at 11-15 counters; 8 stays below it.
+_SCALAR_MAX = 8
 
 
-def _threefry2x64(k0, k1, x0, x1):
-    """Apply the Threefry-2x64 block cipher to counter words (x0, x1)."""
+def _threefry_ints(k0, k1, x0, x1):
+    """Threefry-2x64-20 on Python ints: lists of the two output words."""
+    ks = (k0, k1, k0 ^ k1 ^ _C240)
+    inject = [(ks[d % 3], (ks[(d + 1) % 3] + d) & _MASK) for d in range(1, 6)]
+    out0, out1 = [], []
+    for a, b in zip(x0, x1):
+        a = (a + k0) & _MASK
+        b = (b + k1) & _MASK
+        for rots, (i0, i1) in zip(_ROT_GROUPS, inject):
+            for rot in rots:
+                a = (a + b) & _MASK
+                b = (((b << rot) | (b >> (64 - rot))) & _MASK) ^ a
+            a = (a + i0) & _MASK
+            b = (b + i1) & _MASK
+        out0.append(a)
+        out1.append(b)
+    return out0, out1
+
+
+def _threefry_numpy(k0, k1, x0, x1):
+    """Threefry-2x64-20 on uint64 arrays of counter words."""
     with np.errstate(over="ignore"):
-        ks = (np.uint64(k0), np.uint64(k1), np.uint64(k0) ^ np.uint64(k1) ^ _C240)
+        ks = (np.uint64(k0), np.uint64(k1), np.uint64(k0 ^ k1 ^ _C240))
         x0 = x0 + ks[0]
         x1 = x1 + ks[1]
         for r in range(20):
@@ -31,6 +57,20 @@ def _threefry2x64(k0, k1, x0, x1):
                 x0 = x0 + ks[d % 3]
                 x1 = x1 + ks[(d + 1) % 3] + np.uint64(d)
     return x0, x1
+
+
+def _threefry2x64(k0, k1, counters: range, tag: int):
+    """Encrypt the blocks (c, tag), c in ``counters``, under key (k0, k1).
+
+    Returns the two output words per block: lists of ints for at most
+    ``_SCALAR_MAX`` blocks, else uint64 arrays. Both give the same bits.
+    """
+    n = len(counters)
+    if n <= _SCALAR_MAX:
+        return _threefry_ints(k0, k1, counters, [tag] * n)
+    return _threefry_numpy(k0, k1,
+                           np.arange(counters.start, counters.stop, dtype=np.uint64),
+                           np.full(n, tag, np.uint64))
 
 
 class RngKey:
@@ -64,25 +104,23 @@ def split(key: RngKey, n: int) -> list[RngKey]:
     """
     if n < 1:
         raise ValueError(f"split needs n >= 1, got {n}")
-    ctr = np.arange(n, dtype=np.uint64)
-    h, l = _threefry2x64(key.hi, key.lo, ctr, np.full(n, np.uint64(1)))
-    return [RngKey(int(h[i]), int(l[i])) for i in range(n)]
+    h, l = _threefry2x64(key.hi, key.lo, range(n), 1)
+    return [RngKey(a, b) for a, b in zip(h, l)]
 
 
 def fold_in(key: RngKey, data: int) -> RngKey:
     """Mix an integer (e.g. an epoch number) into a key."""
-    h, l = _threefry2x64(
-        key.hi, key.lo, np.asarray([data], np.uint64), np.asarray([2], np.uint64)
-    )
-    return RngKey(int(h[0]), int(l[0]))
+    if not 0 <= data <= _MASK:
+        raise ValueError(f"fold_in data must be a 64-bit unsigned word, got {data}")
+    (h,), (l,) = _threefry2x64(key.hi, key.lo, range(data, data + 1), 2)
+    return RngKey(h, l)
 
 
 def _random_bits(key: RngKey, n: int) -> np.ndarray:
     """n words of 64 random bits from the key's counter stream."""
     half = (n + 1) // 2
-    ctr = np.arange(half, dtype=np.uint64)
-    h, l = _threefry2x64(key.hi, key.lo, ctr, np.zeros(half, np.uint64))
-    return np.concatenate([h, l])[:n]
+    h, l = _threefry2x64(key.hi, key.lo, range(half), 0)
+    return np.concatenate([np.asarray(h, np.uint64), np.asarray(l, np.uint64)])[:n]
 
 
 def uniform(key: RngKey, shape, dtype=np.float64) -> np.ndarray:

@@ -440,7 +440,7 @@ def conv2d(a, kernel, stride: int = 1, padding: str = "same") -> Tensor:
         for i in range(kh):
             for j in range(kw):
                 patch = x[:, i:i + oh * stride:stride, j:j + ow * stride:stride, :]
-                gk[i, j] = np.tensordot(patch, g, axes=([0, 1, 2], [0, 1, 2]))
+                gk[i, j] = patch.reshape(-1, cin).T @ g.reshape(-1, cout)
                 gx[:, i:i + oh * stride:stride, j:j + ow * stride:stride, :] += \
                     np.matmul(g, kernel.data[i, j].T)
         return (gx, gk)

@@ -92,8 +92,18 @@ def test_with_defaults_adds_only_missing_keys_after_the_callers():
 
 def test_unread_names_leaves_no_get_covered():
     cfg = C.Config({"a": {"b": 1, "c": 2}, "d": {"e": 3}, "f": {}, "g": 4})
-    assert cfg.unread() == ["a.b", "a.c", "d.e", "g"]
+    assert cfg.unread() == ["a.b", "a.c", "d.e", "f", "g"]
     cfg.get("a.b")
     cfg.get("d")  # reading a map reads every key under it
     cfg.get("g.h", 0)  # a missing path below a leaf does not read the leaf
-    assert cfg.unread() == ["a.c", "g"]
+    assert cfg.unread() == ["a.c", "f", "g"]
+
+
+def test_unread_empty_map_needs_a_read_at_or_below_it():
+    cfg = C.Config({"modle": {}, "topology": {}, "x": {"y": {}}, "z": {}})
+    assert cfg.unread() == ["modle", "topology", "x.y", "z"]
+    cfg.get("topology.host_count", 1)  # a missing key below the map reads it
+    cfg.get("x")  # so does reading a map above it
+    cfg.get("z")  # or the map itself
+    cfg.get("modl.name", "m")  # a sibling's prefix does not
+    assert cfg.unread() == ["modle"]

@@ -21,9 +21,16 @@ def as_f64(params):
 
 
 class TestNamespacing:
-    def test_prefixed_scoped_roundtrip(self):
+    def test_prefixed_scopes_roundtrip(self):
         d = {"w": Tensor(np.ones(2)), "b": Tensor(np.zeros(2))}
-        assert L.scoped(L.prefixed("enc/fc1", d), "enc/fc1").keys() == d.keys()
+        assert L.scopes(L.prefixed("enc/fc1", d))["enc"] == L.prefixed("fc1", d)
+        assert L.scopes(L.prefixed("fc1", d))["fc1"].keys() == d.keys()
+
+    def test_scopes_group_by_first_segment_in_order(self):
+        p = {"a/x": 1, "b/y/z": 2, "top": 3, "a/w": 4, "ab/q": 5}
+        assert L.scopes(p) == {"a": {"x": 1, "w": 4}, "b": {"y/z": 2},
+                               "ab": {"q": 5}}
+        assert list(L.scopes(p)["a"]) == ["x", "w"]
 
 class TestDense:
     def test_zero_weight_gives_bias(self):
@@ -95,8 +102,9 @@ class TestAttention:
         p = as_f64(L.init_attention(key(9), 8))
         x = rand(key(10), (2, 1, 8))
         out = L.multi_head_attention(x, x, x, heads=2, p=p)
-        v = L.dense(x, L.scoped(p, "v"))
-        ref = L.dense(v, L.scoped(p, "o"))
+        s = L.scopes(p)
+        v = L.dense(x, s["v"])
+        ref = L.dense(v, s["o"])
         assert np.allclose(out.data, ref.data, atol=1e-12)
 
     def test_matches_direct_formula(self):
@@ -107,7 +115,7 @@ class TestAttention:
                                      heads=heads, p=p).data
 
         def lin(name, inp):
-            return inp @ L.scoped(p, name)["w"].data + L.scoped(p, name)["b"].data
+            return inp @ L.scopes(p)[name]["w"].data + L.scopes(p)[name]["b"].data
 
         q, k, v = lin("q", x[0]), lin("k", x[0]), lin("v", x[0])
         dh = d // heads

@@ -67,6 +67,33 @@ def reference_case(kind, seed):
     return u
 
 
+class TestSolveJV:
+    """The dual certificate ``hungarian``'s pruning relies on."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("kind", ["uniform", "ties", "negative", "equal"])
+    def test_duals_certify_the_assignment(self, kind, seed):
+        k_shape, k_cost = R.split(R.RngKey.from_seed(700 + seed), 2)
+        n, m = (int(x) for x in R.randint(k_shape, (2,), 1, 9))
+        n, m = min(n, m, 5), max(n, m)
+        c = R.uniform(k_cost, (n, m))
+        costs = {"uniform": c, "ties": np.floor(c * 3.0),
+                 "negative": (R.normal(k_cost, (n, m)) - 0.5) * 100.0,
+                 "equal": np.full((n, m), -c[0, 0])}[kind]
+        row_to_col, u, v = M._solve_jv(costs)
+        assert u.dtype == v.dtype == np.float64
+        assert u.shape == (n,) and v.shape == (m,)
+        assert sorted(set(row_to_col.tolist())) == sorted(row_to_col.tolist())
+        tol = 1e-9 * max(1.0, float(np.abs(costs).max())) * n
+        reduced = costs - u[:, None] - v[None, :]
+        assert (reduced >= -tol).all()
+        assert np.abs(reduced[np.arange(n), row_to_col]).max() <= tol
+        assert (v <= 0).all()
+        free = np.setdiff1d(np.arange(m), row_to_col)
+        assert (v[free] == 0).all()
+        assert M._optimal_cost(costs) == pytest.approx(brute_force(costs)[1], abs=tol)
+
+
 class TestHungarian:
     @pytest.mark.parametrize("seed", range(25))
     @pytest.mark.parametrize("kind", ["uniform", "ties", "equal", "row", "square"])

@@ -60,3 +60,86 @@ def test_permutation_is_permutation():
 def test_randint_range():
     v = R.randint(R.RngKey.from_seed(3), (1000,), 2, 7)
     assert v.min() >= 2 and v.max() <= 6
+
+
+# Known answers. The cipher vector is Random123's Threefry-2x64-20 test
+# vector; the key and sample values were recorded from the numpy-only
+# implementation, so both cipher paths must keep reproducing them.
+MASK = 2 ** 64 - 1
+
+
+def test_threefry_known_answer():
+    want = ([0xC2B6E3A8C2C69865], [0x6F81ED42F350084D])
+    assert R._threefry_ints(0, 0, [0], [0]) == want
+    h, l = R._threefry_numpy(0, 0, np.zeros(1, np.uint64), np.zeros(1, np.uint64))
+    assert (h.tolist(), l.tolist()) == want
+    assert R._threefry2x64(0, 0, range(1), 0) == want
+
+
+SPLIT_7 = [
+    (0x572C262F856A4CB6, 0x6F95C84933D94A9D), (0x666D853C94331559, 0x314C2E03BA4FF9AA),
+    (0xFBD329992B6354F6, 0xD04035DF051E9E8E), (0x11951848CFE2143F, 0xACE29DE709E96F54),
+    (0x7A0A27FB072A6A0C, 0x3A4334465A14BBEB), (0xDEB3DE434DF8475C, 0x884D3F3584502A8B),
+    (0xB67CBB0BD91AE2C9, 0x104CE524FB355CEF), (0xC5750CD88239A0B6, 0xE4598FBE4169E22E),
+    (0x3B913A62E52E3859, 0x8D359E9E8FCB2341),
+]
+
+
+@pytest.mark.parametrize("n", [1, R._SCALAR_MAX, R._SCALAR_MAX + 1])
+def test_split_known_answer(n):
+    assert R._SCALAR_MAX + 1 <= len(SPLIT_7)
+    keys = R.split(R.RngKey.from_seed(7), n)
+    assert [(k.hi, k.lo) for k in keys] == SPLIT_7[:n]
+
+
+def test_fold_in_known_answer():
+    k = R.fold_in(R.RngKey.from_seed(7), 3)
+    assert (k.hi, k.lo) == (0x08B648769A82B5A4, 0x1EDDB59E0890A62A)
+    k = R.fold_in(R.RngKey(MASK, MASK), MASK)
+    assert (k.hi, k.lo) == (0x727E48A44B5107C0, 0xCFA7EDFE95EB84AD)
+
+
+def test_fold_in_rejects_data_outside_a_word():
+    with pytest.raises(ValueError, match="64-bit"):
+        R.fold_in(R.RngKey.from_seed(0), -1)
+    with pytest.raises(ValueError, match="64-bit"):
+        R.fold_in(R.RngKey.from_seed(0), MASK + 1)
+
+
+def sha(a):
+    import hashlib
+    return hashlib.sha256(np.ascontiguousarray(a, "<f8").tobytes()).hexdigest()[:16]
+
+
+# uniform draws (n + 1) // 2 counters and normal n: the sizes sit on
+# both sides of _SCALAR_MAX = 8 counters.
+@pytest.mark.parametrize("fn, shape, digest, first, last", [
+    ("uniform", (1,), "12628cf785c8aad7", 0.41449980205239156, 0.41449980205239156),
+    ("uniform", (16,), "2dd1f1aecf8c0bf2", 0.41449980205239156, 0.6934542970575119),
+    ("uniform", (17,), "fdffab43602d7848", 0.41449980205239156, 0.6934542970575119),
+    ("uniform", (3, 5), "6c40973411d1b736", 0.41449980205239156, 0.5486904337553962),
+    ("normal", (1,), "93ad58f188eecc3c", -0.4698163781009684, -0.4698163781009684),
+    ("normal", (8,), "88a77f8ae81adabd", -0.4698163781009684, -0.6088174867518392),
+    ("normal", (9,), "a4c3b6d0136c2f26", -0.4698163781009684, -1.0666269507321662),
+    ("normal", (2, 5), "33508ee4bad473fb", -0.4698163781009684, 0.8938702478618888),
+])
+def test_samples_known_answer(fn, shape, digest, first, last):
+    assert R._SCALAR_MAX == 8
+    x = getattr(R, fn)(R.RngKey.from_seed(7), shape)
+    assert x.shape == shape and x.dtype == np.float64
+    assert (x.flat[0], x.flat[-1]) == (first, last)
+    assert sha(x) == digest
+
+
+def test_cipher_paths_agree():
+    import random
+    rnd = random.Random(0)
+    edge = [0, 1, 2 ** 63, MASK - 1, MASK]
+    for _ in range(300):
+        word = lambda: rnd.choice(edge + [rnd.getrandbits(64)] * 3)  # noqa: E731
+        k0, k1 = word(), word()
+        n = rnd.randint(1, 2 * R._SCALAR_MAX)
+        x0 = [word() for _ in range(n)]
+        x1 = [word() for _ in range(n)]
+        h, l = R._threefry_numpy(k0, k1, np.array(x0, np.uint64), np.array(x1, np.uint64))
+        assert R._threefry_ints(k0, k1, x0, x1) == (h.tolist(), l.tolist())

@@ -358,12 +358,19 @@ class TestRunTrainer:
             "num_eval_examples": 16, "num_train_exmples": 32}}),
         ("trainer", {"trainer": "classification"}),
         ("resume", {"resume": False}),
+        ("modle", {"modle": {}}),
     ])
     def test_unread_key_refused(self, tmp_path, key, extra):
         wd = str(tmp_path / "x")
         with pytest.raises(TR.TrainError, match=f"'{key}': nothing reads it"):
             TR.run_trainer("classification", trainer_config(**extra), wd)
         assert not os.path.exists(wd)
+
+    def test_empty_topology_map_is_read(self, tmp_path):
+        # topology.host_count and devices_per_host are looked up below it
+        out = TR.run_trainer("classification", trainer_config(topology={}),
+                             str(tmp_path / "x"))
+        assert "accuracy" in out
 
     def test_model_defaults_fill_missing_keys(self, tmp_path):
         # vit_classification's registered defaults supply the dataset
