@@ -404,6 +404,18 @@ def pad2d(a, pad: int) -> Tensor:
 # spatial ops (NHWC)
 
 
+def _correlate(x, k, stride: int, oh: int, ow: int) -> np.ndarray:
+    """Sum over the taps (i, j) of x's strided window at (i, j) times
+    k[i, j]; x is [b, H, W, cin], k is [kh, kw, cin, cout]."""
+    kh, kw, _, cout = k.shape
+    out = np.zeros((x.shape[0], oh, ow, cout), x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            patch = x[:, i:i + oh * stride:stride, j:j + ow * stride:stride, :]
+            out += np.matmul(patch, k[i, j])
+    return out
+
+
 def conv2d(a, kernel, stride: int = 1, padding: str = "same") -> Tensor:
     """2-D cross-correlation; kernel is [kh, kw, cin, cout]."""
     a = _as_tensor(a)
@@ -416,36 +428,37 @@ def conv2d(a, kernel, stride: int = 1, padding: str = "same") -> Tensor:
     if padding == "same":
         if kh % 2 == 0 or kw % 2 == 0:
             raise ValueError("same padding requires odd kernel extents")
-        pad = kh // 2
+        ph, pw = kh // 2, kw // 2
     elif padding == "valid":
-        pad = 0
+        ph = pw = 0
     else:
         raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
 
-    xp = pad2d(a, pad)
-    b, hp, wp, _ = xp.shape
-    oh = (hp - kh) // stride + 1
-    ow = (wp - kw) // stride + 1
-    x = xp.data
-
-    out = np.zeros((b, oh, ow, cout), x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            patch = x[:, i:i + oh * stride:stride, j:j + ow * stride:stride, :]
-            out += np.matmul(patch, kernel.data[i, j])
+    b, h, w, _ = a.shape
+    x = a.data
+    if ph or pw:
+        x = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    oh = (h + 2 * ph - kh) // stride + 1
+    ow = (w + 2 * pw - kw) // stride + 1
+    out = _correlate(x, kernel.data, stride, oh, ow)
 
     def backward(g):
-        gx = np.zeros_like(x)
         gk = np.zeros_like(kernel.data)
         for i in range(kh):
             for j in range(kw):
                 patch = x[:, i:i + oh * stride:stride, j:j + ow * stride:stride, :]
                 gk[i, j] = patch.reshape(-1, cin).T @ g.reshape(-1, cout)
-                gx[:, i:i + oh * stride:stride, j:j + ow * stride:stride, :] += \
-                    np.matmul(g, kernel.data[i, j].T)
-        return (gx, gk)
+        if not a.requires_grad:
+            return (None, gk)
+        # the input gradient is a stride-1 correlation of g, placed on the
+        # stride grid and zero-padded, with the flipped, transposed kernel
+        gs = np.zeros((b, h + kh - 1, w + kw - 1, cout), g.dtype)
+        y0, x0 = kh - 1 - ph, kw - 1 - pw
+        gs[:, y0:y0 + oh * stride:stride, x0:x0 + ow * stride:stride, :] = g
+        flipped = np.ascontiguousarray(kernel.data[::-1, ::-1].swapaxes(2, 3))
+        return (_correlate(gs, flipped, 1, h, w), gk)
 
-    return _make(out, (xp, kernel), backward)
+    return _make(out, (a, kernel), backward)
 
 
 def max_pool2d(a, size: int = 2) -> Tensor:
@@ -484,7 +497,11 @@ def upsample_nearest2d(a, factor: int = 2) -> Tensor:
 
 
 def backward(out: Tensor) -> dict[int, np.ndarray]:
-    """Backprop from a scalar; returns grads keyed by id(tensor)."""
+    """Backprop from a scalar; returns the leaves' grads keyed by id(tensor).
+
+    A leaf is a tensor with no backward rule. Each inner node's gradient
+    is released as soon as its rule has run.
+    """
     if out.size != 1:
         raise ValueError(f"backward needs a scalar output, got shape {out.shape}")
 
@@ -507,8 +524,10 @@ def backward(out: Tensor) -> dict[int, np.ndarray]:
 
     grads: dict[int, np.ndarray] = {id(out): np.ones_like(out.data)}
     for node in reversed(order):
-        g = grads.get(id(node))
-        if g is None or node._backward is None:
+        if node._backward is None:
+            continue  # a leaf keeps its gradient for the caller
+        g = grads.pop(id(node), None)
+        if g is None:
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             if not parent.requires_grad:

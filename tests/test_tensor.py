@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from deskml import rng as R
 from deskml import tensor as T
-from gradcheck import check_grads
+from gradcheck import check_grads, max_rel_error
 
 
 def rand(key, shape):
@@ -130,6 +132,39 @@ class TestGrad:
             T.grad(lambda p: T.tsum(p["x"].astype("f64")),
                    {"x": T.tensor(np.array([1, 2]))})
 
+    def test_backward_keeps_only_leaf_gradients(self):
+        keys = R.split(R.RngKey.from_seed(27), 2)
+        w = T.Tensor(R.normal(keys[0], (3, 4)), requires_grad=True)
+        b = T.Tensor(R.normal(keys[1], (4,)), requires_grad=True)
+        x = T.Tensor(np.ones((2, 3)))
+        out = T.tsum(T.tanh(x @ w + b) * 2.0)
+        assert set(T.backward(out)) == {id(w), id(b)}
+
+    def test_backward_frees_inner_gradients_once_used(self):
+        x = T.Tensor(np.arange(1.0, 7.0), requires_grad=True)
+        h1 = x * 2.0
+        h2 = h1 * 3.0
+        out = T.tsum(h2 * 4.0)
+        seen = {}
+
+        def recording(rule):
+            def rule_that_records(g):
+                seen["h2"] = weakref.ref(g)
+                return rule(g)
+            return rule_that_records
+
+        def checking(rule):
+            def rule_that_checks(g):
+                seen["dead"] = seen["h2"]() is None
+                return rule(g)
+            return rule_that_checks
+
+        h2._backward = recording(h2._backward)
+        h1._backward = checking(h1._backward)
+        grads = T.backward(out)
+        assert seen["dead"]
+        assert np.array_equal(grads[id(x)], np.full(6, 24.0))
+
     def test_unused_param_gets_zero_grad(self):
         g = T.grad(lambda p: p["a"] * p["a"],
                    {"a": T.tensor(2.0), "b": T.tensor([1.0, 1.0])})
@@ -200,9 +235,64 @@ class TestSpatialOps:
 
     def test_conv2d_grad(self):
         keys = R.split(R.RngKey.from_seed(18), 2)
-        check_grads(
-            lambda p: T.tsum(T.conv2d(p["x"], p["k"], stride=2) ** 2.0),
-            {"x": rand(keys[0], (1, 4, 4, 2)), "k": rand(keys[1], (3, 3, 2, 2))})
+        x = rand(keys[0], (2, 6, 7, 2))
+        for kshape in [(1, 1), (3, 3), (5, 5), (3, 5)]:
+            k = rand(keys[1], kshape + (2, 3))
+            for stride in (1, 2, 3):
+                for padding in ("same", "valid"):
+                    err = max_rel_error(
+                        lambda p: T.tsum(T.conv2d(p["x"], p["k"], stride, padding)
+                                         ** 2.0), {"x": x, "k": k})
+                    assert err <= 1e-6, (kshape, stride, padding, err)
+
+    @pytest.mark.parametrize("kshape", [(3, 5), (1, 3)])
+    def test_conv2d_same_keeps_extent_for_non_square_kernels(self, kshape):
+        x = rand(R.RngKey.from_seed(23), (1, 5, 5, 1))
+        k = T.tensor(np.ones(kshape + (1, 1)))
+        out = T.conv2d(x, k, padding="same")
+        assert out.shape == (1, 5, 5, 1)
+        kh, kw = kshape
+        xp = np.pad(x.data[0, :, :, 0], ((kh // 2, kh // 2), (kw // 2, kw // 2)))
+        ref = [[xp[y:y + kh, c:c + kw].sum() for c in range(5)] for y in range(5)]
+        assert np.allclose(out.data[0, :, :, 0], ref)
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("kshape", [(1, 1), (3, 3), (5, 5), (3, 5)])
+    def test_conv2d_float32_input_grad_matches_tap_scatter(self, stride, padding,
+                                                           kshape):
+        keys = R.split(R.RngKey.from_seed(25), 3)
+        kh, kw = kshape
+        x = T.Tensor(R.normal(keys[0], (3, 9, 10, 4)), dtype="f32")
+        k = T.Tensor(R.normal(keys[1], kshape + (4, 5)), dtype="f32")
+        out = T.conv2d(x, k, stride, padding)
+        g = R.normal(keys[2], out.shape).astype(np.float32)
+        grads = T.grad(lambda p: T.tsum(T.conv2d(p["x"], p["k"], stride, padding)
+                                        * T.Tensor(g)), {"x": x, "k": k})
+        # scatter each tap's g @ k[i, j].T into the padded input, then crop
+        ph, pw = (kh // 2, kw // 2) if padding == "same" else (0, 0)
+        _, oh, ow, _ = out.shape
+        ref = np.zeros((3, 9 + 2 * ph, 10 + 2 * pw, 4))
+        for i in range(kh):
+            for j in range(kw):
+                ref[:, i:i + oh * stride:stride, j:j + ow * stride:stride] += \
+                    g.astype(np.float64) @ k.data[i, j].T.astype(np.float64)
+        ref = ref[:, ph:ph + 9, pw:pw + 10]
+        gx = grads["x"].data
+        assert gx.dtype == np.float32
+        assert np.abs(gx - ref).max() <= 1e-6 * np.abs(ref).max()
+
+    def test_conv2d_input_without_grad_gets_none(self):
+        keys = R.split(R.RngKey.from_seed(26), 3)
+        x = R.normal(keys[0], (2, 6, 6, 3))
+        k = R.normal(keys[1], (3, 3, 3, 4))
+        g = R.normal(keys[2], (2, 3, 3, 4))
+        frozen = T.conv2d(T.Tensor(x), T.Tensor(k, requires_grad=True), stride=2)
+        live = T.conv2d(T.Tensor(x, requires_grad=True),
+                        T.Tensor(k, requires_grad=True), stride=2)
+        gx, gk = frozen._backward(g)
+        assert gx is None
+        assert np.array_equal(gk, live._backward(g)[1])
 
     def test_max_pool(self):
         x = T.tensor(np.arange(16.0).reshape(1, 4, 4, 1))
