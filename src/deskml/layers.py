@@ -79,9 +79,7 @@ def init_layer_norm(dim: int, dtype="f32") -> dict:
 
 
 def layer_norm(x: Tensor, p: dict, eps: float = 1e-6) -> Tensor:
-    mu = T.tmean(x, axis=-1, keepdims=True)
-    var = T.tmean((x - mu) ** 2.0, axis=-1, keepdims=True)
-    return (x - mu) / ((var + eps) ** 0.5) * p["scale"] + p["bias"]
+    return T.layer_norm(x, p["scale"], p["bias"], eps)
 
 
 def init_batch_norm(dim: int, dtype="f32") -> tuple[dict, dict]:

@@ -16,16 +16,24 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 _ROT = (16, 42, 12, 31, 16, 32, 24, 21)
 # The rotations of each 4-round group, between two key injections.
 _ROT_GROUPS = (_ROT[:4], _ROT[4:], _ROT[:4], _ROT[4:], _ROT[:4])
-# Up to this many counters the cipher runs on Python ints. numpy's fixed
-# cost per call (~76 us) exceeds the int rounds' 5-7 us per counter up
-# to a crossover measured at 11-15 counters; 8 stays below it.
+# The same groups as uint64 (left, right) shift pairs for the array body.
+_SHIFT_GROUPS = tuple(tuple((np.uint64(r), np.uint64(64 - r)) for r in rots)
+                      for rots in _ROT_GROUPS)
+# Up to this many counters the cipher runs on Python ints. The in-place
+# numpy body's fixed cost per call (~70 us) exceeds the int rounds'
+# ~6.5 us per counter up to a crossover measured at 10-12 counters
+# (2-vCPU VM, numpy 2.4); 8 stays below it.
 _SCALAR_MAX = 8
+
+
+def _injections(ks):
+    """The (word 0, word 1) key words added after each 4-round group."""
+    return [(ks[d % 3], (ks[(d + 1) % 3] + d) & _MASK) for d in range(1, 6)]
 
 
 def _threefry_ints(k0, k1, x0, x1):
     """Threefry-2x64-20 on Python ints: lists of the two output words."""
-    ks = (k0, k1, k0 ^ k1 ^ _C240)
-    inject = [(ks[d % 3], (ks[(d + 1) % 3] + d) & _MASK) for d in range(1, 6)]
+    inject = _injections((k0, k1, k0 ^ k1 ^ _C240))
     out0, out1 = [], []
     for a, b in zip(x0, x1):
         a = (a + k0) & _MASK
@@ -42,20 +50,22 @@ def _threefry_ints(k0, k1, x0, x1):
 
 
 def _threefry_numpy(k0, k1, x0, x1):
-    """Threefry-2x64-20 on uint64 arrays of counter words."""
-    with np.errstate(over="ignore"):
-        ks = (np.uint64(k0), np.uint64(k1), np.uint64(k0 ^ k1 ^ _C240))
-        x0 = x0 + ks[0]
-        x1 = x1 + ks[1]
-        for r in range(20):
-            rot = np.uint64(_ROT[r % 8])
-            x0 = x0 + x1
-            x1 = (x1 << rot) | (x1 >> (np.uint64(64) - rot))
-            x1 = x1 ^ x0
-            if (r + 1) % 4 == 0:
-                d = (r + 1) // 4
-                x0 = x0 + ks[d % 3]
-                x1 = x1 + ks[(d + 1) % 3] + np.uint64(d)
+    """Threefry-2x64-20 on uint64 arrays of counter words, in place: the
+    rounds overwrite ``x0`` and ``x1``, which are returned as the two
+    output words. uint64 array arithmetic wraps modulo 2^64."""
+    inject = _injections((k0, k1, k0 ^ k1 ^ _C240))
+    left = np.empty_like(x1)
+    x0 += np.uint64(k0)
+    x1 += np.uint64(k1)
+    for shifts, (i0, i1) in zip(_SHIFT_GROUPS, inject):
+        for lsh, rsh in shifts:
+            x0 += x1
+            np.left_shift(x1, lsh, out=left)
+            x1 >>= rsh
+            x1 |= left
+            x1 ^= x0
+        x0 += np.uint64(i0)
+        x1 += np.uint64(i1)
     return x0, x1
 
 

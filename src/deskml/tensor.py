@@ -332,6 +332,37 @@ def log_softmax(a, axis=-1) -> Tensor:
     return _make(out, (a,), backward)
 
 
+def layer_norm(x, scale, bias, eps: float) -> Tensor:
+    """Normalize over the last axis, then scale and shift; one tape node.
+
+    The forward evaluates the numpy expressions of the chain tmean, sub,
+    power, add, power, div, mul, add in that order, so its output equals
+    the chain's bit for bit. The backward is the closed form (Ba et al.,
+    arXiv 1607.06450): with s = (var + eps) ** 0.5 and gx = g * scale,
+    dx = (gx - mean(gx) - xhat * mean(gx * xhat)) / s.
+    """
+    x = _as_tensor(x)
+    scale, bias = _as_tensor(scale), _as_tensor(bias)
+    if not x.data.dtype == scale.data.dtype == bias.data.dtype:
+        raise TypeError(f"layer_norm: dtype mismatch {x.dtype}, "
+                        f"{scale.dtype}, {bias.dtype}")
+    inv_n = np.asarray(1.0 / x.shape[-1], x.data.dtype)
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    var = (xc ** 2.0).sum(axis=-1, keepdims=True) * inv_n
+    s = (var + np.asarray(eps, x.data.dtype)) ** 0.5
+    xhat = xc / s
+    out = xhat * scale.data + bias.data
+
+    def backward(g):
+        gx = g * scale.data
+        dx = (gx - gx.sum(axis=-1, keepdims=True) * inv_n
+              - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) * inv_n)) / s
+        return (dx, _unbroadcast(g * xhat, scale.shape),
+                _unbroadcast(g, bias.shape))
+
+    return _make(out, (x, scale, bias), backward)
+
+
 # ---------------------------------------------------------------------------
 # shape ops
 
@@ -550,10 +581,11 @@ def value_and_grad(f, params: dict[str, Tensor]):
     if not isinstance(out, Tensor) or out.size != 1:
         raise ValueError("objective must return a scalar Tensor")
     gmap = backward(out)
-    grads = {
-        name: Tensor(gmap.get(id(leaf), np.zeros_like(leaf.data)))
-        for name, leaf in leaves.items()
-    }
+    grads = {}
+    for name, leaf in leaves.items():
+        g = gmap.get(id(leaf))
+        # a parameter with no path to the objective gets zeros
+        grads[name] = Tensor(np.zeros_like(leaf.data) if g is None else g)
     return out.detach(), grads
 
 

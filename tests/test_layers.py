@@ -78,6 +78,48 @@ class TestNorms:
         check_grads(lambda q: T.tsum(L.layer_norm(Tensor(x), q) ** 2.0), p,
                     rtol=1e-4)
 
+    @pytest.mark.parametrize("shape", [(3, 7), (2, 5, 16)])
+    def test_layer_norm_op_grad_wrt_x_scale_and_bias(self, shape):
+        k = R.split(key(13), 4)
+        w = R.normal(k[3], shape)
+        params = {"x": rand(k[0], shape) * 3.0 + 1.0,
+                  "scale": rand(k[1], shape[-1:]),
+                  "bias": rand(k[2], shape[-1:])}
+        check_grads(lambda q: T.tsum(T.layer_norm(q["x"], q["scale"], q["bias"],
+                                                  1e-6) * Tensor(w)),
+                    params, rtol=1e-6)
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("shape", [(3, 7), (2, 5, 16), (8, 5, 64)])
+    def test_layer_norm_op_forward_equals_composed_chain(self, dtype, shape):
+        def chain(x, scale, bias, eps):
+            mu = T.tmean(x, axis=-1, keepdims=True)
+            var = T.tmean((x - mu) ** 2.0, axis=-1, keepdims=True)
+            return (x - mu) / ((var + eps) ** 0.5) * scale + bias
+
+        k = R.split(key(14), 3)
+        x = Tensor(R.normal(k[0], shape) * 3.0 + 1.0, dtype=dtype)
+        scale = Tensor(R.normal(k[1], shape[-1:]), dtype=dtype)
+        bias = Tensor(R.normal(k[2], shape[-1:]), dtype=dtype)
+        out = T.layer_norm(x, scale, bias, 1e-6).data
+        ref = chain(x, scale, bias, 1e-6).data
+        assert out.dtype == ref.dtype == x.data.dtype
+        assert np.array_equal(out, ref)
+
+    def test_layer_norm_records_one_tape_node(self):
+        p = {k: Tensor(v.data, requires_grad=True)
+             for k, v in L.init_layer_norm(8).items()}
+        x = Tensor(R.normal(key(15), (2, 3, 8)).astype(np.float32),
+                   requires_grad=True)
+        out = L.layer_norm(x, p)
+        assert out._parents == (x, p["scale"], p["bias"])
+        assert all(q._backward is None for q in out._parents)
+
+    def test_layer_norm_op_rejects_mixed_dtypes(self):
+        p = L.init_layer_norm(4)
+        with pytest.raises(TypeError, match="dtype mismatch"):
+            T.layer_norm(rand(key(16), (2, 4), "f64"), p["scale"], p["bias"], 1e-6)
+
 
 class TestDropout:
     def test_off_in_eval(self):

@@ -143,3 +143,45 @@ def test_cipher_paths_agree():
         x1 = [word() for _ in range(n)]
         h, l = R._threefry_numpy(k0, k1, np.array(x0, np.uint64), np.array(x1, np.uint64))
         assert R._threefry_ints(k0, k1, x0, x1) == (h.tolist(), l.tolist())
+
+
+def _threefry_out_of_place(k0, k1, x0, x1):
+    """Threefry-2x64-20 on uint64 arrays, each step a fresh array."""
+    ks = (np.uint64(k0), np.uint64(k1), np.uint64(k0 ^ k1 ^ 0x1BD11BDAA9FC1A22))
+    rots = (16, 42, 12, 31, 16, 32, 24, 21)
+    x0 = x0 + ks[0]
+    x1 = x1 + ks[1]
+    for r in range(20):
+        rot = np.uint64(rots[r % 8])
+        x0 = x0 + x1
+        x1 = ((x1 << rot) | (x1 >> (np.uint64(64) - rot))) ^ x0
+        if (r + 1) % 4 == 0:
+            d = (r + 1) // 4
+            x0 = x0 + ks[d % 3]
+            x1 = x1 + ks[(d + 1) % 3] + np.uint64(d)
+    return x0, x1
+
+
+@pytest.mark.parametrize("n", [9, 64, 1280, 4096])
+@pytest.mark.parametrize("tag", [0, 1, 2])
+def test_numpy_body_matches_int_body_and_out_of_place_reference(n, tag):
+    import random
+    rnd = random.Random(n * 3 + tag)
+    for k0, k1, start in [(0, 0, 0), (MASK, MASK, MASK - n // 2),
+                          (rnd.getrandbits(64), rnd.getrandbits(64), MASK - 3),
+                          (rnd.getrandbits(64), rnd.getrandbits(64),
+                           rnd.getrandbits(64))]:
+        # counters start, start + 1, ... wrap past 2^64 - 1 to 0
+        counters = [(start + i) & MASK for i in range(n)]
+        c0 = np.array(counters, np.uint64)
+        c1 = np.full(n, tag, np.uint64)
+        ref = _threefry_out_of_place(k0, k1, c0, c1)
+        h, l = R._threefry_numpy(k0, k1, c0.copy(), c1.copy())
+        assert np.array_equal(h, ref[0]) and np.array_equal(l, ref[1])
+        assert R._threefry_ints(k0, k1, counters, [tag] * n) == (h.tolist(), l.tolist())
+
+
+def test_numpy_body_overwrites_its_counter_arrays():
+    x0, x1 = np.arange(9, dtype=np.uint64), np.zeros(9, np.uint64)
+    h, l = R._threefry_numpy(5, 6, x0, x1)
+    assert h is x0 and l is x1

@@ -166,9 +166,14 @@ class TestGrad:
         assert np.array_equal(grads[id(x)], np.full(6, 24.0))
 
     def test_unused_param_gets_zero_grad(self):
-        g = T.grad(lambda p: p["a"] * p["a"],
-                   {"a": T.tensor(2.0), "b": T.tensor([1.0, 1.0])})
+        params = {"a": T.tensor(2.0), "b": T.tensor([1.0, 1.0]),
+                  "c": T.Tensor(np.ones((2, 3), np.float32))}
+        g = T.grad(lambda p: p["a"] * p["a"], params)
         assert np.array_equal(g["b"].data, [0.0, 0.0])
+        for name in "bc":
+            assert g[name].shape == params[name].shape
+            assert g[name].data.dtype == params[name].data.dtype
+            assert not g[name].data.any()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_composite_matches_finite_differences(self, seed):
@@ -328,6 +333,7 @@ _OPS = {
     "tmean": lambda a, b, k: T.tmean(a, axis=1),
     "softmax": lambda a, b, k: T.softmax(a) * b,
     "log_softmax": lambda a, b, k: T.log_softmax(a) * b,
+    "layer_norm": lambda a, b, k: T.layer_norm(a, b[0, 0, 0], k[0, 0, 0], 1e-6),
     "reshape": lambda a, b, k: T.reshape(a, (2, 32)),
     "transpose": lambda a, b, k: T.transpose(a),
     "concat": lambda a, b, k: T.concat([a, b], axis=3),
