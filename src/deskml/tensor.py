@@ -280,7 +280,12 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        if b.ndim == 2 and a.ndim > 2:
+            # a weight shared by every row: one GEMM over the flattened
+            # rows, not a batched product summed afterwards
+            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        else:
+            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
 
     return _make(out, (a, b), backward)

@@ -1,9 +1,13 @@
 """Training loops with simulated multi-host, multi-device data parallelism.
 
-Devices are simulated in-process: each device processes its own
-sub-batch, gradients are averaged in ascending device order (so runs
-are bitwise reproducible), one optimizer update is applied, and metric
-tables are summed componentwise before normalization.
+Devices are simulated in-process. A step concatenates its device
+batches in host-then-device order and runs them as one batch: one
+forward, one backward and one optimizer update, like one SPMD program
+whose gradients are averaged across devices. Train batches are never
+padded and every loss is a per-example mean, so this is the mean of the
+device gradients. Batch norm takes its statistics over the whole step
+batch (sync batch norm), so a step depends on the global batch, not on
+the topology. Metric tables are sums, normalized after aggregation.
 """
 
 from __future__ import annotations
@@ -147,109 +151,79 @@ def init_train_state(contract: ModelContract, opt: OptimizerSpec,
     )
 
 
-def _run_device(arch, params, model_state, batch, contract, metric_fn, key):
-    """One device's training forward pass, loss, gradients and metrics."""
-    stash = {}
-
-    def objective(p):
-        outputs, new_ms = arch.apply(p, model_state, batch["inputs"],
-                                     train=True, rng=key)
-        stash["outputs"] = outputs
-        stash["model_state"] = new_ms
-        return contract.loss_fn(outputs, batch)
-
-    loss, grads = value_and_grad(objective, params)
-    table = _device_metrics(metric_fn, stash["outputs"], batch)
-    return loss, grads, stash["model_state"], table
+def _concat_batches(device_batches: list) -> dict:
+    """The device batches as one batch, rows in device order."""
+    if len(device_batches) == 1:
+        return device_batches[0]
+    return {k: Tensor(np.concatenate([b[k].data for b in device_batches]))
+            for k in device_batches[0]}
 
 
-def _device_metrics(metric_fn, outputs, batch: dict) -> dict:
+def _batch_metrics(metric_fn, outputs, batch: dict) -> dict:
     aux = {k: v for k, v in batch.items()
            if k not in ("inputs", "label", "batch_mask")}
     return metric_fn(outputs, batch["label"], batch.get("batch_mask"), **aux)
 
 
-def _sum_tables(tables: list) -> dict:
-    keys = set(tables[0])
-    for t in tables[1:]:
-        if set(t) != keys:
-            missing = keys.symmetric_difference(t)
-            raise TrainError(f"metric tables disagree on keys: {sorted(missing)}")
-    return {
-        k: (sum(t[k][0] for t in tables), sum(t[k][1] for t in tables))
-        for k in sorted(keys)
-    }
-
-
 def train_step(state: TrainState, device_batches: list, topology: Topology,
                contract: ModelContract, opt: OptimizerSpec):
-    """One synchronous data-parallel update; returns (new_state, MetricTable)."""
-    d_total = topology.total_devices
-    if len(device_batches) != d_total:
-        raise TrainError(
-            f"expected {d_total} device batches, got {len(device_batches)}")
+    """One synchronous data-parallel update over the concatenated device
+    batches; returns (new_state, MetricTable)."""
+    if len(device_batches) != topology.total_devices:
+        raise TrainError(f"expected {topology.total_devices} device batches, "
+                         f"got {len(device_batches)}")
     arch = contract.build_model()
-    metric_fn = contract.get_metrics_fn()
-    keys = R.split(state.rng, d_total + 1)
-    new_rng = keys[-1]
+    batch = _concat_batches(device_batches)
+    key, new_rng = R.split(state.rng, 2)
+    stash = {}
 
-    grad_sum = None
-    state_sum = None
-    tables = []
-    for d, batch in enumerate(device_batches):  # ascending device order
-        loss, grads, new_ms, table = _run_device(
-            arch, state.params, state.model_state, batch, contract,
-            metric_fn, keys[d])
-        if not np.isfinite(loss.item()):
-            raise TrainError(f"non-finite loss at step {state.step}, device {d}")
-        if grad_sum is None:
-            grad_sum = {k: v.data.astype(np.float64) for k, v in grads.items()}
-            state_sum = {k: v.data.astype(np.float64) for k, v in new_ms.items()}
-        else:
-            for k, v in grads.items():
-                grad_sum[k] = grad_sum[k] + v.data
-            for k, v in new_ms.items():
-                state_sum[k] = state_sum[k] + v.data
-        tables.append(table)
+    def objective(p):
+        stash["outputs"], stash["model_state"] = arch.apply(
+            p, state.model_state, batch["inputs"], train=True, rng=key)
+        return contract.loss_fn(stash["outputs"], batch)
 
-    mean_grads = {k: v / d_total for k, v in grad_sum.items()}
-    new_model_state = {
-        k: Tensor((state_sum[k] / d_total).astype(state.model_state[k].data.dtype))
-        for k in state_sum
-    }
+    loss, grads = value_and_grad(objective, state.params)
+    if not np.isfinite(loss.item()):
+        raise TrainError(f"non-finite loss at step {state.step}")
+    # the outputs hold the whole tape: drop them before the update runs
+    table = _batch_metrics(contract.get_metrics_fn(), stash.pop("outputs"), batch)
     new_params, new_opt = _apply_update(
-        state.params, mean_grads, state.opt_state, opt, state.step)
+        state.params, {k: v.data.astype(np.float64) for k, v in grads.items()},
+        state.opt_state, opt, state.step)
     new_state = replace(
         state,
         step=state.step + 1,
         params=new_params,
-        model_state=new_model_state,
+        model_state=stash["model_state"],
         opt_state=new_opt,
         rng=new_rng,
     )
-    return new_state, _sum_tables(tables)
+    return new_state, table
 
 
 def eval_step(state: TrainState, device_batches: list,
               contract: ModelContract) -> dict:
-    """Pure evaluation over device batches; returns a summed MetricTable."""
-    arch = contract.build_model()
-    metric_fn = contract.get_metrics_fn()
-    tables = []
-    for batch in device_batches:
-        outputs, _ = arch.apply(state.params, state.model_state,
-                                batch["inputs"], train=False)
-        tables.append(_device_metrics(metric_fn, outputs, batch))
-    return _sum_tables(tables)
+    """Pure evaluation of the concatenated device batches; returns a
+    MetricTable."""
+    batch = _concat_batches(device_batches)
+    outputs, _ = contract.build_model().apply(
+        state.params, state.model_state, batch["inputs"], train=False)
+    return _batch_metrics(contract.get_metrics_fn(), outputs, batch)
 
 
 def aggregate_metrics(tables: list) -> dict:
     """Componentwise-sum the tables, then normalize each metric."""
     if not tables:
         raise TrainError("no metric tables to aggregate")
-    total = _sum_tables(tables)
+    keys = set(tables[0])
+    for t in tables[1:]:
+        if set(t) != keys:
+            missing = keys.symmetric_difference(t)
+            raise TrainError(f"metric tables disagree on keys: {sorted(missing)}")
     out = {}
-    for name, (value, norm) in total.items():
+    for name in sorted(keys):
+        value = sum(t[name][0] for t in tables)
+        norm = sum(t[name][1] for t in tables)
         if norm <= 0:
             raise TrainError(f"metric {name!r} has zero total normalizer")
         out[name] = value / norm

@@ -182,12 +182,20 @@ class TestDetrLoss:
     def test_train_step_matches_once_and_reports_its_loss(self, monkeypatch):
         calls = self.count_hungarian(monkeypatch)
         contract, state = self.small_state()
-        batch = self.small_batch()
-        loss, _, _, table = TR._run_device(
-            contract.build_model(), state.params, state.model_state, batch,
-            contract, contract.get_metrics_fn(), R.RngKey.from_seed(1))
+        losses = []
+        value_and_grad = TR.value_and_grad
+
+        def recorded(objective, params):
+            loss, grads = value_and_grad(objective, params)
+            losses.append(loss.item())
+            return loss, grads
+
+        monkeypatch.setattr(TR, "value_and_grad", recorded)
+        parts = TR._split_device_batches(self.small_batch(), 2)
+        _, table = TR.train_step(state, parts, TR.Topology(1, 2), contract,
+                                 TR.OptimizerSpec())
         assert len(calls) == 3  # one per image with objects
-        assert table["loss"] == (loss.item() * 4.0, 4.0)
+        assert table["loss"] == (losses[0] * 4.0, 4.0)
 
     def test_eval_matches_each_real_image_once(self, monkeypatch):
         calls = self.count_hungarian(monkeypatch)

@@ -1,0 +1,114 @@
+"""The drift report of ``tools/fixed_seed_hashes.py`` on two tiny workdirs."""
+
+import importlib.util
+import json
+import math
+import os
+import shutil
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from deskml import checkpoint as CK
+from deskml import train as TR
+from deskml.config import Config
+from deskml.tensor import Tensor
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location(
+    "fixed_seed_hashes", os.path.join(ROOT, "tools", "fixed_seed_hashes.py"))
+FSH = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(FSH)
+
+
+def tiny_run(workdir, lr=1e-2):
+    cfg = Config({"model": {"name": "fully_connected_classification"},
+                  "dataset": {"num_train_examples": 8, "num_eval_examples": 4},
+                  "batch_size": 4, "eval_every": 1, "total_steps": 2,
+                  "optimizer": {"kind": "adam", "lr": lr}})
+    TR.run_trainer("classification", cfg, str(workdir), seed=0)
+    return str(workdir)
+
+
+@pytest.fixture(scope="module")
+def parent(tmp_path_factory):
+    return tiny_run(tmp_path_factory.mktemp("parent") / "run")
+
+
+def copy_of(parent, tmp_path):
+    return shutil.copytree(parent, tmp_path / "copy")
+
+
+def test_relative_drift():
+    assert FSH.relative_drift([1.0, -4.0], [1.0, -4.0]) == 0.0
+    assert FSH.relative_drift([1.0, -3.0], [1.0, -4.0]) == 0.25
+    assert FSH.relative_drift(np.zeros(3), np.zeros(3)) == 0.0
+    assert FSH.relative_drift([1e-9], [0.0]) == math.inf
+    assert FSH.relative_drift(np.zeros(3), np.zeros(2)) == math.inf
+
+
+def test_same_run_has_no_drift(parent, tmp_path):
+    again = tiny_run(tmp_path / "again")
+    assert FSH.metrics_drift(again, parent) == (0.0, "-")
+    assert FSH.checkpoint_drift(again, parent) == (0.0, "-")
+
+
+def test_reports_the_largest_record_and_where(parent, tmp_path):
+    wd = copy_of(parent, tmp_path)
+    path = os.path.join(wd, "metrics.jsonl")
+    with open(path) as f:
+        records = [json.loads(line) for line in f]
+    records[3]["value"] *= 1.5
+    records[5]["value"] *= 1.25
+    with open(path, "w") as f:
+        f.writelines(json.dumps(r) + "\n" for r in records)
+    drift, where = FSH.metrics_drift(wd, parent)
+    assert drift == pytest.approx(0.5)
+    assert where == f"step {records[3]['step']} {records[3]['name']}"
+
+
+def test_reports_the_largest_array_and_where(parent, tmp_path):
+    wd = copy_of(parent, tmp_path)
+    path = os.path.join(wd, "ckpt_2.bin")
+    state = CK.load_checkpoint(path)
+    name = sorted(state.params)[0]
+    w = state.params[name].data
+    moved = w.copy()
+    moved.flat[0] += 0.125 * np.abs(w).max()
+    CK.save_checkpoint(replace(state, params={**state.params,
+                                              name: Tensor(moved)}), path)
+    drift, where = FSH.checkpoint_drift(wd, parent)
+    assert drift == pytest.approx(0.125, rel=1e-6)
+    assert where == f"ckpt_2.bin params {name}"
+
+
+def test_a_changed_run_drifts_and_a_missing_file_is_infinite(parent, tmp_path):
+    other = tiny_run(tmp_path / "other", lr=2e-2)
+    m, _ = FSH.metrics_drift(other, parent)
+    c, c_at = FSH.checkpoint_drift(other, parent)
+    assert m > 0.0 and 0.0 < c < math.inf
+    assert c_at.startswith(("ckpt_1.bin ", "ckpt_2.bin "))
+    os.remove(os.path.join(other, "ckpt_2.bin"))
+    assert FSH.checkpoint_drift(other, parent) == (math.inf, "ckpt_2.bin is absent")
+    line = FSH.drift_line("mlp", other, parent)
+    assert line.startswith("drift mlp metrics.jsonl ") and "inf" in line
+
+
+def test_records_out_of_step_are_infinite(parent, tmp_path):
+    wd = copy_of(parent, tmp_path)
+    path = os.path.join(wd, "metrics.jsonl")
+    with open(path) as f:
+        lines = f.readlines()
+    with open(path, "w") as f:
+        f.writelines(lines[1:] + lines[:1])
+    drift, where = FSH.metrics_drift(wd, parent)
+    assert drift == math.inf and "where the parent has" in where
+    with open(path, "w") as f:
+        f.writelines(lines[:-1])
+    assert FSH.metrics_drift(wd, parent)[0] == math.inf
+
+
+def test_compare_needs_workdir(parent):
+    with pytest.raises(SystemExit):
+        FSH.main(["--compare", parent])

@@ -79,6 +79,31 @@ class TestMatmul:
         assert out.shape == (6, 2, 4)
         assert np.allclose(out.data, np.matmul(a, b))
 
+    @pytest.mark.parametrize("a_shape", [(3, 4), (2, 3, 4), (2, 3, 2, 4)])
+    def test_grad_with_a_weight_shared_by_rows(self, a_shape):
+        keys = R.split(R.RngKey.from_seed(7), 3)
+        a = rand(keys[0], a_shape)
+        b = rand(keys[1], (4, 5))
+        g = rand(keys[2], a_shape[:-1] + (5,))
+        check_grads(lambda p: T.tsum(T.matmul(p["a"], p["b"]) * g),
+                    {"a": a, "b": b})
+
+    @pytest.mark.parametrize("a_shape", [(2, 3, 4), (32, 16, 64), (4, 2, 8, 16)])
+    def test_float32_shared_weight_grad_matches_batched_product(self, a_shape):
+        keys = R.split(R.RngKey.from_seed(8), 3)
+        a = R.normal(keys[0], a_shape).astype(np.float32)
+        b = R.normal(keys[1], (a_shape[-1], 24)).astype(np.float32)
+        g = R.normal(keys[2], a_shape[:-1] + (24,)).astype(np.float32)
+        out = T.matmul(T.Tensor(a, requires_grad=True),
+                       T.Tensor(b, requires_grad=True))
+        ga, gb = out._backward(g)
+        # the batched [..., k, n] product summed over the leading axes
+        ref = np.matmul(np.swapaxes(a, -1, -2).astype(np.float64),
+                        g.astype(np.float64)).sum(axis=tuple(range(a.ndim - 2)))
+        assert gb.dtype == np.float32 and gb.shape == b.shape
+        assert np.abs(gb - ref).max() <= 1e-5 * np.abs(ref).max()
+        assert np.array_equal(ga, np.matmul(g, b.T))
+
 
 class TestSoftmax:
     def test_symmetry(self):

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from deskml import checkpoint as CK
 from deskml import rng as R
 from deskml import tensor as T
 from deskml import train as TR
-from deskml.baselines import build_mlp
+from deskml.baselines import build_mlp, build_resnet, build_vit
 from deskml.config import Config
 from deskml.data import DatasetMetaData
 from deskml.models import (ArchitectureHandle, ModelContract,
@@ -179,6 +181,104 @@ class TestDataParallel:
         _, table = TR.train_step(state, TR._split_device_batches(batch, 2),
                                  TR.Topology(1, 2), contract, opt)
         assert table["accuracy"][1] == 8.0
+
+
+def image_batch(n, seed, k=4):
+    k1, k2 = R.split(R.RngKey.from_seed(seed), 2)
+    return {"inputs": Tensor(R.normal(k1, (n, 8, 8, 1)), dtype="f32"),
+            "label": Tensor(R.randint(k2, (n,), 0, k))}
+
+
+def watched_contract(contract, watch):
+    """``contract`` whose model's ``apply`` passes its outputs to ``watch``."""
+    arch = contract.build_model()
+
+    def apply(*args, **kwargs):
+        out, model_state = arch.apply(*args, **kwargs)
+        watch(out)
+        return out, model_state
+
+    return dataclasses.replace(
+        contract, build_model=lambda: ArchitectureHandle(arch.init, apply))
+
+
+class TestOneBatchPerStep:
+    """A step runs its device batches as one batch, so it depends only on
+    the global batch, not on how the topology splits it."""
+
+    @pytest.mark.parametrize("build, model", [(build_vit, {"dropout": 0.1}),
+                                              (build_resnet, {})],
+                             ids=["vit_dropout", "resnet_batch_norm"])
+    def test_split_steps_equal_one_device_steps_bit_for_bit(self, build, model):
+        meta = DatasetMetaData(num_classes=4, input_shape=(-1, 8, 8, 1),
+                               num_train_examples=96, num_eval_examples=16)
+        contract = build(Config({"model": model}), meta)
+        opt = TR.OptimizerSpec(kind="adam", lr=1e-2)
+        batches = [image_batch(32, seed) for seed in range(3)]
+
+        def run(hosts, devices):
+            state = TR.init_train_state(contract, opt, R.RngKey.from_seed(1),
+                                        (1, 8, 8, 1))
+            tables = []
+            for batch in batches:
+                state, table = TR.train_step(
+                    state, TR._split_device_batches(batch, hosts * devices),
+                    TR.Topology(hosts, devices), contract, opt)
+                tables.append(table)
+            return state, tables
+
+        want, want_tables = run(1, 1)
+        assert want.step == 3
+        assert bool(want.model_state) == (build is build_resnet)
+        for hosts, devices in ((1, 4), (2, 2)):
+            got, tables = run(hosts, devices)
+            assert tables == want_tables, (hosts, devices)
+            assert got.rng == want.rng, (hosts, devices)
+            for group in CK.ARRAY_GROUPS:
+                a, b = getattr(got, group), getattr(want, group)
+                assert a.keys() == b.keys()
+                for name in a:
+                    assert a[name].data.dtype == b[name].data.dtype
+                    assert np.array_equal(a[name].data, b[name].data), \
+                        (hosts, devices, group, name)
+
+    def test_one_value_and_grad_per_train_step_one_apply_per_eval_step(
+            self, monkeypatch):
+        calls = []
+        contract = watched_contract(build_mlp(Config(), mlp_meta()),
+                                    lambda out: calls.append("apply"))
+        opt = TR.OptimizerSpec(kind="sgd", lr=0.1)
+        state = fresh_state(contract, opt)
+        value_and_grad = TR.value_and_grad
+
+        def counted(*args):
+            calls.append("value_and_grad")
+            return value_and_grad(*args)
+
+        monkeypatch.setattr(TR, "value_and_grad", counted)
+        parts = TR._split_device_batches(toy_batch(n=16), 4)
+        TR.train_step(state, parts, TR.Topology(2, 2), contract, opt)
+        assert calls == ["value_and_grad", "apply"]
+        calls.clear()
+        TR.eval_step(state, parts, contract)
+        assert calls == ["apply"]
+
+    def test_tape_is_freed_before_the_update(self, monkeypatch):
+        outputs = []
+        contract = watched_contract(build_mlp(Config(), mlp_meta()),
+                                    lambda out: outputs.append(weakref.ref(out.data)))
+        apply_update = TR._apply_update
+        alive = []
+
+        def checked(*args):
+            alive.append(outputs[0]() is not None)
+            return apply_update(*args)
+
+        monkeypatch.setattr(TR, "_apply_update", checked)
+        opt = TR.OptimizerSpec(kind="adam", lr=0.1)
+        TR.train_step(fresh_state(contract, opt), [toy_batch(n=16)],
+                      TR.Topology(1, 1), contract, opt)
+        assert alive == [False]
 
 
 class TestEval:

@@ -13,13 +13,23 @@ A change that keeps results byte for byte prints the same lines as its
 parent. The script imports only ``deskml`` from the ``src/`` next to it,
 so a copy placed in another checkout's ``tools/`` hashes that checkout:
 
-    python tools/fixed_seed_hashes.py [--workdir DIR]
+    python tools/fixed_seed_hashes.py [--workdir DIR [--compare PARENT_DIR]]
+
+A change that moves results reports by how much: with ``--compare``,
+given the ``--workdir`` of a run of the parent checkout, it then prints
+one drift line per run, the largest relative difference of any
+``metrics.jsonl`` record and of any checkpoint array from the parent's,
+each with where it is. The difference of a record is ``|new - old| /
+|old|``; that of an array is ``max |new - old| / max |old|``, so it is
+measured against the array's own magnitude.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
+import math
 import os
 import sys
 import tempfile
@@ -27,7 +37,10 @@ import tempfile
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
+import numpy as np  # noqa: E402
+
 from deskml.baselines import BASELINES  # noqa: E402
+from deskml.checkpoint import ARRAY_GROUPS, load_checkpoint  # noqa: E402
 from deskml.config import Config  # noqa: E402
 from deskml.train import run_trainer  # noqa: E402
 
@@ -71,11 +84,78 @@ def written_files(workdir: str) -> list[str]:
     return ["metrics.jsonl"] + ckpts
 
 
+def relative_drift(new, old) -> float:
+    """``max |new - old| / max |old|``: 0 when equal, inf when ``old`` is
+    all zeros and ``new`` is not, or when the shapes differ."""
+    new, old = np.asarray(new, np.float64), np.asarray(old, np.float64)
+    if new.shape != old.shape:
+        return math.inf
+    diff = float(np.abs(new - old).max(initial=0.0))
+    if diff == 0.0:
+        return 0.0
+    scale = float(np.abs(old).max(initial=0.0))
+    return diff / scale if scale > 0.0 else math.inf
+
+
+def _records(path: str) -> list[dict]:
+    with open(path) as f:
+        return [json.loads(line) for line in f]
+
+
+def metrics_drift(wd: str, parent_wd: str) -> tuple[float, str]:
+    """The largest relative difference of a ``metrics.jsonl`` record, and
+    the record's step and name."""
+    new = _records(os.path.join(wd, "metrics.jsonl"))
+    old = _records(os.path.join(parent_wd, "metrics.jsonl"))
+    if len(new) != len(old):
+        return math.inf, f"{len(new)} records, the parent has {len(old)}"
+    worst, where = 0.0, "-"
+    for a, b in zip(new, old):
+        if (a["step"], a["name"]) != (b["step"], b["name"]):
+            return math.inf, (f"step {a['step']} {a['name']} where the parent "
+                              f"has step {b['step']} {b['name']}")
+        d = relative_drift(a["value"], b["value"])
+        if d > worst:
+            worst, where = d, f"step {a['step']} {a['name']}"
+    return worst, where
+
+
+def checkpoint_drift(wd: str, parent_wd: str) -> tuple[float, str]:
+    """The largest relative difference of an array in the parent's
+    checkpoints, and the file, group and name of that array."""
+    worst, where = 0.0, "-"
+    for fname in written_files(parent_wd)[1:]:
+        if not os.path.exists(os.path.join(wd, fname)):
+            return math.inf, f"{fname} is absent"
+        new = load_checkpoint(os.path.join(wd, fname))
+        old = load_checkpoint(os.path.join(parent_wd, fname))
+        for group in ARRAY_GROUPS:
+            a, b = getattr(new, group), getattr(old, group)
+            for name in sorted(a.keys() | b.keys()):
+                d = (relative_drift(a[name].data, b[name].data)
+                     if name in a and name in b else math.inf)
+                if d > worst:
+                    worst, where = d, f"{fname} {group} {name}"
+    return worst, where
+
+
+def drift_line(label: str, wd: str, parent_wd: str) -> str:
+    m, m_at = metrics_drift(wd, parent_wd)
+    c, c_at = checkpoint_drift(wd, parent_wd)
+    return (f"drift {label} metrics.jsonl {m:.2e} ({m_at}) "
+            f"checkpoints {c:.2e} ({c_at})")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workdir", help="keep the runs here (default: a "
                         "temporary directory that is removed afterwards)")
+    parser.add_argument("--compare", metavar="PARENT_WORKDIR",
+                        help="then print each run's drift from the runs "
+                        "in this --workdir of the parent checkout")
     args = parser.parse_args(argv)
+    if args.compare and not args.workdir:
+        parser.error("--compare needs --workdir")
     with tempfile.TemporaryDirectory() as tmp:
         root = args.workdir or tmp
         for label, kind, values in runs():
@@ -86,6 +166,10 @@ def main(argv=None) -> int:
             for fname in written_files(wd):
                 print(f"{label} {fname} {sha256_prefix(os.path.join(wd, fname))}",
                       flush=True)
+        if args.compare:
+            for label, _, _ in runs():
+                print(drift_line(label, os.path.join(root, label),
+                                 os.path.join(args.compare, label)), flush=True)
     return 0
 
 
