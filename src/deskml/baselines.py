@@ -175,6 +175,7 @@ def build_resnet(config: Config, meta: DatasetMetaData) -> ModelContract:
     def init(key, dummy):
         keys = R.split(key, len(stages) + 2)
         params = L.prefixed("stem", L.init_conv(keys[0], 3, 3, c, width, dtype))
+        del params["stem/b"]  # batch norm subtracts the mean
         bp, bs = L.init_batch_norm(width, dtype)
         params.update(L.prefixed("stem_bn", bp))
         state = L.prefixed("stem_bn", bs)
@@ -295,6 +296,7 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
         for d in range(dec_depth):
             params.update(L.prefixed(f"dec{d}", L.init_decoder_block(
                 keys[i], dim, mlp_dim, dtype))); i += 1
+        params.update(L.prefixed("dec_ln", L.init_layer_norm(dim, dtype)))
         params.update(L.prefixed("cls_head", L.init_dense(keys[i], dim, k + 1, dtype))); i += 1
         params.update(L.prefixed("box_head", L.init_dense(keys[i], dim, 4, dtype)))
         return params, {}
@@ -311,6 +313,7 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
         q = params["queries"] + T.zeros((b, num_slots, dim), dtype=dtype)
         for d in range(dec_depth):
             q = L.decoder_block(q, x, s[f"dec{d}"], heads)
+        q = L.layer_norm(q, s["dec_ln"])  # pre-LN: the heads read a normed stream
         class_logits = L.dense(q, s["cls_head"])
         boxes = T.sigmoid(L.dense(q, s["box_head"]))
         return {"class_logits": class_logits, "boxes": boxes}, model_state

@@ -47,7 +47,8 @@ def trunc_normal(key: R.RngKey, shape, std: float = 0.02, dtype="f32") -> Tensor
 
 
 # ---------------------------------------------------------------------------
-# dense / conv / norms
+# dense / conv / norms; a dense or conv layer adds a bias exactly when its
+# dict holds "b", and one whose bias the next op cancels is built without
 
 
 def init_dense(key, d_in: int, d_out: int, dtype="f32") -> dict:
@@ -59,7 +60,7 @@ def init_dense(key, d_in: int, d_out: int, dtype="f32") -> dict:
 
 
 def dense(x: Tensor, p: dict) -> Tensor:
-    return x @ p["w"] + p["b"]
+    return x @ p["w"] + p["b"] if "b" in p else x @ p["w"]
 
 
 def init_conv(key, kh: int, kw: int, cin: int, cout: int, dtype="f32") -> dict:
@@ -71,7 +72,8 @@ def init_conv(key, kh: int, kw: int, cin: int, cout: int, dtype="f32") -> dict:
 
 
 def conv(x: Tensor, p: dict, stride: int = 1, padding: str = "same") -> Tensor:
-    return T.conv2d(x, p["w"], stride=stride, padding=padding) + p["b"]
+    y = T.conv2d(x, p["w"], stride=stride, padding=padding)
+    return y + p["b"] if "b" in p else y
 
 
 def init_layer_norm(dim: int, dtype="f32") -> dict:
@@ -129,6 +131,7 @@ def init_attention(key, dim: int, dtype="f32") -> dict:
     out = {}
     for name, k in (("q", kq), ("k", kk), ("v", kv), ("o", ko)):
         out.update(prefixed(name, init_dense(k, dim, dim, dtype)))
+    del out["k/b"]  # a per-query constant in the logits, which softmax cancels
     return out
 
 
@@ -225,8 +228,10 @@ def decoder_block(x: Tensor, memory: Tensor, p: dict, heads: int) -> Tensor:
 def init_mixer_block(key, tokens: int, dim: int, token_mlp: int,
                      channel_mlp: int, dtype="f32") -> dict:
     kt, kc = R.split(key, 2)
+    token_mix = init_mlp(kt, tokens, token_mlp, dtype)
+    del token_mix["fc2/b"]  # a per-token constant; every reader layer-norms it away
     return (prefixed("ln1", init_layer_norm(dim, dtype))
-            | prefixed("token_mix", init_mlp(kt, tokens, token_mlp, dtype))
+            | prefixed("token_mix", token_mix)
             | prefixed("ln2", init_layer_norm(dim, dtype))
             | prefixed("channel_mix", init_mlp(kc, dim, channel_mlp, dtype)))
 
@@ -249,6 +254,7 @@ def init_resnet_block(key, cin: int, cout: int, stride: int = 1, dtype="f32"):
     k1, k2, kp = R.split(key, 3)
     params = (prefixed("conv1", init_conv(k1, 3, 3, cin, cout, dtype))
               | prefixed("conv2", init_conv(k2, 3, 3, cout, cout, dtype)))
+    del params["conv1/b"], params["conv2/b"]  # batch norm subtracts the mean
     state = {}
     for name, dim in (("bn1", cout), ("bn2", cout)):
         bp, bs = init_batch_norm(dim, dtype)

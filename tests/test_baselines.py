@@ -7,7 +7,7 @@ from deskml import rng as R
 from deskml import tensor as T
 from deskml import train as TR
 from deskml.config import Config
-from deskml.data import DatasetMetaData
+from deskml.data import DatasetMetaData, ShardSpec, build_dataset
 from deskml.models import ModelError, registered_models
 from deskml.tensor import Tensor
 from gradcheck import check_grads
@@ -265,6 +265,38 @@ def test_transformer_baselines_gradients(name):
         return contract.loss_fn(out, batch)
 
     check_grads(f, params, rtol=1e-4)
+
+
+@pytest.mark.parametrize("name", sorted(B.BASELINES))
+def test_every_parameter_has_a_gradient(name):
+    # A parameter whose float64 gradient vanishes at perturbed parameters
+    # (a bias that batch norm or a softmax cancels) only random-walks on
+    # round-off under Adam; no baseline may hold one.
+    factory, defaults, _ = B.BASELINES[name]
+    cfg = Config({"model": {"name": name, "dtype": "f64"},
+                  "dataset": {**defaults["dataset"], "num_train_examples": 8,
+                              "num_eval_examples": 4}})
+    ds = build_dataset(cfg.require("dataset.name"), ShardSpec(0, 1, 1, 8),
+                       R.RngKey.from_seed(0), cfg)
+    contract = factory(cfg, ds.meta_data)
+    arch = contract.build_model()
+    batch = next(ds.train_iter)
+    params, state = arch.init(R.RngKey.from_seed(1), Tensor(
+        np.zeros((1,) + ds.meta_data.input_shape[1:]), dtype="f64"))
+    keys = R.split(R.RngKey.from_seed(2), len(params))
+    params = {k: Tensor(p.data + 0.1 * R.normal(kk, p.shape))
+              for (k, p), kk in zip(params.items(), keys)}
+
+    def objective(p):
+        out, _ = arch.apply(p, state, batch["inputs"], train=True,
+                            rng=R.RngKey.from_seed(3))
+        return contract.loss_fn(out, batch)
+
+    _, grads = T.value_and_grad(objective, params)
+    size = {k: float(np.abs(g.data).max()) for k, g in grads.items()}
+    largest = max(size.values())
+    dead = sorted(k for k, v in size.items() if v < 1e-12 * largest)
+    assert not dead, f"{name}: zero gradient for {dead}"
 
 
 def test_every_baseline_trains_one_step(tmp_path):

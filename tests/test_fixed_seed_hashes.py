@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from deskml import checkpoint as CK
+from deskml import matchers
 from deskml import train as TR
 from deskml.config import Config
 from deskml.tensor import Tensor
@@ -51,7 +52,7 @@ def test_relative_drift():
 def test_same_run_has_no_drift(parent, tmp_path):
     again = tiny_run(tmp_path / "again")
     assert FSH.metrics_drift(again, parent) == (0.0, "-")
-    assert FSH.checkpoint_drift(again, parent) == (0.0, "-")
+    assert FSH.checkpoint_drift(again, parent) == (0.0, "-", [])
 
 
 def test_reports_the_largest_record_and_where(parent, tmp_path):
@@ -78,7 +79,7 @@ def test_reports_the_largest_array_and_where(parent, tmp_path):
     moved.flat[0] += 0.125 * np.abs(w).max()
     CK.save_checkpoint(replace(state, params={**state.params,
                                               name: Tensor(moved)}), path)
-    drift, where = FSH.checkpoint_drift(wd, parent)
+    drift, where, _ = FSH.checkpoint_drift(wd, parent)
     assert drift == pytest.approx(0.125, rel=1e-6)
     assert where == f"ckpt_2.bin params {name}"
 
@@ -86,13 +87,63 @@ def test_reports_the_largest_array_and_where(parent, tmp_path):
 def test_a_changed_run_drifts_and_a_missing_file_is_infinite(parent, tmp_path):
     other = tiny_run(tmp_path / "other", lr=2e-2)
     m, _ = FSH.metrics_drift(other, parent)
-    c, c_at = FSH.checkpoint_drift(other, parent)
+    c, c_at, _ = FSH.checkpoint_drift(other, parent)
     assert m > 0.0 and 0.0 < c < math.inf
     assert c_at.startswith(("ckpt_1.bin ", "ckpt_2.bin "))
     os.remove(os.path.join(other, "ckpt_2.bin"))
-    assert FSH.checkpoint_drift(other, parent) == (math.inf, "ckpt_2.bin is absent")
+    assert FSH.checkpoint_drift(other, parent) == (math.inf, "ckpt_2.bin is absent", [])
     line = FSH.drift_line("mlp", other, parent)
     assert line.startswith("drift mlp metrics.jsonl ") and "inf" in line
+
+
+def test_arrays_one_side_holds_are_counted_not_scored(parent, tmp_path):
+    wd = copy_of(parent, tmp_path)
+    path = os.path.join(wd, "ckpt_2.bin")
+    state = CK.load_checkpoint(path)
+    name = sorted(state.params)[0]
+    params = dict(state.params)
+    del params[name]
+    CK.save_checkpoint(replace(state, params=params), path)
+    where = f"ckpt_2.bin params {name} in the parent only"
+    assert FSH.checkpoint_drift(wd, parent) == (0.0, "-", [where])
+    assert FSH.drift_line("mlp", wd, parent).endswith(
+        f"checkpoints 0.00e+00 (-) one-sided 1 ({where})")
+    # seen from the other side, the array is the run's alone
+    assert FSH.checkpoint_drift(parent, wd)[2] == [
+        f"ckpt_2.bin params {name} in the run only"]
+
+
+def write_assignments(wd, calls):
+    with open(FSH.assignments_path(str(wd)), "w") as f:
+        json.dump(calls, f)
+
+
+def test_assignment_flips_count_and_name_the_first(parent, tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    write_assignments(old, [[0, 3], [1], [2, 0, 5], [4]])
+    write_assignments(new, [[0, 3], [1], [2, 5, 0], [7]])
+    assert FSH.assignment_flips(str(new), str(old)) == (2, 4, "call 3")
+    assert FSH.assignment_flips(str(old), str(old)) == (0, 4, "-")
+    write_assignments(new, [[0, 3], [1], [2, 0, 5], [4], [6]])
+    assert FSH.assignment_flips(str(new), str(old)) == (1, 5, "call 5")
+    # a run without matching (no file) prints no assignment count
+    assert FSH.assignment_flips(parent, parent) == (0, 0, "-")
+    assert "assignments" not in FSH.drift_line("mlp", parent, parent)
+
+
+def test_match_calls_are_recorded_beside_the_run(tmp_path):
+    path = FSH.assignments_path(str(tmp_path / "run"))
+    assert path == str(tmp_path / "run.assignments.json")
+    match = matchers.match
+    with FSH.recorded_assignments(path):
+        matchers.match(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        matchers.match(np.array([[0.0, 2.0, 1.0]]), "greedy")
+    assert matchers.match is match
+    with open(path) as f:
+        assert json.load(f) == [[1, 0], [0]]
+    with FSH.recorded_assignments(str(tmp_path / "none.json")):
+        pass
+    assert not os.path.exists(tmp_path / "none.json")
 
 
 def test_records_out_of_step_are_infinite(parent, tmp_path):

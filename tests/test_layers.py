@@ -38,6 +38,14 @@ class TestDense:
         out = L.dense(Tensor(np.ones((4, 3), np.float32)), p)
         assert np.allclose(out.data, [[1.0, -1.0]] * 4)
 
+    def test_bias_only_where_the_dict_holds_one(self):
+        x = rand(key(5), (2, 4, 4, 3))
+        w = L.init_conv(key(6), 3, 3, 3, 2)["w"].astype("f64")
+        assert np.array_equal(L.conv(x, {"w": w}).data, T.conv2d(x, w).data)
+        assert np.array_equal(L.dense(x, {"w": w[0, 0]}).data, (x @ w[0, 0]).data)
+        assert "k/b" not in L.init_attention(key(7), 4)
+        assert {"q/b", "v/b", "o/b"} <= L.init_attention(key(7), 4).keys()
+
     def test_he_uniform_bounds(self):
         w = L.he_uniform(key(1), (200, 100), fan_in=200)
         limit = np.sqrt(6.0 / 200)
@@ -157,7 +165,9 @@ class TestAttention:
                                      heads=heads, p=p).data
 
         def lin(name, inp):
-            return inp @ L.scopes(p)[name]["w"].data + L.scopes(p)[name]["b"].data
+            layer = L.scopes(p)[name]
+            out = inp @ layer["w"].data
+            return out + layer["b"].data if "b" in layer else out
 
         q, k, v = lin("q", x[0]), lin("k", x[0]), lin("v", x[0])
         dh = d // heads

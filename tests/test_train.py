@@ -564,6 +564,28 @@ class TestResume:
             TR.run_trainer("classification", self.config(hidden=(128,)), wd,
                            seed=3)
 
+    def test_array_the_model_lacks_refused(self, tmp_path):
+        # as in a ViT checkpoint written while attention keys had a bias
+        cfg = trainer_config(
+            total_steps=2, eval_every=2,
+            model={"name": "vit_classification", "dim": 8, "heads": 2,
+                   "depth": 1, "mlp_dim": 8},
+            dataset={"name": "blobs_classification", "input_shape": [8, 8, 1],
+                     "num_train_examples": 16, "num_eval_examples": 8})
+        wd = str(tmp_path / "run")
+        TR.run_trainer("classification", cfg, wd, seed=3)
+        path = os.path.join(wd, "ckpt_2.bin")
+        state = CK.load_checkpoint(path)
+        dead = "block0/attn/k/b"
+        zeros = Tensor(np.zeros(8, np.float32))
+        CK.save_checkpoint(dataclasses.replace(
+            state, params={**state.params, dead: zeros},
+            opt_state={**state.opt_state, f"{dead}/m": zeros,
+                       f"{dead}/v": zeros}), path)
+        with pytest.raises(TR.TrainError, match=f"'{dead}/m' is float32\\[8\\] "
+                                                "in the checkpoint but absent"):
+            TR.run_trainer("classification", cfg, wd, seed=3)
+
     def test_changed_config_refused(self, tmp_path):
         wd = str(tmp_path / "run")
         TR.run_trainer("classification", self.config(total_steps=5), wd, seed=3)

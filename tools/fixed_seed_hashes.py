@@ -18,15 +18,25 @@ so a copy placed in another checkout's ``tools/`` hashes that checkout:
 A change that moves results reports by how much: with ``--compare``,
 given the ``--workdir`` of a run of the parent checkout, it then prints
 one drift line per run, the largest relative difference of any
-``metrics.jsonl`` record and of any checkpoint array from the parent's,
-each with where it is. The difference of a record is ``|new - old| /
-|old|``; that of an array is ``max |new - old| / max |old|``, so it is
-measured against the array's own magnitude.
+``metrics.jsonl`` record and of any checkpoint array both sides hold
+from the parent's, each with where it is. The difference of a record is
+``|new - old| / |old|``; that of an array is ``max |new - old| / max
+|old|``, so it is measured against the array's own magnitude. The line
+then counts the checkpoint arrays that only one side holds (a parameter
+added or dropped) and names the first.
+
+While each run trains, every ``deskml.matchers.match`` call is recorded,
+and a run that makes any (DETR) leaves its assignments in
+``<label>.assignments.json`` beside its run directory. Its drift line
+then also counts the calls whose assignment differs from the parent's
+and names the first, since one flipped assignment changes a DETR run by
+more than any rounding does.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -39,6 +49,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 import numpy as np  # noqa: E402
 
+from deskml import matchers  # noqa: E402
 from deskml.baselines import BASELINES  # noqa: E402
 from deskml.checkpoint import ARRAY_GROUPS, load_checkpoint  # noqa: E402
 from deskml.config import Config  # noqa: E402
@@ -120,30 +131,82 @@ def metrics_drift(wd: str, parent_wd: str) -> tuple[float, str]:
     return worst, where
 
 
-def checkpoint_drift(wd: str, parent_wd: str) -> tuple[float, str]:
-    """The largest relative difference of an array in the parent's
-    checkpoints, and the file, group and name of that array."""
-    worst, where = 0.0, "-"
+def checkpoint_drift(wd: str, parent_wd: str) -> tuple[float, str, list[str]]:
+    """The largest relative difference of an array that both sides'
+    checkpoints hold, with the file, group and name of that array; and
+    the arrays that only one side's checkpoint holds."""
+    worst, where, one_sided = 0.0, "-", []
     for fname in written_files(parent_wd)[1:]:
         if not os.path.exists(os.path.join(wd, fname)):
-            return math.inf, f"{fname} is absent"
+            return math.inf, f"{fname} is absent", []
         new = load_checkpoint(os.path.join(wd, fname))
         old = load_checkpoint(os.path.join(parent_wd, fname))
         for group in ARRAY_GROUPS:
             a, b = getattr(new, group), getattr(old, group)
             for name in sorted(a.keys() | b.keys()):
-                d = (relative_drift(a[name].data, b[name].data)
-                     if name in a and name in b else math.inf)
+                if name not in a or name not in b:
+                    side = "parent" if name in b else "run"
+                    one_sided.append(f"{fname} {group} {name} in the {side} only")
+                    continue
+                d = relative_drift(a[name].data, b[name].data)
                 if d > worst:
                     worst, where = d, f"{fname} {group} {name}"
-    return worst, where
+    return worst, where, one_sided
+
+
+def assignments_path(wd: str) -> str:
+    return os.path.normpath(wd) + ".assignments.json"
+
+
+@contextlib.contextmanager
+def recorded_assignments(path: str):
+    """Record the ``row_to_col`` of every ``matchers.match`` call made
+    inside, and write them to ``path`` as a JSON list if there are any."""
+    match, calls = matchers.match, []
+
+    def recorded(*args, **kwargs):
+        asg = match(*args, **kwargs)
+        calls.append(list(asg.row_to_col))
+        return asg
+
+    matchers.match = recorded
+    try:
+        yield
+    finally:
+        matchers.match = match
+    if calls:
+        with open(path, "w") as f:
+            json.dump(calls, f)
+
+
+def _assignments(wd: str) -> list:
+    path = assignments_path(wd)
+    if not os.path.exists(path):
+        return []
+    with open(path) as f:
+        return json.load(f)
+
+
+def assignment_flips(wd: str, parent_wd: str) -> tuple[int, int, str]:
+    """How many of the run's recorded assignments differ from the
+    parent's (a call only one side made counts), how many the run made,
+    and the first call that differs, counted from 1."""
+    new, old = _assignments(wd), _assignments(parent_wd)
+    differ = [i for i in range(max(len(new), len(old)))
+              if new[i:i + 1] != old[i:i + 1]]
+    return len(differ), len(new), f"call {differ[0] + 1}" if differ else "-"
 
 
 def drift_line(label: str, wd: str, parent_wd: str) -> str:
     m, m_at = metrics_drift(wd, parent_wd)
-    c, c_at = checkpoint_drift(wd, parent_wd)
-    return (f"drift {label} metrics.jsonl {m:.2e} ({m_at}) "
-            f"checkpoints {c:.2e} ({c_at})")
+    c, c_at, one_sided = checkpoint_drift(wd, parent_wd)
+    line = (f"drift {label} metrics.jsonl {m:.2e} ({m_at}) "
+            f"checkpoints {c:.2e} ({c_at}) "
+            f"one-sided {len(one_sided)} ({one_sided[0] if one_sided else '-'})")
+    flips, calls, first = assignment_flips(wd, parent_wd)
+    if calls or flips:
+        line += f" assignments {flips} of {calls} differ ({first})"
+    return line
 
 
 def main(argv=None) -> int:
@@ -162,7 +225,8 @@ def main(argv=None) -> int:
             wd = os.path.join(root, label)
             if os.path.exists(wd):
                 raise SystemExit(f"{wd} exists; give an empty --workdir")
-            run_trainer(kind, Config(values), wd, seed=SEED)
+            with recorded_assignments(assignments_path(wd)):
+                run_trainer(kind, Config(values), wd, seed=SEED)
             for fname in written_files(wd):
                 print(f"{label} {fname} {sha256_prefix(os.path.join(wd, fname))}",
                       flush=True)
