@@ -60,7 +60,7 @@ def init_dense(key, d_in: int, d_out: int, dtype="f32") -> dict:
 
 
 def dense(x: Tensor, p: dict) -> Tensor:
-    return x @ p["w"] + p["b"] if "b" in p else x @ p["w"]
+    return T.dense(x, p["w"], p.get("b"))
 
 
 def init_conv(key, kh: int, kw: int, cin: int, cout: int, dtype="f32") -> dict:
@@ -137,32 +137,15 @@ def init_attention(key, dim: int, dtype="f32") -> dict:
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
                          p: dict, mask: Tensor | None = None) -> Tensor:
-    """Scaled dot-product attention over [b, n, d] inputs.
+    """Scaled dot-product attention over [b, n, d] inputs: the q, k, v
+    and output projections around one ``T.attention`` core.
 
     ``mask``, when given, is added to the attention logits (use large
     negative values to forbid positions).
     """
-    b, nq, d = q.shape
-    nk = k.shape[1]
-    if d % heads:
-        raise ValueError(f"model dim {d} not divisible by {heads} heads")
-    dh = d // heads
-
-    def split_heads(x, n):
-        # [b, n, d] -> [b, heads, n, dh]
-        return x.reshape((b, n, heads, dh)).transpose((0, 2, 1, 3))
-
     s = scopes(p)
-    qh = split_heads(dense(q, s["q"]), nq)
-    kh = split_heads(dense(k, s["k"]), nk)
-    vh = split_heads(dense(v, s["v"]), nk)
-
-    logits = (qh @ kh.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
-    if mask is not None:
-        logits = logits + mask
-    weights = T.softmax(logits, axis=-1)
-    out = weights @ vh  # [b, heads, nq, dh]
-    out = out.transpose((0, 2, 1, 3)).reshape((b, nq, d))
+    out = T.attention(dense(q, s["q"]), dense(k, s["k"]), dense(v, s["v"]),
+                      heads, mask)
     return dense(out, s["o"])
 
 

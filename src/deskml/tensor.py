@@ -280,15 +280,41 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        if b.ndim == 2 and a.ndim > 2:
-            # a weight shared by every row: one GEMM over the flattened
-            # rows, not a batched product summed afterwards
-            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        else:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
 
     return _make(out, (a, b), backward)
+
+
+def dense(x, w, b=None) -> Tensor:
+    """``x @ w (+ b)`` for a 2-D weight shared by every row; one tape node.
+
+    The forward is the chain matmul, add, bit for bit. The backward is
+    two GEMMs over the flattened rows and a column sum for the bias.
+    """
+    x, w = _as_tensor(x), _as_tensor(w)
+    parents = (x, w)
+    if b is not None:
+        b = _as_tensor(b)
+        parents += (b,)
+    if len({t.data.dtype for t in parents}) > 1:
+        raise TypeError("dense: dtype mismatch "
+                        + ", ".join(t.dtype for t in parents))
+    if w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ValueError(f"dense: inner dims differ, {x.shape} @ {w.shape}")
+    if b is not None and b.shape != w.shape[1:]:
+        raise ValueError(f"dense: bias shape {b.shape}, expected {w.shape[1:]}")
+    out = np.matmul(x.data, w.data)
+    if b is not None:
+        out += b.data
+
+    def backward(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        gw = x.data.reshape(-1, x.shape[-1]).T @ g2
+        return (gx, gw) if b is None else (gx, gw, g2.sum(0))
+
+    return _make(out, parents, backward)
 
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
@@ -314,15 +340,18 @@ def softmax(a, axis=-1) -> Tensor:
     a = _as_tensor(a)
     if not a.is_float():
         raise TypeError("softmax requires a float tensor")
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = _softmax(a.data, axis)
+    return _make(out, (a,), lambda g: (_softmax_grad(out, g, axis),))
 
-    def backward(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
 
-    return _make(out, (a,), backward)
+def _softmax(x: np.ndarray, axis) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(out: np.ndarray, g: np.ndarray, axis) -> np.ndarray:
+    """The gradient at softmax's input, given its output and ``g``."""
+    return out * (g - (g * out).sum(axis=axis, keepdims=True))
 
 
 def log_softmax(a, axis=-1) -> Tensor:
@@ -366,6 +395,66 @@ def layer_norm(x, scale, bias, eps: float) -> Tensor:
                 _unbroadcast(g, bias.shape))
 
     return _make(out, (x, scale, bias), backward)
+
+
+def attention(q, k, v, heads: int, mask=None) -> Tensor:
+    """``softmax(q kᵀ · scale + mask) v`` over [b, n, d] inputs, split
+    into ``heads`` heads of d / heads and merged back; one tape node.
+
+    The forward evaluates the numpy expressions of the chain reshape,
+    transpose, matmul, mul, add, softmax, matmul, transpose, reshape, so
+    its output equals the chain's bit for bit. The backward is the
+    standard one (Dao et al., FlashAttention, arXiv 2205.14135, without
+    the tiling): with P the softmax weights, dV = Pᵀ dO, dP = dO Vᵀ,
+    dS = P ∘ (dP − rowsum(dP ∘ P)), dQ = scale · dS K and
+    dK = scale · dSᵀ Q. ``mask`` is added to the logits and gets no
+    gradient, so one that needs a gradient is refused.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim != 3 or k.ndim != 3 or q.shape[::2] != k.shape[::2]:
+        raise ValueError(f"attention: q {q.shape} and k {k.shape} are not "
+                         "[b, n, d] of one b and d")
+    if k.shape != v.shape:
+        raise ValueError(f"attention: k and v shapes differ, {k.shape} vs {v.shape}")
+    b, nq, d = q.shape
+    nk = k.shape[1]
+    if d % heads:
+        raise ValueError(f"attention: model dim {d} not divisible by {heads} heads")
+    operands = (q, k, v)
+    if mask is not None:
+        mask = _as_tensor(mask)
+        if mask.requires_grad:
+            raise ValueError("attention: the mask gets no gradient, but this "
+                             "one requires one")
+        operands += (mask,)
+    if len({t.data.dtype for t in operands}) > 1:
+        raise TypeError("attention: dtype mismatch "
+                        + ", ".join(t.dtype for t in operands))
+    dh = d // heads
+    scale = np.asarray(1.0 / np.sqrt(dh), q.data.dtype)
+
+    def split(x, n):  # [b, n, d] -> [b, heads, n, dh]
+        return x.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x, n):  # [b, heads, n, dh] -> [b, n, d]
+        return x.transpose(0, 2, 1, 3).reshape(b, n, d)
+
+    qh, kh, vh = split(q.data, nq), split(k.data, nk), split(v.data, nk)
+    logits = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale
+    if mask is not None:
+        logits = logits + mask.data
+    p = _softmax(logits, -1)
+    out = merge(np.matmul(p, vh), nq)
+
+    def backward(g):
+        go = split(g, nq)
+        dv = np.matmul(p.transpose(0, 1, 3, 2), go)
+        ds = _softmax_grad(p, np.matmul(go, vh.transpose(0, 1, 3, 2)), -1) * scale
+        dq = np.matmul(ds, kh)
+        dk = np.matmul(ds.transpose(0, 1, 3, 2), qh)
+        return merge(dq, nq), merge(dk, nk), merge(dv, nk)
+
+    return _make(out, (q, k, v), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,19 @@ def test_criterion_1_gradients():
             (lambda p: T.tsum(T.upsample_nearest2d(p["x"]) ** 2.0),
              {"x": rand(ks[3], (1, 3, 3, 2))}),
         ]
+        kd = R.split(key(100 + s), 7)
+        x3, w, bias = rand(kd[0], (2, 3, 4)), rand(kd[1], (4, 5)), rand(kd[2], (5,))
+        mask = rand(kd[6], (1, 1, 3, 5))
+        mask.data[..., 0] = -1e9
+        op_cases += [
+            (lambda p: T.tsum(T.dense(p["x"], p["w"], p["b"]) ** 2.0),
+             {"x": x3, "w": w, "b": bias}),
+            (lambda p: T.tsum(T.dense(p["x"], p["w"]) ** 2.0), {"x": x3, "w": w}),
+            (lambda p, mask=mask: T.tsum(
+                T.attention(p["q"], p["k"], p["v"], 2, mask) ** 2.0),
+             {"q": rand(kd[3], (2, 3, 4)), "k": rand(kd[4], (2, 5, 4)),
+              "v": rand(kd[5], (2, 5, 4))}),
+        ]
     for f, params in op_cases:
         worst_op = max(worst_op, _check(f, params, rtol=1e-6))
         cases += 1

@@ -203,6 +203,62 @@ class TestAttention:
         with pytest.raises(ValueError, match="heads"):
             L.multi_head_attention(x, x, x, heads=4, p=p)
 
+    @staticmethod
+    def _chain(q, k, v, heads, p, mask=None):
+        """The projections and the reshape/transpose/matmul/softmax chain,
+        op by op."""
+        def lin(x, layer):
+            return x @ layer["w"] + layer["b"] if "b" in layer else x @ layer["w"]
+
+        (b, nq, d), nk, dh = q.shape, k.shape[1], q.shape[2] // heads
+        s = L.scopes(p)
+
+        def split(x, n):
+            return x.reshape((b, n, heads, dh)).transpose((0, 2, 1, 3))
+
+        qh, kh, vh = split(lin(q, s["q"]), nq), split(lin(k, s["k"]), nk), \
+            split(lin(v, s["v"]), nk)
+        logits = (qh @ kh.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
+        if mask is not None:
+            logits = logits + mask
+        out = T.softmax(logits, axis=-1) @ vh
+        return lin(out.transpose((0, 2, 1, 3)).reshape((b, nq, d)), s["o"])
+
+    @staticmethod
+    def _tape_nodes(out):
+        seen, stack = set(), [out]
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen and t._backward is not None:
+                seen.add(id(t))
+                stack.extend(t._parents)
+        return len(seen)
+
+    @pytest.mark.parametrize("b,nq,nk,with_mask", [
+        (32, 16, 16, False), (32, 8, 16, False), (8, 17, 17, True), (4, 8, 16, True)])
+    def test_fused_core_matches_the_chain(self, b, nq, nk, with_mask):
+        d, heads = 64, 4
+        p = {n: Tensor(t.data, requires_grad=True)
+             for n, t in L.init_attention(key(30), d).items()}
+        q = Tensor(R.normal(key(31), (b, nq, d)), "f32", requires_grad=True)
+        m = Tensor(R.normal(key(32), (b, nk, d)), "f32", requires_grad=True)
+        mask = None
+        if with_mask:
+            mask = rand(key(33), (1, 1, nq, nk), "f32")
+            mask.data[..., -1] = -1e9
+        r = rand(key(34), (b, nq, d), "f32")
+        out = L.multi_head_attention(q, m, m, heads, p, mask)
+        ref = self._chain(q, m, m, heads, p, mask)
+        assert np.array_equal(out.data, ref.data)
+        grads = T.backward(T.tsum(out * r))
+        ref_grads = T.backward(T.tsum(ref * r))
+        for name, t in {**p, "q": q, "memory": m}.items():
+            g, rg = grads[id(t)], ref_grads[id(t)]
+            assert g.dtype == np.float32
+            assert np.abs(g - rg).max() <= 1e-5 * np.abs(rg).max(), name
+        assert self._tape_nodes(out) == 5
+        assert self._tape_nodes(L.dense(q, L.scopes(p)["q"])) == 1
+
     def test_grad(self):
         p = as_f64(L.init_attention(key(17), 4))
         x = R.normal(key(18), (1, 3, 4))

@@ -105,6 +105,111 @@ class TestMatmul:
         assert np.array_equal(ga, np.matmul(g, b.T))
 
 
+class TestDense:
+    @pytest.mark.parametrize("x_shape", [(3, 4), (2, 3, 4), (32, 16, 64)])
+    def test_forward_is_the_matmul_add_chain_bit_for_bit(self, x_shape):
+        keys = R.split(R.RngKey.from_seed(41), 3)
+        x = T.Tensor(R.normal(keys[0], x_shape), dtype="f32")
+        w = T.Tensor(R.normal(keys[1], (x_shape[-1], 24)), dtype="f32")
+        b = T.Tensor(R.normal(keys[2], (24,)), dtype="f32")
+        assert np.array_equal(T.dense(x, w, b).data, (x @ w + b).data)
+        assert np.array_equal(T.dense(x, w).data, (x @ w).data)
+
+    @pytest.mark.parametrize("x_shape", [(3, 4), (2, 3, 4), (2, 3, 2, 4)])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_grad(self, x_shape, with_bias):
+        keys = R.split(R.RngKey.from_seed(42), 4)
+        params = {"x": rand(keys[0], x_shape), "w": rand(keys[1], (4, 5))}
+        if with_bias:
+            params["b"] = rand(keys[2], (5,))
+        g = rand(keys[3], x_shape[:-1] + (5,))
+        check_grads(lambda p: T.tsum(T.dense(p["x"], p["w"], p.get("b")) * g),
+                    params)
+
+    def test_float32_weight_grad_matches_batched_product(self):
+        keys = R.split(R.RngKey.from_seed(43), 3)
+        x = R.normal(keys[0], (32, 16, 64)).astype(np.float32)
+        w = R.normal(keys[1], (64, 24)).astype(np.float32)
+        g = R.normal(keys[2], (32, 16, 24)).astype(np.float32)
+        out = T.dense(T.Tensor(x, requires_grad=True),
+                      T.Tensor(w, requires_grad=True), T.zeros((24,)))
+        gx, gw, gb = out._backward(g)
+        ref = np.matmul(np.swapaxes(x, -1, -2).astype(np.float64),
+                        g.astype(np.float64)).sum(axis=0)
+        assert gw.dtype == np.float32 and gw.shape == w.shape
+        assert np.abs(gw - ref).max() <= 1e-5 * np.abs(ref).max()
+        assert np.allclose(gx, np.matmul(g, w.T), rtol=1e-5, atol=1e-5)
+        assert np.allclose(gb, g.sum(axis=(0, 1)), rtol=1e-5, atol=1e-5)
+
+    def test_input_without_grad_gets_none(self):
+        out = T.dense(T.ones((2, 3, 4)), T.Tensor(np.ones((4, 5), np.float32),
+                                                  requires_grad=True))
+        gx, gw = out._backward(np.ones((2, 3, 5), np.float32))
+        assert gx is None and gw.shape == (4, 5)
+
+    def test_dtype_mismatch(self):
+        x, w, b = T.zeros((2, 3)), T.zeros((3, 4)), T.zeros((4,))
+        with pytest.raises(TypeError, match="dense: dtype mismatch"):
+            T.dense(x.astype("f64"), w, b)
+        with pytest.raises(TypeError, match="dense: dtype mismatch"):
+            T.dense(x, w, b.astype("f64"))
+
+    def test_inner_dim_mismatch(self):
+        with pytest.raises(ValueError, match="inner dims"):
+            T.dense(T.zeros((2, 3)), T.zeros((4, 2)))
+
+    def test_bias_shape_mismatch(self):
+        with pytest.raises(ValueError, match="bias shape"):
+            T.dense(T.zeros((2, 3)), T.zeros((3, 2)), T.zeros((3,)))
+
+
+class TestAttention:
+    @staticmethod
+    def _qkv(seed, b=2, nq=3, nk=5, d=4, dtype="f64"):
+        keys = R.split(R.RngKey.from_seed(seed), 3)
+        return [T.Tensor(R.normal(k, (b, n, d)), dtype=dtype)
+                for k, n in zip(keys, (nq, nk, nk))]
+
+    @pytest.mark.parametrize("with_mask", [False, True])
+    def test_grad(self, with_mask):
+        q, k, v = self._qkv(51)
+        mask = None
+        if with_mask:
+            mask = T.Tensor(R.normal(R.RngKey.from_seed(52), (1, 1, 3, 5)))
+            mask.data[..., 1] = -1e9
+        g = rand(R.RngKey.from_seed(53), (2, 3, 4))
+        check_grads(lambda p: T.tsum(T.attention(p["q"], p["k"], p["v"], 2, mask) * g),
+                    {"q": q, "k": k, "v": v})
+
+    def test_one_key_returns_its_value(self):
+        q, k, v = self._qkv(54, nk=1)
+        out = T.attention(q, k, v, 2)
+        assert np.allclose(out.data, np.broadcast_to(v.data, out.shape), atol=1e-12)
+
+    def test_heads_must_divide_the_dim(self):
+        q, k, v = self._qkv(55, d=6)
+        with pytest.raises(ValueError, match="not divisible by 4 heads"):
+            T.attention(q, k, v, 4)
+
+    def test_k_and_v_shapes_must_agree(self):
+        q, k, v = self._qkv(56)
+        with pytest.raises(ValueError, match="k and v shapes differ"):
+            T.attention(q, k, v[:, :4], 2)
+
+    def test_mixed_dtypes_refused(self):
+        q, k, v = self._qkv(57)
+        with pytest.raises(TypeError, match="attention: dtype mismatch"):
+            T.attention(q, k, v.astype("f32"), 2)
+        with pytest.raises(TypeError, match="attention: dtype mismatch"):
+            T.attention(q, k, v, 2, mask=T.zeros((1, 1, 3, 5)))
+
+    def test_mask_needing_a_gradient_refused(self):
+        q, k, v = self._qkv(58)
+        mask = T.Tensor(np.zeros((1, 1, 3, 5)), requires_grad=True)
+        with pytest.raises(ValueError, match="mask gets no gradient"):
+            T.attention(q, k, v, 2, mask)
+
+
 class TestSoftmax:
     def test_symmetry(self):
         out = T.softmax(T.tensor([0.0, 0.0]))
@@ -354,6 +459,10 @@ _OPS = {
     "tanh": lambda a, b, k: T.tanh(a),
     "gelu": lambda a, b, k: T.gelu(a),
     "matmul": lambda a, b, k: T.matmul(a, T.transpose(b, (0, 1, 3, 2))),
+    "dense": lambda a, b, k: T.dense(a, k[0, 0], b[0, 0, 0]),
+    "attention": lambda a, b, k: T.attention(a.reshape((2, 8, 4)),
+                                             b[:, :2].reshape((2, 4, 4)),
+                                             b[:, 2:].reshape((2, 4, 4)), 2),
     "tsum": lambda a, b, k: T.tsum(a, axis=1),
     "tmean": lambda a, b, k: T.tmean(a, axis=1),
     "softmax": lambda a, b, k: T.softmax(a) * b,
