@@ -72,8 +72,7 @@ def init_conv(key, kh: int, kw: int, cin: int, cout: int, dtype="f32") -> dict:
 
 
 def conv(x: Tensor, p: dict, stride: int = 1, padding: str = "same") -> Tensor:
-    y = T.conv2d(x, p["w"], stride=stride, padding=padding)
-    return y + p["b"] if "b" in p else y
+    return T.conv2d(x, p["w"], stride=stride, padding=padding, bias=p.get("b"))
 
 
 def init_layer_norm(dim: int, dtype="f32") -> dict:

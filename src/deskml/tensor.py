@@ -228,9 +228,9 @@ def log(a) -> Tensor:
 
 
 def relu(a) -> Tensor:
+    """max(x, 0), as ``jax.nn.relu``: a NaN input stays NaN."""
     a = _as_tensor(a)
-    mask = a.data > 0
-    return _make(np.where(mask, a.data, 0), (a,), lambda g: (g * mask,))
+    return _make(np.maximum(a.data, 0), (a,), lambda g: (g * (a.data > 0),))
 
 
 def sigmoid(a) -> Tensor:
@@ -532,7 +532,14 @@ def pad2d(a, pad: int) -> Tensor:
 def _correlate(x, k, stride: int, oh: int, ow: int) -> np.ndarray:
     """Sum over the taps (i, j) of x's strided window at (i, j) times
     k[i, j]; x is [b, H, W, cin], k is [kh, kw, cin, cout]."""
-    kh, kw, _, cout = k.shape
+    kh, kw, cin, cout = k.shape
+    if cin == 1:
+        # a per-tap product would contract over length 1, far off BLAS's
+        # fast path: gather the taps on a last axis and run one GEMM
+        taps = np.stack([x[:, i:i + oh * stride:stride, j:j + ow * stride:stride, 0]
+                         for i in range(kh) for j in range(kw)], axis=-1)
+        out = taps.reshape(-1, kh * kw) @ k.reshape(kh * kw, cout)
+        return out.reshape(x.shape[0], oh, ow, cout)
     out = np.zeros((x.shape[0], oh, ow, cout), x.dtype)
     for i in range(kh):
         for j in range(kw):
@@ -541,15 +548,26 @@ def _correlate(x, k, stride: int, oh: int, ow: int) -> np.ndarray:
     return out
 
 
-def conv2d(a, kernel, stride: int = 1, padding: str = "same") -> Tensor:
-    """2-D cross-correlation; kernel is [kh, kw, cin, cout]."""
+def conv2d(a, kernel, stride: int = 1, padding: str = "same", bias=None) -> Tensor:
+    """2-D cross-correlation (+ bias); kernel is [kh, kw, cin, cout]. One
+    tape node: the bias is added in place and its gradient is g's column
+    sum."""
     a = _as_tensor(a)
     kernel = _as_tensor(kernel)
+    parents = (a, kernel)
+    if bias is not None:
+        bias = _as_tensor(bias)
+        parents += (bias,)
     if a.ndim != 4 or kernel.ndim != 4:
         raise ValueError("conv2d expects x[b,H,W,C] and kernel[kh,kw,cin,cout]")
     kh, kw, cin, cout = kernel.shape
     if a.shape[3] != cin:
         raise ValueError(f"conv2d: input has {a.shape[3]} channels, kernel expects {cin}")
+    if bias is not None and bias.shape != (cout,):
+        raise ValueError(f"conv2d: bias shape {bias.shape}, expected {(cout,)}")
+    if len({t.data.dtype for t in parents}) > 1:
+        raise TypeError("conv2d: dtype mismatch "
+                        + ", ".join(t.dtype for t in parents))
     if padding == "same":
         if kh % 2 == 0 or kw % 2 == 0:
             raise ValueError("same padding requires odd kernel extents")
@@ -562,10 +580,13 @@ def conv2d(a, kernel, stride: int = 1, padding: str = "same") -> Tensor:
     b, h, w, _ = a.shape
     x = a.data
     if ph or pw:
-        x = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+        x = np.zeros((b, h + 2 * ph, w + 2 * pw, cin), a.data.dtype)
+        x[:, ph:ph + h, pw:pw + w] = a.data
     oh = (h + 2 * ph - kh) // stride + 1
     ow = (w + 2 * pw - kw) // stride + 1
     out = _correlate(x, kernel.data, stride, oh, ow)
+    if bias is not None:
+        out += bias.data
 
     def backward(g):
         gk = np.zeros_like(kernel.data)
@@ -573,17 +594,18 @@ def conv2d(a, kernel, stride: int = 1, padding: str = "same") -> Tensor:
             for j in range(kw):
                 patch = x[:, i:i + oh * stride:stride, j:j + ow * stride:stride, :]
                 gk[i, j] = patch.reshape(-1, cin).T @ g.reshape(-1, cout)
+        gb = () if bias is None else (g.reshape(-1, cout).sum(0),)
         if not a.requires_grad:
-            return (None, gk)
+            return (None, gk) + gb
         # the input gradient is a stride-1 correlation of g, placed on the
         # stride grid and zero-padded, with the flipped, transposed kernel
         gs = np.zeros((b, h + kh - 1, w + kw - 1, cout), g.dtype)
         y0, x0 = kh - 1 - ph, kw - 1 - pw
         gs[:, y0:y0 + oh * stride:stride, x0:x0 + ow * stride:stride, :] = g
         flipped = np.ascontiguousarray(kernel.data[::-1, ::-1].swapaxes(2, 3))
-        return (_correlate(gs, flipped, 1, h, w), gk)
+        return (_correlate(gs, flipped, 1, h, w), gk) + gb
 
-    return _make(out, (a, kernel), backward)
+    return _make(out, parents, backward)
 
 
 def max_pool2d(a, size: int = 2) -> Tensor:

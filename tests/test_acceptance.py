@@ -113,6 +113,14 @@ def test_criterion_1_gradients():
              {"q": rand(kd[3], (2, 3, 4)), "k": rand(kd[4], (2, 5, 4)),
               "v": rand(kd[5], (2, 5, 4))}),
         ]
+        kc = R.split(key(200 + s), 5)
+        op_cases += [
+            (lambda p: T.tsum(T.conv2d(p["x"], p["k"], 2) ** 2.0),
+             {"x": rand(kc[0], (2, 5, 5, 1)), "k": rand(kc[1], (3, 3, 1, 2))}),
+            (lambda p: T.tsum(T.conv2d(p["x"], p["k"], bias=p["b"]) ** 2.0),
+             {"x": rand(kc[2], (1, 4, 4, 2)), "k": rand(kc[3], (3, 3, 2, 2)),
+              "b": rand(kc[4], (2,))}),
+        ]
     for f, params in op_cases:
         worst_op = max(worst_op, _check(f, params, rtol=1e-6))
         cases += 1

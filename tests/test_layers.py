@@ -46,6 +46,28 @@ class TestDense:
         assert "k/b" not in L.init_attention(key(7), 4)
         assert {"q/b", "v/b", "o/b"} <= L.init_attention(key(7), 4).keys()
 
+    @pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "valid")])
+    def test_conv_is_one_tape_node_with_the_bias_inside(self, stride, padding):
+        p = {n: Tensor(t.data, requires_grad=True)
+             for n, t in L.init_conv(key(40), 3, 3, 2, 4).items()}
+        p["b"].data[:] = R.normal(key(41), (4,))
+        x = Tensor(R.normal(key(42), (3, 7, 7, 2)), "f32", requires_grad=True)
+        out = L.conv(x, p, stride, padding)
+        bare = L.conv(x, {"w": p["w"]}, stride, padding)
+        assert out._parents == (x, p["w"], p["b"])
+        assert bare._parents == (x, p["w"])
+        assert all(q._backward is None for q in out._parents)
+        ref = T.conv2d(x, p["w"], stride, padding) + p["b"]
+        assert np.array_equal(out.data, ref.data)
+        # a tape hands a node its C-contiguous gradient
+        g = R.normal(key(43), out.shape).astype(np.float32)
+        gx, gw, gb = out._backward(g)
+        assert gb.dtype == np.float32
+        assert np.array_equal(gb, ref._backward(g)[1])
+        assert np.array_equal(gb, T._unbroadcast(g, (4,)))
+        bx, bw = bare._backward(g)
+        assert np.array_equal(gx, bx) and np.array_equal(gw, bw)
+
     def test_he_uniform_bounds(self):
         w = L.he_uniform(key(1), (200, 100), fan_in=200)
         limit = np.sqrt(6.0 / 200)

@@ -23,6 +23,31 @@ class TestElementwise:
         out = T.relu(T.tensor([-1.0, 0.0, 2.0]))
         assert np.array_equal(out.data, [0.0, 0.0, 2.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_bit_identical_to_where(self, dtype):
+        info = np.finfo(dtype)
+        special = [0.0, -0.0, np.inf, -np.inf, info.max, -info.max,
+                   info.smallest_normal, -info.smallest_normal,
+                   info.smallest_subnormal, -info.smallest_subnormal,
+                   info.smallest_normal / 2, -info.smallest_normal / 2]
+        x = np.concatenate([np.array(special, dtype),
+                            R.normal(R.RngKey.from_seed(27), (61,)).astype(dtype)])
+        uint = f"u{x.itemsize}"
+        # single values, a short tail and a long run: numpy's scalar and
+        # vector loops
+        for part in [x[i:i + 1] for i in range(len(special))] + [x[:3], x,
+                                                                  x.reshape(1, -1)]:
+            want = np.where(part > 0, part, 0)
+            got = T.relu(T.Tensor(part)).data
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got.view(uint), want.view(uint)), part
+
+    def test_relu_passes_nan_on(self):
+        x = T.Tensor(np.array([np.nan, -1.0, 2.0], np.float32), requires_grad=True)
+        out = T.relu(x)
+        assert np.isnan(out.data[0]) and out.data[1:].tolist() == [0.0, 2.0]
+        assert out._backward(np.ones(3, np.float32))[0].tolist() == [0.0, 0.0, 1.0]
+
     def test_sigmoid_zero(self):
         assert T.sigmoid(T.tensor(0.0)).item() == pytest.approx(0.5)
 
@@ -417,6 +442,65 @@ class TestSpatialOps:
         assert gx.dtype == np.float32
         assert np.abs(gx - ref).max() <= 1e-6 * np.abs(ref).max()
 
+    def test_conv2d_one_channel_grad(self):
+        # cin = 1 runs the gathered-tap GEMM forward; cout = 1 sends the
+        # input gradient's correlation through it too
+        keys = R.split(R.RngKey.from_seed(28), 2)
+        x = rand(keys[0], (2, 6, 7, 1))
+        for kshape in [(1, 1), (3, 3), (3, 5)]:
+            for cout in (3, 1):
+                k = rand(keys[1], kshape + (1, cout))
+                for stride in (1, 2, 3):
+                    for padding in ("same", "valid"):
+                        err = max_rel_error(
+                            lambda p: T.tsum(T.conv2d(p["x"], p["k"], stride,
+                                                      padding) ** 2.0),
+                            {"x": x, "k": k})
+                        assert err <= 1e-6, (kshape, cout, stride, padding, err)
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("kshape", [(1, 1), (3, 3), (3, 5)])
+    def test_conv2d_one_channel_float32_matches_float64_tap_sum(self, stride,
+                                                                padding, kshape):
+        keys = R.split(R.RngKey.from_seed(29), 2)
+        kh, kw = kshape
+        x = R.normal(keys[0], (4, 16, 15, 1)).astype(np.float32)
+        k = R.normal(keys[1], kshape + (1, 16)).astype(np.float32)
+        out = T.conv2d(T.Tensor(x), T.Tensor(k), stride, padding).data
+        ph, pw = (kh // 2, kw // 2) if padding == "same" else (0, 0)
+        xp = np.pad(x.astype(np.float64), ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+        _, oh, ow, _ = out.shape
+        ref = np.zeros(out.shape)
+        for i in range(kh):
+            for j in range(kw):
+                ref += (xp[:, i:i + oh * stride:stride, j:j + ow * stride:stride]
+                        @ k[i, j].astype(np.float64))
+        assert out.dtype == np.float32
+        assert np.abs(out - ref).max() <= 1e-6 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("cin", [1, 2])
+    def test_conv2d_bias_grad(self, cin):
+        keys = R.split(R.RngKey.from_seed(30), 3)
+        params = {"x": rand(keys[0], (2, 5, 6, cin)),
+                  "k": rand(keys[1], (3, 3, cin, 3)), "b": rand(keys[2], (3,))}
+        for stride in (1, 2):
+            for padding in ("same", "valid"):
+                check_grads(lambda p: T.tsum(T.conv2d(p["x"], p["k"], stride, padding,
+                                                      bias=p["b"]) ** 2.0), params)
+
+    def test_conv2d_bad_bias_shape_and_mixed_dtypes_refused(self):
+        x, k = T.zeros((1, 4, 4, 2)), T.zeros((3, 3, 2, 3))
+        with pytest.raises(ValueError, match="bias shape"):
+            T.conv2d(x, k, bias=T.zeros((2,)))
+        with pytest.raises(TypeError, match="dtype mismatch"):
+            T.conv2d(x, k, bias=T.zeros((3,), dtype="f64"))
+        # a float64 kernel would be rounded to float32 on the per-tap path
+        # and widen the output on the one-channel path: refused on both
+        for cin in (2, 1):
+            with pytest.raises(TypeError, match="dtype mismatch"):
+                T.conv2d(T.zeros((1, 4, 4, cin)), T.zeros((3, 3, cin, 3), dtype="f64"))
+
     def test_conv2d_input_without_grad_gets_none(self):
         keys = R.split(R.RngKey.from_seed(26), 3)
         x = R.normal(keys[0], (2, 6, 6, 3))
@@ -475,6 +559,7 @@ _OPS = {
     "astype": lambda a, b, k: T.astype(a, "f64"),
     "pad2d": lambda a, b, k: T.pad2d(a, 1),
     "conv2d": lambda a, b, k: T.conv2d(a, k, stride=2),
+    "conv2d_bias": lambda a, b, k: T.conv2d(a, k, stride=2, bias=b[0, 0, 0]),
     "max_pool2d": lambda a, b, k: T.max_pool2d(a),
     "upsample_nearest2d": lambda a, b, k: T.upsample_nearest2d(a),
 }

@@ -202,6 +202,18 @@ def watched_contract(contract, watch):
         contract, build_model=lambda: ArchitectureHandle(arch.init, apply))
 
 
+def test_nan_input_surfaces_as_a_non_finite_loss():
+    # relu passes a NaN on, as jax.nn.relu does, so one bad example stops
+    # the step instead of being zeroed at the hidden layer
+    contract = build_mlp(Config(), mlp_meta())
+    batch = toy_batch()
+    batch["inputs"].data[0, 0] = np.nan
+    opt = TR.OptimizerSpec(kind="sgd", lr=0.1)
+    with pytest.raises(TR.TrainError, match="non-finite loss at step 0"):
+        TR.train_step(fresh_state(contract, opt), [batch], TR.Topology(1, 1),
+                      contract, opt)
+
+
 class TestOneBatchPerStep:
     """A step runs its device batches as one batch, so it depends only on
     the global batch, not on how the topology splits it."""
