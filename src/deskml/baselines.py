@@ -27,6 +27,13 @@ def _dtype(config: Config) -> str:
     return config.get("model.dtype", "f32")
 
 
+def _in_dtype(dtype: str, params: dict, model_state: dict) -> tuple[dict, dict]:
+    """An ``init``'s params and model state, cast from the float32 of the
+    layer initializers to the model's dtype."""
+    return ({k: Tensor(v, dtype=dtype) for k, v in params.items()},
+            {k: Tensor(v, dtype=dtype) for k, v in model_state.items()})
+
+
 def _classification_contract(config, meta, arch) -> ModelContract:
     smoothing = config.get("model.label_smoothing", 0.0)
 
@@ -49,14 +56,13 @@ def build_mlp(config: Config, meta: DatasetMetaData) -> ModelContract:
     k = meta.num_classes
     d_in = int(np.prod(meta.input_shape[1:]))
 
-    def init(key, dummy):
+    def init(key):
         dims = [d_in] + list(hidden) + [k]
         keys = R.split(key, len(dims) - 1)
         params = {}
         for i in range(len(dims) - 1):
-            params.update(L.prefixed(f"dense{i}", L.init_dense(
-                keys[i], dims[i], dims[i + 1], dtype)))
-        return params, {}
+            params.update(L.prefixed(f"dense{i}", L.init_dense(keys[i], dims[i], dims[i + 1])))
+        return _in_dtype(dtype, params, {})
 
     def apply(params, model_state, inputs, train=False, rng=None):
         s = L.scopes(params)
@@ -89,18 +95,16 @@ def build_vit(config: Config, meta: DatasetMetaData) -> ModelContract:
         raise ModelError(f"input {h}x{w} not divisible by patch {patch}")
     tokens = (h // patch) * (w // patch)
 
-    def init(key, dummy):
+    def init(key):
         keys = R.split(key, depth + 4)
-        params = L.prefixed("patch", L.init_patch_embed(keys[0], patch, c, dim, dtype))
-        params["cls_token"] = L.trunc_normal(keys[1], (1, 1, dim), dtype=dtype)
-        params.update(L.prefixed("pos", L.init_positional_embedding(
-            keys[2], tokens + 1, dim, dtype)))
+        params = L.prefixed("patch", L.init_patch_embed(keys[0], patch, c, dim))
+        params["cls_token"] = L.trunc_normal(keys[1], (1, 1, dim))
+        params.update(L.prefixed("pos", L.init_positional_embedding(keys[2], tokens + 1, dim)))
         for i in range(depth):
-            params.update(L.prefixed(f"block{i}", L.init_transformer_block(
-                keys[3 + i], dim, mlp_dim, dtype)))
-        params.update(L.prefixed("ln", L.init_layer_norm(dim, dtype)))
-        params.update(L.prefixed("head", L.init_dense(keys[-1], dim, k, dtype)))
-        return params, {}
+            params.update(L.prefixed(f"block{i}", L.init_transformer_block(keys[3 + i], dim, mlp_dim)))
+        params.update(L.prefixed("ln", L.init_layer_norm(dim)))
+        params.update(L.prefixed("head", L.init_dense(keys[-1], dim, k)))
+        return _in_dtype(dtype, params, {})
 
     def apply(params, model_state, inputs, train=False, rng=None):
         s = L.scopes(params)
@@ -137,15 +141,15 @@ def build_mixer(config: Config, meta: DatasetMetaData) -> ModelContract:
         raise ModelError(f"input {h}x{w} not divisible by patch {patch}")
     tokens = (h // patch) * (w // patch)
 
-    def init(key, dummy):
+    def init(key):
         keys = R.split(key, depth + 2)
-        params = L.prefixed("patch", L.init_patch_embed(keys[0], patch, c, dim, dtype))
+        params = L.prefixed("patch", L.init_patch_embed(keys[0], patch, c, dim))
         for i in range(depth):
             params.update(L.prefixed(f"block{i}", L.init_mixer_block(
-                keys[1 + i], tokens, dim, token_mlp, channel_mlp, dtype)))
-        params.update(L.prefixed("ln", L.init_layer_norm(dim, dtype)))
-        params.update(L.prefixed("head", L.init_dense(keys[-1], dim, k, dtype)))
-        return params, {}
+                keys[1 + i], tokens, dim, token_mlp, channel_mlp)))
+        params.update(L.prefixed("ln", L.init_layer_norm(dim)))
+        params.update(L.prefixed("head", L.init_dense(keys[-1], dim, k)))
+        return _in_dtype(dtype, params, {})
 
     def apply(params, model_state, inputs, train=False, rng=None):
         s = L.scopes(params)
@@ -172,21 +176,21 @@ def build_resnet(config: Config, meta: DatasetMetaData) -> ModelContract:
     # 2 stages x 2 blocks; second stage doubles width at stride 2
     stages = [(width, 1), (width, 1), (2 * width, 2), (2 * width, 1)]
 
-    def init(key, dummy):
+    def init(key):
         keys = R.split(key, len(stages) + 2)
-        params = L.prefixed("stem", L.init_conv(keys[0], 3, 3, c, width, dtype))
+        params = L.prefixed("stem", L.init_conv(keys[0], 3, 3, c, width))
         del params["stem/b"]  # batch norm subtracts the mean
-        bp, bs = L.init_batch_norm(width, dtype)
+        bp, bs = L.init_batch_norm(width)
         params.update(L.prefixed("stem_bn", bp))
         state = L.prefixed("stem_bn", bs)
         cin = width
         for i, (cout, stride) in enumerate(stages):
-            p, s = L.init_resnet_block(keys[1 + i], cin, cout, stride, dtype)
+            p, s = L.init_resnet_block(keys[1 + i], cin, cout, stride)
             params.update(L.prefixed(f"block{i}", p))
             state.update(L.prefixed(f"block{i}", s))
             cin = cout
-        params.update(L.prefixed("head", L.init_dense(keys[-1], cin, k, dtype)))
-        return params, state
+        params.update(L.prefixed("head", L.init_dense(keys[-1], cin, k)))
+        return _in_dtype(dtype, params, state)
 
     def apply(params, model_state, inputs, train=False, rng=None):
         s, ss = L.scopes(params), L.scopes(model_state)
@@ -217,16 +221,16 @@ def build_unet(config: Config, meta: DatasetMetaData) -> ModelContract:
     if h % 4 or w % 4:
         raise ModelError(f"input {h}x{w} must be divisible by 4")
 
-    def init(key, dummy):
+    def init(key):
         k1, k2, kb, k3, k4, kh = R.split(key, 6)
         params = {}
-        params.update(L.prefixed("down1", L.init_double_conv(k1, c, width, dtype)))
-        params.update(L.prefixed("down2", L.init_double_conv(k2, width, 2 * width, dtype)))
-        params.update(L.prefixed("bottleneck", L.init_double_conv(kb, 2 * width, 4 * width, dtype)))
-        params.update(L.prefixed("up1", L.init_double_conv(k3, 4 * width + 2 * width, 2 * width, dtype)))
-        params.update(L.prefixed("up2", L.init_double_conv(k4, 2 * width + width, width, dtype)))
-        params.update(L.prefixed("head", L.init_conv(kh, 1, 1, width, k, dtype)))
-        return params, {}
+        params.update(L.prefixed("down1", L.init_double_conv(k1, c, width)))
+        params.update(L.prefixed("down2", L.init_double_conv(k2, width, 2 * width)))
+        params.update(L.prefixed("bottleneck", L.init_double_conv(kb, 2 * width, 4 * width)))
+        params.update(L.prefixed("up1", L.init_double_conv(k3, 4 * width + 2 * width, 2 * width)))
+        params.update(L.prefixed("up2", L.init_double_conv(k4, 2 * width + width, width)))
+        params.update(L.prefixed("head", L.init_conv(kh, 1, 1, width, k)))
+        return _in_dtype(dtype, params, {})
 
     def apply(params, model_state, inputs, train=False, rng=None):
         s = L.scopes(params)
@@ -283,23 +287,21 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
         raise ModelError(f"input {h}x{w} must be divisible by 4")
     tokens = (h // 4) * (w // 4)
 
-    def init(key, dummy):
+    def init(key):
         keys = R.split(key, enc_depth + dec_depth + 6)
         i = 0
-        params = L.prefixed("conv1", L.init_conv(keys[i], 3, 3, c, dim // 2, dtype)); i += 1
-        params.update(L.prefixed("conv2", L.init_conv(keys[i], 3, 3, dim // 2, dim, dtype))); i += 1
-        params.update(L.prefixed("pos", L.init_positional_embedding(keys[i], tokens, dim, dtype))); i += 1
+        params = L.prefixed("conv1", L.init_conv(keys[i], 3, 3, c, dim // 2)); i += 1
+        params.update(L.prefixed("conv2", L.init_conv(keys[i], 3, 3, dim // 2, dim))); i += 1
+        params.update(L.prefixed("pos", L.init_positional_embedding(keys[i], tokens, dim))); i += 1
         for e in range(enc_depth):
-            params.update(L.prefixed(f"enc{e}", L.init_transformer_block(
-                keys[i], dim, mlp_dim, dtype))); i += 1
-        params["queries"] = L.trunc_normal(keys[i], (num_slots, dim), dtype=dtype); i += 1
+            params.update(L.prefixed(f"enc{e}", L.init_transformer_block(keys[i], dim, mlp_dim))); i += 1
+        params["queries"] = L.trunc_normal(keys[i], (num_slots, dim)); i += 1
         for d in range(dec_depth):
-            params.update(L.prefixed(f"dec{d}", L.init_decoder_block(
-                keys[i], dim, mlp_dim, dtype))); i += 1
-        params.update(L.prefixed("dec_ln", L.init_layer_norm(dim, dtype)))
-        params.update(L.prefixed("cls_head", L.init_dense(keys[i], dim, k + 1, dtype))); i += 1
-        params.update(L.prefixed("box_head", L.init_dense(keys[i], dim, 4, dtype)))
-        return params, {}
+            params.update(L.prefixed(f"dec{d}", L.init_decoder_block(keys[i], dim, mlp_dim))); i += 1
+        params.update(L.prefixed("dec_ln", L.init_layer_norm(dim)))
+        params.update(L.prefixed("cls_head", L.init_dense(keys[i], dim, k + 1))); i += 1
+        params.update(L.prefixed("box_head", L.init_dense(keys[i], dim, 4)))
+        return _in_dtype(dtype, params, {})
 
     def apply(params, model_state, inputs, train=False, rng=None):
         s = L.scopes(params)

@@ -32,30 +32,31 @@ def scopes(params: dict) -> dict[str, dict]:
 
 
 # ---------------------------------------------------------------------------
-# initializers
+# initializers: a float64 draw cast once to float32
 
 
-def he_uniform(key: R.RngKey, shape, fan_in: int, dtype="f32") -> Tensor:
+def he_uniform(key: R.RngKey, shape, fan_in: int) -> Tensor:
     limit = np.sqrt(6.0 / fan_in)
     u = R.uniform(key, shape)
-    return Tensor(((u * 2.0 - 1.0) * limit), dtype=dtype)
+    return Tensor((u * 2.0 - 1.0) * limit, dtype="f32")
 
 
-def trunc_normal(key: R.RngKey, shape, std: float = 0.02, dtype="f32") -> Tensor:
+def trunc_normal(key: R.RngKey, shape, std: float = 0.02) -> Tensor:
     z = R.normal(key, shape)
-    return Tensor(np.clip(z, -2.0, 2.0) * std, dtype=dtype)
+    return Tensor(np.clip(z, -2.0, 2.0) * std, dtype="f32")
 
 
 # ---------------------------------------------------------------------------
-# dense / conv / norms; a dense or conv layer adds a bias exactly when its
-# dict holds "b", and one whose bias the next op cancels is built without
+# dense / conv / norms; the initializers return float32. A dense or conv
+# layer adds a bias exactly when its dict holds "b", and one whose bias
+# the next op cancels is built without
 
 
-def init_dense(key, d_in: int, d_out: int, dtype="f32") -> dict:
+def init_dense(key, d_in: int, d_out: int) -> dict:
     kw, = R.split(key, 1)
     return {
-        "w": he_uniform(kw, (d_in, d_out), fan_in=d_in, dtype=dtype),
-        "b": T.zeros((d_out,), dtype=dtype),
+        "w": he_uniform(kw, (d_in, d_out), fan_in=d_in),
+        "b": T.zeros((d_out,)),
     }
 
 
@@ -63,11 +64,11 @@ def dense(x: Tensor, p: dict) -> Tensor:
     return T.dense(x, p["w"], p.get("b"))
 
 
-def init_conv(key, kh: int, kw: int, cin: int, cout: int, dtype="f32") -> dict:
+def init_conv(key, kh: int, kw: int, cin: int, cout: int) -> dict:
     k, = R.split(key, 1)
     return {
-        "w": he_uniform(k, (kh, kw, cin, cout), fan_in=kh * kw * cin, dtype=dtype),
-        "b": T.zeros((cout,), dtype=dtype),
+        "w": he_uniform(k, (kh, kw, cin, cout), fan_in=kh * kw * cin),
+        "b": T.zeros((cout,)),
     }
 
 
@@ -75,17 +76,17 @@ def conv(x: Tensor, p: dict, stride: int = 1, padding: str = "same") -> Tensor:
     return T.conv2d(x, p["w"], stride=stride, padding=padding, bias=p.get("b"))
 
 
-def init_layer_norm(dim: int, dtype="f32") -> dict:
-    return {"scale": T.ones((dim,), dtype=dtype), "bias": T.zeros((dim,), dtype=dtype)}
+def init_layer_norm(dim: int) -> dict:
+    return {"scale": T.ones((dim,)), "bias": T.zeros((dim,))}
 
 
 def layer_norm(x: Tensor, p: dict, eps: float = 1e-6) -> Tensor:
     return T.layer_norm(x, p["scale"], p["bias"], eps)
 
 
-def init_batch_norm(dim: int, dtype="f32") -> tuple[dict, dict]:
-    params = {"scale": T.ones((dim,), dtype=dtype), "bias": T.zeros((dim,), dtype=dtype)}
-    state = {"mean": T.zeros((dim,), dtype=dtype), "var": T.ones((dim,), dtype=dtype)}
+def init_batch_norm(dim: int) -> tuple[dict, dict]:
+    params = {"scale": T.ones((dim,)), "bias": T.zeros((dim,))}
+    state = {"mean": T.zeros((dim,)), "var": T.ones((dim,))}
     return params, state
 
 
@@ -125,11 +126,11 @@ def dropout(x: Tensor, rate: float, train: bool, key: R.RngKey | None) -> Tensor
 # attention / transformer
 
 
-def init_attention(key, dim: int, dtype="f32") -> dict:
+def init_attention(key, dim: int) -> dict:
     kq, kk, kv, ko = R.split(key, 4)
     out = {}
     for name, k in (("q", kq), ("k", kk), ("v", kv), ("o", ko)):
-        out.update(prefixed(name, init_dense(k, dim, dim, dtype)))
+        out.update(prefixed(name, init_dense(k, dim, dim)))
     del out["k/b"]  # a per-query constant in the logits, which softmax cancels
     return out
 
@@ -148,10 +149,10 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     return dense(out, s["o"])
 
 
-def init_mlp(key, dim: int, hidden: int, dtype="f32") -> dict:
+def init_mlp(key, dim: int, hidden: int) -> dict:
     k1, k2 = R.split(key, 2)
-    return (prefixed("fc1", init_dense(k1, dim, hidden, dtype))
-            | prefixed("fc2", init_dense(k2, hidden, dim, dtype)))
+    return (prefixed("fc1", init_dense(k1, dim, hidden))
+            | prefixed("fc2", init_dense(k2, hidden, dim)))
 
 
 def mlp(x: Tensor, p: dict) -> Tensor:
@@ -159,12 +160,12 @@ def mlp(x: Tensor, p: dict) -> Tensor:
     return dense(T.gelu(dense(x, s["fc1"])), s["fc2"])
 
 
-def init_transformer_block(key, dim: int, mlp_dim: int, dtype="f32") -> dict:
+def init_transformer_block(key, dim: int, mlp_dim: int) -> dict:
     ka, km = R.split(key, 2)
-    return (prefixed("ln1", init_layer_norm(dim, dtype))
-            | prefixed("attn", init_attention(ka, dim, dtype))
-            | prefixed("ln2", init_layer_norm(dim, dtype))
-            | prefixed("mlp", init_mlp(km, dim, mlp_dim, dtype)))
+    return (prefixed("ln1", init_layer_norm(dim))
+            | prefixed("attn", init_attention(ka, dim))
+            | prefixed("ln2", init_layer_norm(dim))
+            | prefixed("mlp", init_mlp(km, dim, mlp_dim)))
 
 
 def transformer_block(x: Tensor, p: dict, heads: int,
@@ -182,14 +183,14 @@ def transformer_block(x: Tensor, p: dict, heads: int,
     return x + dropout(mlp(h, s["mlp"]), drop_rate, train, k2)
 
 
-def init_decoder_block(key, dim: int, mlp_dim: int, dtype="f32") -> dict:
+def init_decoder_block(key, dim: int, mlp_dim: int) -> dict:
     ks, kc, km = R.split(key, 3)
-    return (prefixed("ln1", init_layer_norm(dim, dtype))
-            | prefixed("self_attn", init_attention(ks, dim, dtype))
-            | prefixed("ln2", init_layer_norm(dim, dtype))
-            | prefixed("cross_attn", init_attention(kc, dim, dtype))
-            | prefixed("ln3", init_layer_norm(dim, dtype))
-            | prefixed("mlp", init_mlp(km, dim, mlp_dim, dtype)))
+    return (prefixed("ln1", init_layer_norm(dim))
+            | prefixed("self_attn", init_attention(ks, dim))
+            | prefixed("ln2", init_layer_norm(dim))
+            | prefixed("cross_attn", init_attention(kc, dim))
+            | prefixed("ln3", init_layer_norm(dim))
+            | prefixed("mlp", init_mlp(km, dim, mlp_dim)))
 
 
 def decoder_block(x: Tensor, memory: Tensor, p: dict, heads: int) -> Tensor:
@@ -208,14 +209,14 @@ def decoder_block(x: Tensor, memory: Tensor, p: dict, heads: int) -> Tensor:
 
 
 def init_mixer_block(key, tokens: int, dim: int, token_mlp: int,
-                     channel_mlp: int, dtype="f32") -> dict:
+                     channel_mlp: int) -> dict:
     kt, kc = R.split(key, 2)
-    token_mix = init_mlp(kt, tokens, token_mlp, dtype)
+    token_mix = init_mlp(kt, tokens, token_mlp)
     del token_mix["fc2/b"]  # a per-token constant; every reader layer-norms it away
-    return (prefixed("ln1", init_layer_norm(dim, dtype))
+    return (prefixed("ln1", init_layer_norm(dim))
             | prefixed("token_mix", token_mix)
-            | prefixed("ln2", init_layer_norm(dim, dtype))
-            | prefixed("channel_mix", init_mlp(kc, dim, channel_mlp, dtype)))
+            | prefixed("ln2", init_layer_norm(dim))
+            | prefixed("channel_mix", init_mlp(kc, dim, channel_mlp)))
 
 
 def mixer_block(x: Tensor, p: dict) -> Tensor:
@@ -232,18 +233,18 @@ def mixer_block(x: Tensor, p: dict) -> Tensor:
 # resnet
 
 
-def init_resnet_block(key, cin: int, cout: int, stride: int = 1, dtype="f32"):
+def init_resnet_block(key, cin: int, cout: int, stride: int = 1):
     k1, k2, kp = R.split(key, 3)
-    params = (prefixed("conv1", init_conv(k1, 3, 3, cin, cout, dtype))
-              | prefixed("conv2", init_conv(k2, 3, 3, cout, cout, dtype)))
+    params = (prefixed("conv1", init_conv(k1, 3, 3, cin, cout))
+              | prefixed("conv2", init_conv(k2, 3, 3, cout, cout)))
     del params["conv1/b"], params["conv2/b"]  # batch norm subtracts the mean
     state = {}
     for name, dim in (("bn1", cout), ("bn2", cout)):
-        bp, bs = init_batch_norm(dim, dtype)
+        bp, bs = init_batch_norm(dim)
         params.update(prefixed(name, bp))
         state.update(prefixed(name, bs))
     if stride != 1 or cin != cout:
-        params.update(prefixed("proj", init_conv(kp, 1, 1, cin, cout, dtype)))
+        params.update(prefixed("proj", init_conv(kp, 1, 1, cin, cout)))
     return params, state
 
 
@@ -267,10 +268,10 @@ def resnet_block(x: Tensor, p: dict, state: dict, train: bool,
 # u-net
 
 
-def init_double_conv(key, cin: int, cout: int, dtype="f32") -> dict:
+def init_double_conv(key, cin: int, cout: int) -> dict:
     k1, k2 = R.split(key, 2)
-    return (prefixed("conv1", init_conv(k1, 3, 3, cin, cout, dtype))
-            | prefixed("conv2", init_conv(k2, 3, 3, cout, cout, dtype)))
+    return (prefixed("conv1", init_conv(k1, 3, 3, cin, cout))
+            | prefixed("conv2", init_conv(k2, 3, 3, cout, cout)))
 
 
 def double_conv(x: Tensor, p: dict) -> Tensor:
@@ -300,8 +301,8 @@ def unet_up(x: Tensor, skip: Tensor, p: dict) -> Tensor:
 # patching / position
 
 
-def init_patch_embed(key, patch: int, cin: int, dim: int, dtype="f32") -> dict:
-    return init_dense(key, patch * patch * cin, dim, dtype)
+def init_patch_embed(key, patch: int, cin: int, dim: int) -> dict:
+    return init_dense(key, patch * patch * cin, dim)
 
 
 def patch_embed(x: Tensor, p: dict, patch: int) -> Tensor:
@@ -315,8 +316,8 @@ def patch_embed(x: Tensor, p: dict, patch: int) -> Tensor:
     return dense(tokens, p)
 
 
-def init_positional_embedding(key, tokens: int, dim: int, dtype="f32") -> dict:
-    return {"pos": trunc_normal(key, (tokens, dim), std=0.02, dtype=dtype)}
+def init_positional_embedding(key, tokens: int, dim: int) -> dict:
+    return {"pos": trunc_normal(key, (tokens, dim), std=0.02)}
 
 
 def add_positional_embedding(x: Tensor, p: dict) -> Tensor:

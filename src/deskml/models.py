@@ -26,7 +26,7 @@ class ModelError(Exception):
 
 @dataclass(frozen=True)
 class ArchitectureHandle:
-    """init(rng, dummy_input) -> (params, model_state);
+    """init(rng) -> (params, model_state), every array in the model's dtype;
     apply(params, model_state, inputs, train, rng=None) -> (outputs, new_state)."""
     init: Callable
     apply: Callable

@@ -155,13 +155,19 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _same_dtype(op: str, *tensors: Tensor) -> None:
+    """Refuse operands of different dtypes: numpy would widen them."""
+    if len({t.data.dtype for t in tensors}) > 1:
+        raise TypeError(f"{op}: dtype mismatch "
+                        + ", ".join(t.dtype for t in tensors))
+
+
 def _operands(a, b, op: str) -> tuple[Tensor, Tensor]:
     """Both operands of a binary op as Tensors of one dtype (a python
     scalar ``b`` takes a float ``a``'s dtype)."""
     a = _as_tensor(a)
     b = _as_tensor(b, like=a)
-    if a.data.dtype != b.data.dtype:
-        raise TypeError(f"{op}: dtype mismatch {a.dtype} vs {b.dtype}")
+    _same_dtype(op, a, b)
     return a, b
 
 
@@ -274,6 +280,7 @@ def gelu(a) -> Tensor:
 def matmul(a, b) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b)
+    _same_dtype("matmul", a, b)
     if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
         raise ValueError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     out = np.matmul(a.data, b.data)
@@ -297,9 +304,7 @@ def dense(x, w, b=None) -> Tensor:
     if b is not None:
         b = _as_tensor(b)
         parents += (b,)
-    if len({t.data.dtype for t in parents}) > 1:
-        raise TypeError("dense: dtype mismatch "
-                        + ", ".join(t.dtype for t in parents))
+    _same_dtype("dense", *parents)
     if w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ValueError(f"dense: inner dims differ, {x.shape} @ {w.shape}")
     if b is not None and b.shape != w.shape[1:]:
@@ -377,9 +382,7 @@ def layer_norm(x, scale, bias, eps: float) -> Tensor:
     """
     x = _as_tensor(x)
     scale, bias = _as_tensor(scale), _as_tensor(bias)
-    if not x.data.dtype == scale.data.dtype == bias.data.dtype:
-        raise TypeError(f"layer_norm: dtype mismatch {x.dtype}, "
-                        f"{scale.dtype}, {bias.dtype}")
+    _same_dtype("layer_norm", x, scale, bias)
     inv_n = np.asarray(1.0 / x.shape[-1], x.data.dtype)
     xc = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
     var = (xc ** 2.0).sum(axis=-1, keepdims=True) * inv_n
@@ -427,9 +430,7 @@ def attention(q, k, v, heads: int, mask=None) -> Tensor:
             raise ValueError("attention: the mask gets no gradient, but this "
                              "one requires one")
         operands += (mask,)
-    if len({t.data.dtype for t in operands}) > 1:
-        raise TypeError("attention: dtype mismatch "
-                        + ", ".join(t.dtype for t in operands))
+    _same_dtype("attention", *operands)
     dh = d // heads
     scale = np.asarray(1.0 / np.sqrt(dh), q.data.dtype)
 
@@ -565,9 +566,7 @@ def conv2d(a, kernel, stride: int = 1, padding: str = "same", bias=None) -> Tens
         raise ValueError(f"conv2d: input has {a.shape[3]} channels, kernel expects {cin}")
     if bias is not None and bias.shape != (cout,):
         raise ValueError(f"conv2d: bias shape {bias.shape}, expected {(cout,)}")
-    if len({t.data.dtype for t in parents}) > 1:
-        raise TypeError("conv2d: dtype mismatch "
-                        + ", ".join(t.dtype for t in parents))
+    _same_dtype("conv2d", *parents)
     if padding == "same":
         if kh % 2 == 0 or kw % 2 == 0:
             raise ValueError("same padding requires odd kernel extents")

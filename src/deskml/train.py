@@ -134,14 +134,12 @@ def _apply_update(params: dict, g: dict, opt_state: dict,
 
 
 def init_train_state(contract: ModelContract, opt: OptimizerSpec,
-                     rng: R.RngKey, input_shape, dtype="f32") -> TrainState:
-    """Initialize params/state on an all-zeros dummy input."""
-    if input_shape[0] < 1:
-        raise TrainError(f"input shape needs a concrete batch extent: {input_shape}")
+                     rng: R.RngKey) -> TrainState:
+    """Step 0: the model's params and state from its ``init``, fresh
+    optimizer slots, and the rng the steps draw from."""
     arch = contract.build_model()
     k_init, k_state = R.split(rng, 2)
-    dummy = Tensor(np.zeros(input_shape), dtype=dtype)
-    params, model_state = arch.init(k_init, dummy)
+    params, model_state = arch.init(k_init)
     return TrainState(
         step=0,
         params=params,
@@ -361,9 +359,7 @@ def run_trainer(kind: str, config: Config, workdir: str,
         grad_clip=config.get("optimizer.grad_clip"),
     )
 
-    input_shape = (1,) + tuple(meta.input_shape[1:])
-    state = init_train_state(contract, opt, k_init, input_shape,
-                             config.get("model.dtype", "f32"))
+    state = init_train_state(contract, opt, k_init)
     unread = config.unread()
     if unread:
         raise TrainError(f"unknown config key {unread[0]!r}: nothing reads it")

@@ -283,7 +283,7 @@ def test_criterion_5_data_parallel():
                for i in range(10)]
 
     def run(devices):
-        state = TR.init_train_state(contract, opt, key(1), (1, 2), "f64")
+        state = TR.init_train_state(contract, opt, key(1))
         topo = TR.Topology(1, devices)
         for batch in batches:
             state, _ = TR.train_step(
@@ -415,8 +415,7 @@ def test_criterion_8_contract_conformance():
         ds = build_dataset(ds_cfg["name"], ShardSpec(0, 1, 1, 4), key(0), cfg)
         contract = factory(cfg, ds.meta_data)
         arch = contract.build_model()
-        shape = (4,) + tuple(ds.meta_data.input_shape[1:])
-        params, state = arch.init(key(1), Tensor(np.zeros(shape), dtype="f32"))
+        params, state = arch.init(key(1))
         before = {k: v.data.copy() for k, v in state.items()}
         batch = next(ds.train_iter)
         _, new_state = arch.apply(params, state, batch["inputs"], train=False)

@@ -21,8 +21,7 @@ def image_meta(k=4, size=8, c=1):
 def init_and_apply(contract, batch, dtype="f32", train=False):
     arch = contract.build_model()
     shape = (batch,) + tuple(contract.meta.input_shape[1:])
-    params, state = arch.init(R.RngKey.from_seed(0),
-                              Tensor(np.zeros(shape), dtype=dtype))
+    params, state = arch.init(R.RngKey.from_seed(0))
     x = Tensor(R.normal(R.RngKey.from_seed(1), shape), dtype=dtype)
     out, new_state = arch.apply(params, state, x, train=train,
                                 rng=R.RngKey.from_seed(2))
@@ -175,8 +174,7 @@ class TestDetrLoss:
             Config({"model": {"dim": 16, "heads": 2, "mlp_dim": 16}}),
             image_meta(k=2, size=16))
         opt = TR.OptimizerSpec()
-        state = TR.init_train_state(contract, opt, R.RngKey.from_seed(0),
-                                    (1, 16, 16, 1))
+        state = TR.init_train_state(contract, opt, R.RngKey.from_seed(0))
         return contract, state
 
     def test_train_step_matches_once_and_reports_its_loss(self, monkeypatch):
@@ -255,8 +253,7 @@ def test_transformer_baselines_gradients(name):
                                          "depth": 1, "patch_size": 4}}),
                        image_meta())
     arch = contract.build_model()
-    params, state = arch.init(R.RngKey.from_seed(6),
-                              Tensor(np.zeros((1, 8, 8, 1)), dtype="f64"))
+    params, state = arch.init(R.RngKey.from_seed(6))
     x = Tensor(R.normal(R.RngKey.from_seed(7), (2, 8, 8, 1)))
     batch = {"label": Tensor(np.array([0, 2], np.int64))}
 
@@ -281,8 +278,7 @@ def test_every_parameter_has_a_gradient(name):
     contract = factory(cfg, ds.meta_data)
     arch = contract.build_model()
     batch = next(ds.train_iter)
-    params, state = arch.init(R.RngKey.from_seed(1), Tensor(
-        np.zeros((1,) + ds.meta_data.input_shape[1:]), dtype="f64"))
+    params, state = arch.init(R.RngKey.from_seed(1))
     keys = R.split(R.RngKey.from_seed(2), len(params))
     params = {k: Tensor(p.data + 0.1 * R.normal(kk, p.shape))
               for (k, p), kk in zip(params.items(), keys)}
@@ -297,6 +293,23 @@ def test_every_parameter_has_a_gradient(name):
     largest = max(size.values())
     dead = sorted(k for k, v in size.items() if v < 1e-12 * largest)
     assert not dead, f"{name}: zero gradient for {dead}"
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("name", sorted(B.BASELINES))
+def test_init_from_the_key_alone_builds_in_the_model_dtype(name, dtype):
+    factory, defaults, _ = B.BASELINES[name]
+    cfg = Config({"model": {"dtype": dtype},
+                  "dataset": {**defaults["dataset"], "num_train_examples": 8,
+                              "num_eval_examples": 4}})
+    ds = build_dataset(cfg.require("dataset.name"), ShardSpec(0, 1, 1, 8),
+                       R.RngKey.from_seed(0), cfg)
+    params, state = factory(cfg, ds.meta_data).build_model().init(
+        R.RngKey.from_seed(1))
+    assert params
+    wrong = sorted(k for k, t in [*params.items(), *state.items()]
+                   if t.dtype != dtype)
+    assert not wrong, f"{name}: not {dtype}: {wrong}"
 
 
 def test_every_baseline_trains_one_step(tmp_path):

@@ -97,6 +97,13 @@ class TestMatmul:
         with pytest.raises(ValueError, match="inner dims"):
             T.matmul(T.zeros((2, 3)), T.zeros((4, 2)))
 
+    def test_dtype_mismatch(self):
+        a, b = T.zeros((16, 2)), T.zeros((2, 3))
+        with pytest.raises(TypeError, match="matmul: dtype mismatch"):
+            T.matmul(a, b.astype("f64"))
+        with pytest.raises(TypeError, match="matmul: dtype mismatch"):
+            a.astype("f64") @ b
+
     def test_batched(self):
         a = R.normal(R.RngKey.from_seed(5), (6, 2, 3))
         b = R.normal(R.RngKey.from_seed(6), (6, 3, 4))

@@ -23,15 +23,14 @@ def mlp_meta(dim=2, k=3):
                            num_train_examples=64, num_eval_examples=16)
 
 
-def fresh_state(contract, opt=None, seed=0, dim=2, dtype="f32"):
+def fresh_state(contract, opt=None, seed=0):
     opt = opt or TR.OptimizerSpec(kind="sgd", lr=0.1)
-    return TR.init_train_state(contract, opt, R.RngKey.from_seed(seed),
-                               (1, dim), dtype)
+    return TR.init_train_state(contract, opt, R.RngKey.from_seed(seed))
 
 
 def quadratic_contract():
     """Minimal contract: loss = 0.5 * sum(w^2), so one SGD step scales w."""
-    def init(key, dummy):
+    def init(key):
         return {"w": Tensor(R.normal(key, (4,)))}, {}
 
     def apply(params, model_state, inputs, train=False, rng=None):
@@ -160,7 +159,7 @@ class TestDataParallel:
         batch = toy_batch(n=32, seed=3)
 
         def run(devices):
-            state = fresh_state(contract, opt, seed=1, dtype="f64")
+            state = fresh_state(contract, opt, seed=1)
             topo = TR.Topology(1, devices)
             for _ in range(5):
                 state, _ = TR.train_step(
@@ -229,8 +228,7 @@ class TestOneBatchPerStep:
         batches = [image_batch(32, seed) for seed in range(3)]
 
         def run(hosts, devices):
-            state = TR.init_train_state(contract, opt, R.RngKey.from_seed(1),
-                                        (1, 8, 8, 1))
+            state = TR.init_train_state(contract, opt, R.RngKey.from_seed(1))
             tables = []
             for batch in batches:
                 state, table = TR.train_step(
