@@ -131,57 +131,95 @@ def _gen_blobs(task_key, key, n, config: Config):
     }, k, shape
 
 
-def _rect(v, size: int) -> tuple:
-    """(top, left, height, width) of a rectangle inside a ``size`` square,
-    its sides 3 to size // 2 + 1, placed by four uniforms ``v``."""
-    h = 3 + int(v[0] * (size // 2 - 2))
-    w = 3 + int(v[1] * (size // 2 - 2))
-    return int(v[2] * (size - h)), int(v[3] * (size - w)), h, w
+def _image_size(config: Config) -> int:
+    size = config.get("dataset.image_size", 16)
+    if size < 3:
+        raise DatasetError(
+            f"dataset.image_size must be >= 3 to hold a shape, got {size}")
+    return size
+
+
+def _image_keys(key: R.RngKey, n: int):
+    """``split(key, n + 1)`` without building its keys: the first child
+    (the noise key), then the (hi, lo) word arrays of the other ``n``, one
+    per image. Every image's stream depends only on its key, so drawing
+    all of them in one array call gives each the bits it would get alone."""
+    h, l = R._split_lanes([key.hi], [key.lo], n + 1)
+    return R.RngKey(h[0, 0], l[0, 0]), h[0, 1:], l[0, 1:]
+
+
+def _uniform_lanes(k0, k1, n: int) -> np.ndarray:
+    """(lanes, n) array: row i is ``uniform(RngKey(k0[i], k1[i]), (n,))``."""
+    return R._unit(R._random_bits_lanes(k0, k1, n))
+
+
+def _rect(v: np.ndarray, size: int) -> tuple:
+    """(top, left, height, width) int arrays of rectangles inside a
+    ``size`` square, their sides 3 to size // 2 + 1, placed by the
+    uniforms ``v[..., :4]``. ``astype`` truncates toward zero, as ``int``
+    does."""
+    h = 3 + (v[..., 0] * (size // 2 - 2)).astype(np.int64)
+    w = 3 + (v[..., 1] * (size // 2 - 2)).astype(np.int64)
+    top = (v[..., 2] * (size - h)).astype(np.int64)
+    left = (v[..., 3] * (size - w)).astype(np.int64)
+    return top, left, h, w
+
+
+def _rect_mask(top, left, h, w, size: int) -> np.ndarray:
+    """(n, size, size) bool: the pixels of each image's rectangle."""
+    p = np.arange(size)
+    rows = (p >= top[:, None]) & (p < (top + h)[:, None])
+    cols = (p >= left[:, None]) & (p < (left + w)[:, None])
+    return rows[:, :, None] & cols[:, None, :]
 
 
 def _gen_shapes_segmentation(task_key, key, n, config: Config):
-    size = config.get("dataset.image_size", 16)
-    keys = R.split(key, n + 1)
-    noise = R.normal(keys[0], (n, size, size)) * 0.1
-    images = np.zeros((n, size, size), np.float32)
-    labels = np.zeros((n, size, size), np.int64)
-    yy, xx = np.mgrid[0:size, 0:size]
-    for i in range(n):
-        vals = R.uniform(keys[i + 1], (8,))
-        y0, x0, h, w = _rect(vals[:4], size)  # class 1
-        labels[i, y0:y0 + h, x0:x0 + w] = 1
-        images[i, y0:y0 + h, x0:x0 + w] = 1.0
-        # disk (class 2, drawn on top)
-        r = 2 + int(vals[4] * (size // 4))
-        cy = r + int(vals[5] * (size - 2 * r))
-        cx = r + int(vals[6] * (size - 2 * r))
-        disk = (yy - cy) ** 2 + (xx - cx) ** 2 <= r * r
-        labels[i][disk] = 2
-        images[i][disk] = -1.0
+    size = _image_size(config)
+    k_noise, k0, k1 = _image_keys(key, n)
+    noise = R.normal(k_noise, (n, size, size)) * 0.1
+    vals = _uniform_lanes(k0, k1, 8)
+    rect = _rect_mask(*_rect(vals, size), size)  # class 1
+    # disk (class 2, drawn on top)
+    r = 2 + (vals[:, 4] * (size // 4)).astype(np.int64)
+    cy = r + (vals[:, 5] * (size - 2 * r)).astype(np.int64)
+    cx = r + (vals[:, 6] * (size - 2 * r)).astype(np.int64)
+    p = np.arange(size)
+    dy2, dx2 = (p - cy[:, None]) ** 2, (p - cx[:, None]) ** 2
+    disk = dy2[:, :, None] + dx2[:, None, :] <= (r * r)[:, None, None]
+    labels = rect.astype(np.int64)
+    labels[disk] = 2
+    images = rect.astype(np.float32)
+    images[disk] = -1.0
     images = (images + noise).astype(np.float32)[..., None]
     return {"inputs": images, "label": labels}, 3, (size, size, 1)
 
 
 def _gen_boxes_detection(task_key, key, n, config: Config):
-    size = config.get("dataset.image_size", 16)
+    size = _image_size(config)
     k = config.get("dataset.num_classes", 2)
     max_objects = config.get("dataset.max_objects", 3)
-    keys = R.split(key, n + 1)
-    noise = R.normal(keys[0], (n, size, size)) * 0.05
+    if k < 1 or max_objects < 0:
+        raise DatasetError(f"boxes_detection needs num_classes >= 1 and "
+                           f"max_objects >= 0, got {k} and {max_objects}")
+    k_noise, k0, k1 = _image_keys(key, n)
+    noise = R.normal(k_noise, (n, size, size)) * 0.05
+    # each image's key splits into its count, class and geometry keys
+    kh, kl = R._split_lanes(k0, k1, 3)
+    count = np.floor(_uniform_lanes(kh[:, 0], kl[:, 0], 1)[:, 0]
+                     * (max_objects + 1)).astype(np.int64)
+    cls = np.floor(_uniform_lanes(kh[:, 1], kl[:, 1], max_objects) * k).astype(np.int64)
+    geom = _uniform_lanes(kh[:, 2], kl[:, 2], 4 * max_objects).reshape(n, max_objects, 4)
+    top, left, h, w = _rect(geom, size)
+    present = np.arange(max_objects) < count[:, None]
+    labels = np.where(present, cls, k)  # class k = no-object
+    corners = np.stack([top, left, top + h, left + w], axis=-1) / size
+    boxes = np.where(present[..., None], corners, 0.0).astype(np.float32)
     images = np.zeros((n, size, size), np.float32)
-    labels = np.full((n, max_objects), k, np.int64)  # class k = no-object
-    boxes = np.zeros((n, max_objects, 4), np.float32)
-    for i in range(n):
-        kc, kn_, kg = R.split(keys[i + 1], 3)
-        count = int(R.randint(kc, (), 0, max_objects + 1))
-        geom = R.uniform(kg, (max_objects, 4))
-        cls = R.randint(kn_, (max_objects,), 0, k)
-        for j in range(count):
-            y0, x0, h, w = _rect(geom[j], size)
-            value = 1.0 if cls[j] == 0 else -1.0
-            images[i, y0:y0 + h, x0:x0 + w] = value
-            labels[i, j] = cls[j]
-            boxes[i, j] = (y0 / size, x0 / size, (y0 + h) / size, (x0 + w) / size)
+    for j in range(max_objects):  # in slot order: later objects paint on top
+        mask = _rect_mask(top[:, j], left[:, j], h[:, j], w[:, j], size)
+        mask &= present[:, j, None, None]
+        value = np.where(cls[:, j] == 0, 1.0, -1.0)[:, None, None]
+        np.copyto(images, value, where=mask)
     images = (images + noise).astype(np.float32)[..., None]
     return {"inputs": images, "label": labels, "boxes": boxes}, k, (size, size, 1)
 

@@ -155,22 +155,44 @@ def segmentation_metrics(logits, label, batch_mask=None) -> MetricTable:
     pred = x.argmax(-1)
     correct = ((pred == ids).astype(np.float64).sum(axis=(1, 2)) * mask).sum()
     pixels = mask.sum() * h * w
-    # mean IoU over classes, summed per unmasked example
-    iou_sum = 0.0
-    for i in np.nonzero(mask > 0)[0]:
-        ious = []
-        for c in range(k):
-            inter = float(((pred[i] == c) & (ids[i] == c)).sum())
-            union = float(((pred[i] == c) | (ids[i] == c)).sum())
-            if union > 0:
-                ious.append(inter / union)
-        iou_sum += float(np.mean(ious)) if ious else 1.0
+    # mean IoU over classes, summed in example order over unmasked examples
+    rows = np.nonzero(mask > 0)[0]
+    means = _mean_ious(pred[rows].reshape(-1, h * w), ids[rows].reshape(-1, h * w), k)
+    iou_sum = float(np.cumsum(means)[-1]) if len(rows) else 0.0
     ce = _ce_sum(x.reshape(-1, k), ids.reshape(-1)).reshape(b, h, w).sum(axis=(1, 2))
     return {
         "pixel_accuracy": (float(correct), float(pixels)),
         "mean_iou": (float(iou_sum), float(mask.sum())),
         "loss": (float((ce * mask).sum()), float(pixels)),
     }
+
+
+def _mean_ious(pred: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """Each example's IoU averaged over the classes in its label or its
+    prediction (1.0 when there are none), from one bincount confusion
+    over (example, label, pred); ``pred`` and ``ids`` are (examples,
+    pixels).
+
+    Each mean is ``np.mean`` of the present classes' IoUs in class order:
+    the present classes move to the front of their row, and the rows with
+    ``m`` present classes sum their first ``m`` in one reduction, which
+    adds the same terms in the same order as ``np.mean`` of a list does.
+    """
+    b = pred.shape[0]
+    cells = (np.arange(b)[:, None] * k + ids) * k + pred
+    conf = np.bincount(cells.ravel(), minlength=b * k * k).reshape(b, k, k)
+    inter = np.diagonal(conf, axis1=1, axis2=2)
+    union = conf.sum(2) + conf.sum(1) - inter
+    present = union > 0
+    order = np.argsort(~present, axis=1, kind="stable")
+    iou = np.take_along_axis(inter / np.maximum(union, 1), order, axis=1)
+    counts = present.sum(1)
+    means = np.ones(b)
+    for m in range(1, k + 1):  # not np.unique: it imports numpy.ma (~1 MB RSS)
+        sel = counts == m
+        if sel.any():
+            means[sel] = iou[sel, :m].sum(axis=1) / m
+    return means
 
 
 def _ce_sum(x: np.ndarray, ids: np.ndarray) -> np.ndarray:

@@ -52,7 +52,13 @@ def _threefry_ints(k0, k1, x0, x1):
 def _threefry_numpy(k0, k1, x0, x1):
     """Threefry-2x64-20 on uint64 arrays of counter words, in place: the
     rounds overwrite ``x0`` and ``x1``, which are returned as the two
-    output words. uint64 array arithmetic wraps modulo 2^64."""
+    output words. uint64 array arithmetic wraps modulo 2^64.
+
+    The key words ``k0`` and ``k1`` are ints (one key for every block)
+    or uint64 arrays that broadcast against the counters (one key per
+    lane, e.g. of shape ``(lanes, 1)`` against ``(lanes, n)`` counters);
+    the key injections broadcast with them.
+    """
     inject = _injections((k0, k1, k0 ^ k1 ^ _C240))
     left = np.empty_like(x1)
     x0 += np.uint64(k0)
@@ -133,12 +139,38 @@ def _random_bits(key: RngKey, n: int) -> np.ndarray:
     return np.concatenate([np.asarray(h, np.uint64), np.asarray(l, np.uint64)])[:n]
 
 
+def _threefry_lanes(k0, k1, n: int, tag: int):
+    """Encrypt the blocks (c, tag), c in range(n), under every key
+    (k0[i], k1[i]) in one array pass: two (lanes, n) uint64 word arrays."""
+    k0 = np.asarray(k0, np.uint64)[:, None]
+    k1 = np.asarray(k1, np.uint64)[:, None]
+    counters = np.tile(np.arange(n, dtype=np.uint64), (len(k0), 1))
+    return _threefry_numpy(k0, k1, counters, np.full(counters.shape, tag, np.uint64))
+
+
+def _split_lanes(k0, k1, n: int):
+    """``split`` over a sequence of keys, given as their word arrays: row
+    i of the two (lanes, n) arrays holds the (hi, lo) words of
+    ``split(RngKey(k0[i], k1[i]), n)``."""
+    return _threefry_lanes(k0, k1, n, 1)
+
+
+def _random_bits_lanes(k0, k1, n: int) -> np.ndarray:
+    """``_random_bits`` over a sequence of keys: row i of the (lanes, n)
+    result is ``_random_bits(RngKey(k0[i], k1[i]), n)``."""
+    h, l = _threefry_lanes(k0, k1, (n + 1) // 2, 0)
+    return np.concatenate([h, l], axis=1)[:, :n]
+
+
+def _unit(bits: np.ndarray) -> np.ndarray:
+    """The 53 high bits of each word as a double in [0, 1)."""
+    return (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+
+
 def uniform(key: RngKey, shape, dtype=np.float64) -> np.ndarray:
     """Uniform samples in [0, 1) with the given shape."""
     n = int(np.prod(shape)) if len(tuple(shape)) else 1
-    bits = _random_bits(key, max(n, 1))
-    # 53 high bits -> doubles in [0, 1)
-    u = (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    u = _unit(_random_bits(key, max(n, 1)))
     return u[:n].reshape(shape).astype(dtype)
 
 
@@ -146,9 +178,8 @@ def normal(key: RngKey, shape, dtype=np.float64) -> np.ndarray:
     """Standard normal samples via Box-Muller."""
     n = int(np.prod(shape)) if len(tuple(shape)) else 1
     m = max(n, 1)
-    bits = _random_bits(key, 2 * m)
-    u1 = (bits[:m] >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-    u2 = (bits[m:] >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    u = _unit(_random_bits(key, 2 * m))
+    u1, u2 = u[:m], u[m:]
     r = np.sqrt(-2.0 * np.log1p(-u1))  # log1p avoids log(0)
     z = r * np.cos(2.0 * np.pi * u2)
     return z[:n].reshape(shape).astype(dtype)

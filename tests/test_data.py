@@ -162,3 +162,72 @@ class TestBuildDataset:
         train_rows = next(ds.train_iter)["inputs"].data
         eval_rows = np.concatenate([b["inputs"].data for b in ds.eval_iter()])
         assert {tuple(r) for r in eval_rows} == {tuple(r) for r in train_rows}
+
+
+class TestGeneratorsKnownAnswer:
+    """Each generator's arrays, pinned by sha256 digests recorded before the
+    generators drew every image's words in one batched cipher call. Each
+    image's stream depends only on its (key, counter) pairs, so batching
+    must leave every byte as it was."""
+
+    CONFIGS = {
+        "blobs_classification": {"num_classes": 3, "input_shape": [4, 5]},
+        "shapes_segmentation": {"image_size": 13},
+        "boxes_detection": {"image_size": 16, "num_classes": 3, "max_objects": 4},
+    }
+
+    @staticmethod
+    def digest(arrays):
+        import hashlib
+        h = hashlib.sha256()
+        for name in sorted(arrays):
+            a = np.ascontiguousarray(arrays[name])
+            h.update(f"{name} {a.dtype.str} {a.shape}\n".encode())
+            h.update(a.tobytes())
+        return h.hexdigest()[:16]
+
+    @pytest.mark.parametrize("name, seed, keys, want", [
+        ("blobs_classification", 0, ["inputs", "label"], "25270d87f5113a1d"),
+        ("blobs_classification", 1, ["inputs", "label"], "362ec74015af4a41"),
+        ("shapes_segmentation", 0, ["inputs", "label"], "04e020269cbaa43a"),
+        ("shapes_segmentation", 1, ["inputs", "label"], "3e46967ff26324ca"),
+        ("boxes_detection", 0, ["boxes", "inputs", "label"], "c0314cdc248e6fa6"),
+        ("boxes_detection", 1, ["boxes", "inputs", "label"], "94c67a96f265ed4c"),
+    ])
+    def test_digest(self, name, seed, keys, want):
+        task, key = R.split(R.RngKey.from_seed(seed), 2)
+        arrays, _, _ = D._GENERATORS[name](
+            task, key, 37, Config({"dataset": self.CONFIGS[name]}))
+        assert sorted(arrays) == keys
+        assert self.digest(arrays) == want
+
+
+class TestGeneratorConfig:
+    @pytest.mark.parametrize("name", ["shapes_segmentation", "boxes_detection"])
+    @pytest.mark.parametrize("size", [-1, 0, 1, 2])
+    def test_image_too_small_for_a_shape_rejected(self, name, size):
+        cfg = Config({"dataset": {"image_size": size}})
+        with pytest.raises(D.DatasetError, match="image_size must be >= 3"):
+            D.build_dataset(name, spec(), R.RngKey.from_seed(0), cfg)
+
+    @pytest.mark.parametrize("name", ["shapes_segmentation", "boxes_detection"])
+    def test_smallest_image_keeps_shapes_inside(self, name):
+        cfg = Config({"dataset": {"image_size": 3, "num_train_examples": 64}})
+        ds = D.build_dataset(name, spec(batch=64), R.RngKey.from_seed(0), cfg)
+        b = next(ds.train_iter)
+        assert b["inputs"].shape == (64, 3, 3, 1)
+        if name == "boxes_detection":
+            bx = b["boxes"].data
+            assert np.all((bx >= 0.0) & (bx <= 1.0))
+
+    @pytest.mark.parametrize("values", [{"num_classes": 0}, {"max_objects": -1}])
+    def test_detection_counts_validated(self, values):
+        cfg = Config({"dataset": values})
+        with pytest.raises(D.DatasetError, match="num_classes >= 1"):
+            D.build_dataset("boxes_detection", spec(), R.RngKey.from_seed(0), cfg)
+
+    def test_detection_without_objects(self):
+        cfg = Config({"dataset": {"max_objects": 0}})
+        ds = D.build_dataset("boxes_detection", spec(), R.RngKey.from_seed(0), cfg)
+        b = next(ds.train_iter)
+        assert b["label"].shape == (4, 0) and b["boxes"].shape == (4, 0, 4)

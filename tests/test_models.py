@@ -159,3 +159,43 @@ class TestMetricFunctions:
         logits = np.eye(k, dtype=np.float32)[ids] * 5.0
         out = M.segmentation_metrics(tb(logits), Tensor(ids))
         assert out["mean_iou"][0] / out["mean_iou"][1] == pytest.approx(1.0)
+
+    @staticmethod
+    def _mean_iou_loop(logits, ids, mask):
+        """The per-example, per-class loop the bincount confusion replaced."""
+        pred = logits.astype(np.float64).argmax(-1)
+        total = 0.0
+        for i in np.nonzero(mask > 0)[0]:
+            ious = []
+            for c in range(logits.shape[-1]):
+                inter = float(((pred[i] == c) & (ids[i] == c)).sum())
+                union = float(((pred[i] == c) | (ids[i] == c)).sum())
+                if union > 0:
+                    ious.append(inter / union)
+            total += float(np.mean(ious)) if ious else 1.0
+        return total
+
+    # (classes, classes in neither label nor prediction, image side). With
+    # 8 or more classes np.mean sums pairwise, so where the absent classes
+    # sit changes the rounding of a mean that counted them as zeros.
+    @pytest.mark.parametrize("k, absent, side", [
+        (3, [], 4), (3, [1], 5), (10, [1, 3, 5], 16), (11, [1, 4, 8], 16)])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_segmentation_mean_iou_matches_the_loop(self, k, absent, side, seed):
+        used = np.array([c for c in range(k) if c not in absent])
+        k1, k2 = R.split(R.RngKey.from_seed(seed), 2)
+        ids = used[R.randint(k1, (64, side, side), 0, len(used))]
+        logits = R.normal(k2, (64, side, side, k)).astype(np.float32)
+        logits[..., absent] = -100.0
+        mask = np.ones(64, np.float32)
+        mask[[2, 9, 63]] = 0.0  # padded rows count for nothing
+        out = M.segmentation_metrics(tb(logits), Tensor(ids), tb(mask))
+        assert out["mean_iou"] == (self._mean_iou_loop(logits, ids, mask), 61.0)
+
+    def test_segmentation_mean_iou_all_masked_and_one_pixel(self):
+        logits = np.zeros((2, 1, 1, 3), np.float32)
+        ids = np.zeros((2, 1, 1), np.int64)
+        out = M.segmentation_metrics(tb(logits), Tensor(ids), tb([0.0, 0.0]))
+        assert out["mean_iou"] == (0.0, 0.0)
+        out = M.segmentation_metrics(tb(logits), Tensor(ids), tb([1.0, 0.0]))
+        assert out["mean_iou"] == (1.0, 1.0)

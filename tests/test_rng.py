@@ -185,3 +185,39 @@ def test_numpy_body_overwrites_its_counter_arrays():
     x0, x1 = np.arange(9, dtype=np.uint64), np.zeros(9, np.uint64)
     h, l = R._threefry_numpy(5, 6, x0, x1)
     assert h is x0 and l is x1
+
+
+def _lane_keys(lanes, seed):
+    """Random keys, the first few chosen so that an injected key word
+    ``ks[(d + 1) % 3] + d`` wraps past 2^64 - 1."""
+    import random
+    rnd = random.Random(seed)
+    near = [(MASK, MASK), (0, MASK - 2), (MASK - 4, 1),
+            # ks[2] = k0 ^ k1 ^ C240 = MASK - 1
+            ((MASK - 1) ^ 7 ^ 0x1BD11BDAA9FC1A22, 7)]
+    keys = [R.RngKey(rnd.getrandbits(64), rnd.getrandbits(64)) for _ in range(lanes)]
+    for i, (k0, k1) in enumerate(near[:lanes]):
+        keys[i] = R.RngKey(k0, k1)
+    return keys
+
+
+# Lane counts 1, 8, 9 and 100. split encrypts n counters and random bits
+# (n + 1) // 2, so n = 8, 9, 16 and 17 sit on both sides of _SCALAR_MAX.
+@pytest.mark.parametrize("lanes", [1, 8, 9, 100])
+@pytest.mark.parametrize("n", [1, 2, R._SCALAR_MAX, R._SCALAR_MAX + 1,
+                               2 * R._SCALAR_MAX, 2 * R._SCALAR_MAX + 1, 40])
+def test_lanes_match_the_per_key_draws(lanes, n):
+    keys = _lane_keys(lanes, seed=lanes * 1000 + n)
+    k0 = np.array([k.hi for k in keys], np.uint64)
+    k1 = np.array([k.lo for k in keys], np.uint64)
+    h, l = R._split_lanes(k0, k1, n)
+    bits = R._random_bits_lanes(k0, k1, n)
+    assert h.shape == l.shape == bits.shape == (lanes, n)
+    assert h.dtype == l.dtype == bits.dtype == np.uint64
+    for i, key in enumerate(keys):
+        assert [R.RngKey(a, b) for a, b in zip(h[i].tolist(), l[i].tolist())] == R.split(key, n)
+        assert np.array_equal(bits[i], R._random_bits(key, n))
+        u = R._unit(bits[i])
+        assert np.array_equal(u, R.uniform(key, (n,)))
+        assert np.array_equal((2 + np.floor(u * 7)).astype(np.int64),
+                              R.randint(key, (n,), 2, 9))
