@@ -70,7 +70,8 @@ class OptimizerSpec:
         lr = self.lr(step) if callable(self.lr) else self.lr
         if lr < 0:
             raise TrainError(f"negative learning rate {lr} at step {step}")
-        return lr
+        # a Python float, which numpy does not let widen a float32 update
+        return float(lr)
 
 
 # Adam's moment decay rates and denominator epsilon (Kingma & Ba defaults)
@@ -101,35 +102,57 @@ def _init_opt_state(params: dict, opt: OptimizerSpec) -> dict:
             for name, p in params.items() for slot in _SLOTS[opt.kind]}
 
 
+def _fresh(c: float, a) -> np.ndarray:
+    """``c * a`` in ``a``'s dtype, as a new array even when ``a`` is 0-d."""
+    return np.multiply(c, a, out=np.empty_like(a))
+
+
 def _apply_update(params: dict, g: dict, opt_state: dict,
                   opt: OptimizerSpec, step: int):
-    """Apply float64 mean gradients ``g`` (name -> array); returns the
-    new params and optimizer slots."""
+    """Apply the mean gradients ``g`` (name -> array in its parameter's
+    dtype); returns the new params and optimizer slots, in the same
+    dtypes. Each result (a slot, Adam's denominator, the update, which
+    then becomes the new parameter) is one new array and the rest of the
+    arithmetic runs in place on those, so the params, slots and
+    gradients passed in are never written."""
     lr = opt.lr_at(step)
     if opt.grad_clip is not None:
-        norm = np.sqrt(sum(float((x * x).sum()) for x in g.values()))
+        # the norm alone accumulates in float64, whatever the dtype
+        norm = np.sqrt(sum(float(np.square(v, dtype=np.float64).sum())
+                           for v in g.values()))
         if norm > opt.grad_clip:
-            g = {k: v * (opt.grad_clip / norm) for k, v in g.items()}
+            scale = float(opt.grad_clip / norm)
+            g = {k: v * scale for k, v in g.items()}
     new_params, new_slots = {}, dict(opt_state)
     for name in params:
         p = params[name].data
         gi = g[name]
         if opt.kind == "sgd":
-            upd = lr * gi
+            upd = _fresh(lr, gi)
         elif opt.kind == "sgd_momentum":
-            m = opt.momentum * opt_state[f"{name}/m"].data + gi
-            new_slots[f"{name}/m"] = Tensor(m.astype(p.dtype))
-            upd = lr * m
+            m = _fresh(opt.momentum, opt_state[f"{name}/m"].data)
+            m += gi
+            new_slots[f"{name}/m"] = Tensor(m)
+            upd = _fresh(lr, m)
         else:  # adam
             t = step + 1
-            m = _BETA1 * opt_state[f"{name}/m"].data + (1 - _BETA1) * gi
-            v = _BETA2 * opt_state[f"{name}/v"].data + (1 - _BETA2) * gi * gi
-            new_slots[f"{name}/m"] = Tensor(m.astype(p.dtype))
-            new_slots[f"{name}/v"] = Tensor(v.astype(p.dtype))
-            mhat = m / (1 - _BETA1 ** t)
-            vhat = v / (1 - _BETA2 ** t)
-            upd = lr * mhat / (np.sqrt(vhat) + _EPS)
-        new_params[name] = Tensor((p.astype(np.float64) - upd).astype(p.dtype))
+            upd = _fresh(1 - _BETA1, gi)  # scratch until the update proper
+            m = _fresh(_BETA1, opt_state[f"{name}/m"].data)
+            m += upd
+            d = _fresh(1 - _BETA2, gi)
+            d *= gi
+            v = _fresh(_BETA2, opt_state[f"{name}/v"].data)
+            v += d
+            new_slots[f"{name}/m"] = Tensor(m)
+            new_slots[f"{name}/v"] = Tensor(v)
+            # upd = lr * (m / (1 - B1^t)) / (sqrt(v / (1 - B2^t)) + eps)
+            np.divide(v, 1 - _BETA2 ** t, out=d)
+            np.sqrt(d, out=d)
+            d += _EPS
+            np.divide(m, 1 - _BETA1 ** t, out=upd)
+            upd *= lr
+            upd /= d
+        new_params[name] = Tensor(np.subtract(p, upd, out=upd))
     return new_params, new_slots
 
 
@@ -186,7 +209,7 @@ def train_step(state: TrainState, device_batches: list, topology: Topology,
     # the outputs hold the whole tape: drop them before the update runs
     table = _batch_metrics(contract.get_metrics_fn(), stash.pop("outputs"), batch)
     new_params, new_opt = _apply_update(
-        state.params, {k: v.data.astype(np.float64) for k, v in grads.items()},
+        state.params, {k: v.data for k, v in grads.items()},
         state.opt_state, opt, state.step)
     new_state = replace(
         state,

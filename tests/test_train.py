@@ -133,6 +133,93 @@ class TestOptimizer:
         with pytest.raises(TR.TrainError, match="negative"):
             TR.OptimizerSpec(kind="sgd", lr=-0.1).lr_at(0)
 
+    def test_lr_at_is_a_python_float(self):
+        # an np.float64 would widen a float32 update
+        for lr in (TR.cosine_decay(0.1, 10), 1):
+            assert type(TR.OptimizerSpec(kind="sgd", lr=lr).lr_at(3)) is float
+
+
+def reference_update(params, g, opt_state, opt, step):
+    """The update as it was computed before it ran in the parameters'
+    dtype: the gradients cast to float64, and each result cast back to
+    its parameter's dtype. Returns (params, slots) of arrays."""
+    g = {k: v.astype(np.float64) for k, v in g.items()}
+    lr = opt.lr(step) if callable(opt.lr) else opt.lr
+    if opt.grad_clip is not None:
+        norm = np.sqrt(sum(float((x * x).sum()) for x in g.values()))
+        if norm > opt.grad_clip:
+            g = {k: v * (opt.grad_clip / norm) for k, v in g.items()}
+    new_params, new_slots = {}, {}
+    for name, p in params.items():
+        gi = g[name]
+        if opt.kind == "sgd":
+            upd = lr * gi
+        elif opt.kind == "sgd_momentum":
+            m = opt.momentum * opt_state[f"{name}/m"] + gi
+            new_slots[f"{name}/m"] = m.astype(p.dtype)
+            upd = lr * m
+        else:
+            t = step + 1
+            m = TR._BETA1 * opt_state[f"{name}/m"] + (1 - TR._BETA1) * gi
+            v = TR._BETA2 * opt_state[f"{name}/v"] + (1 - TR._BETA2) * gi * gi
+            new_slots[f"{name}/m"] = m.astype(p.dtype)
+            new_slots[f"{name}/v"] = v.astype(p.dtype)
+            mhat = m / (1 - TR._BETA1 ** t)
+            vhat = v / (1 - TR._BETA2 ** t)
+            upd = lr * mhat / (np.sqrt(vhat) + TR._EPS)
+        new_params[name] = (p.astype(np.float64) - upd).astype(p.dtype)
+    return new_params, new_slots
+
+
+class TestUpdateInParameterDtype:
+    """``_apply_update`` against ``reference_update``, for every optimizer
+    kind, dtype, clipping and schedule."""
+
+    SHAPES = {"w": (5, 3), "b": (3,), "scale": ()}  # a 0-d parameter too
+
+    def inputs(self, kind, dtype):
+        rs = np.random.default_rng(7)
+        params = {k: rs.standard_normal(s).astype(dtype)
+                  for k, s in self.SHAPES.items()}
+        grads = {k: rs.standard_normal(s).astype(dtype)
+                 for k, s in self.SHAPES.items()}
+        slots = {}
+        for k, s in self.SHAPES.items():
+            for slot in TR._SLOTS[kind]:
+                x = rs.standard_normal(s) * 0.1
+                slots[f"{k}/{slot}"] = (x * x if slot == "v" else x).astype(dtype)
+        return params, grads, slots
+
+    @pytest.mark.parametrize("cosine", [False, True], ids=["constant", "cosine"])
+    @pytest.mark.parametrize("clip", [None, 0.5], ids=["noclip", "clip"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("kind", sorted(TR._SLOTS))
+    def test_update(self, kind, dtype, clip, cosine):
+        params, grads, slots = self.inputs(kind, dtype)
+        opt = TR.OptimizerSpec(kind=kind, grad_clip=clip,
+                               lr=TR.cosine_decay(0.1, 10) if cosine else 0.1)
+        inputs = (params, grads, slots)
+        before = [{k: v.copy() for k, v in group.items()} for group in inputs]
+        new_params, new_slots = TR._apply_update(
+            {k: Tensor(v) for k, v in params.items()}, grads,
+            {k: Tensor(v) for k, v in slots.items()}, opt, 3)
+        ref_params, ref_slots = reference_update(params, grads, slots, opt, 3)
+
+        for group, old in zip(inputs, before):  # the inputs are left as they were
+            for name in old:
+                assert group[name].tobytes() == old[name].tobytes(), name
+        assert new_params.keys() == params.keys()
+        assert new_slots.keys() == slots.keys()
+        for new, ref in ((new_params, ref_params), (new_slots, ref_slots)):
+            for name in ref:
+                a, b = new[name].data, ref[name]
+                assert a.dtype == dtype and a.shape == b.shape, name
+                if dtype == np.float64:
+                    assert a.tobytes() == b.tobytes(), name
+                else:
+                    np.testing.assert_allclose(
+                        a, b, rtol=4e-6, atol=4e-6 * np.abs(b).max(), err_msg=name)
+
 
 class TestDataParallel:
     def test_device_count_validated(self):

@@ -1,13 +1,15 @@
 """Fixed-seed byte-identity oracle for refactors that must not change results.
 
-Trains eight short runs and prints the sha256 prefix of every file each
+Trains nine short runs and prints the sha256 prefix of every file each
 run writes (``metrics.jsonl`` and each ``ckpt_<step>.bin``):
 
 - the six registered baselines at seed 3: 32 train and 20 eval examples,
   batch 8, eval every 2, 4 steps, Adam at lr 1e-3;
 - ViT on 2 hosts x 2 devices with dropout 0.1, ``sgd_momentum`` at lr
   1e-2, ``grad_clip`` 0.5, batch 4 and 28 eval examples (padded eval);
-- the same 2 x 2 ViT run with Adam.
+- the same 2 x 2 ViT run with Adam;
+- that Adam run again with ``"model": {"dtype": "f64"}``, whose lines a
+  change to float32 arithmetic alone leaves as they are.
 
 A change that keeps results byte for byte prints the same lines as its
 parent. The script imports only ``deskml`` from the ``src/`` next to it,
@@ -69,15 +71,17 @@ def runs() -> list[tuple[str, str, dict]]:
             "batch_size": 8, "eval_every": 2, "total_steps": 4,
             "optimizer": {"kind": "adam", "lr": 1e-3},
         }))
-    for opt in ({"kind": "sgd_momentum", "lr": 1e-2, "grad_clip": 0.5},
-                {"kind": "adam", "lr": 1e-2, "grad_clip": 0.5}):
-        out.append((f"vit_2x2_{opt['kind']}", "classification", {
-            "model": {"name": "vit_classification", "dropout": 0.1},
+    vit = {"name": "vit_classification", "dropout": 0.1}
+    for label, opt, model in (("vit_2x2_sgd_momentum", "sgd_momentum", vit),
+                              ("vit_2x2_adam", "adam", vit),
+                              ("vit_2x2_adam_f64", "adam", {**vit, "dtype": "f64"})):
+        out.append((label, "classification", {
+            "model": model,
             "dataset": {"name": "blobs_classification", "input_shape": [8, 8, 1],
                         "num_train_examples": 32, "num_eval_examples": 28},
             "topology": {"host_count": 2, "devices_per_host": 2},
             "batch_size": 4, "eval_every": 2, "total_steps": 4,
-            "optimizer": opt,
+            "optimizer": {"kind": opt, "lr": 1e-2, "grad_clip": 0.5},
         }))
     return out
 
