@@ -152,7 +152,7 @@ def segmentation_metrics(logits, label, batch_mask=None) -> MetricTable:
     b, h, w, k = x.shape
     ids = label.data
     mask = example_mask(batch_mask, b)
-    pred = x.argmax(-1)
+    pred = _argmax_last(x)
     correct = ((pred == ids).astype(np.float64).sum(axis=(1, 2)) * mask).sum()
     pixels = mask.sum() * h * w
     # mean IoU over classes, summed in example order over unmasked examples
@@ -165,6 +165,23 @@ def segmentation_metrics(logits, label, batch_mask=None) -> MetricTable:
         "mean_iou": (float(iou_sum), float(mask.sum())),
         "loss": (float((ce * mask).sum()), float(pixels)),
     }
+
+
+def _argmax_last(x: np.ndarray) -> np.ndarray:
+    """``x.argmax(-1)``: the first index that holds the row's maximum,
+    found from ``T._fold_last``'s maximum in whole-array passes (the
+    index counts the leading entries that miss it). A NaN makes that
+    maximum NaN, which no entry equals, so an input holding one keeps
+    ``np.argmax``, whose first NaN wins."""
+    top = T._fold_last(np.maximum, x)[..., 0]
+    if np.isnan(top).any():
+        return x.argmax(-1)
+    miss = x[..., 0] != top
+    pred = miss.astype(np.intp)
+    for i in range(1, x.shape[-1] - 1):
+        miss &= x[..., i] != top
+        pred += miss
+    return pred
 
 
 def _mean_ious(pred: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:

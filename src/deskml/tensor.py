@@ -171,6 +171,36 @@ def _operands(a, b, op: str) -> tuple[Tensor, Tensor]:
     return a, b
 
 
+def _fold_last(ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(x, axis=-1, keepdims=True)`` for float ``x``, bit for bit.
+
+    On a last axis shorter than 8, ``reduce`` pays per row; this folds
+    ``ufunc`` left to right over the slices ``x[..., i]`` instead, in
+    whole-array passes. Below length 8 numpy's float ``add.reduce`` sums
+    in that same order (pairwise summation starts at 8) from the identity
+    +0.0, so a row of -0.0 alone sums to +0.0 here too; ``maximum`` is
+    exact in any order. Longer axes keep ``reduce``. The result is always
+    a fresh array.
+    """
+    n = x.shape[-1]
+    if n >= 8 or n == 0:
+        return ufunc.reduce(x, axis=-1, keepdims=True)
+    out = ufunc(x[..., 0], x[..., 1]) if n > 1 else x[..., 0].copy()
+    for i in range(2, n):
+        ufunc(out, x[..., i], out=out)
+    if ufunc is np.add:
+        out += 0.0
+    return out[..., None]
+
+
+def _reduce(ufunc, x: np.ndarray, axis) -> np.ndarray:
+    """``ufunc.reduce(x, axis, keepdims=True)``; over the last axis by
+    ``_fold_last``."""
+    if axis == -1 or axis == x.ndim - 1:
+        return _fold_last(ufunc, x)
+    return ufunc.reduce(x, axis=axis, keepdims=True)
+
+
 def _make(data, parents, backward):
     """An op's result; it records a tape node (parents and backward rule)
     only when some parent needs a gradient."""
@@ -187,27 +217,30 @@ def _make(data, parents, backward):
 def add(a, b) -> Tensor:
     a, b = _operands(a, b, "add")
     return _make(a.data + b.data, (a, b),
-                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+                 lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                            _unbroadcast(g, b.shape) if b.requires_grad else None))
 
 
 def sub(a, b) -> Tensor:
     a, b = _operands(a, b, "sub")
     return _make(a.data - b.data, (a, b),
-                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+                 lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                            _unbroadcast(-g, b.shape) if b.requires_grad else None))
 
 
 def mul(a, b) -> Tensor:
     a, b = _operands(a, b, "mul")
     return _make(a.data * b.data, (a, b),
-                 lambda g: (_unbroadcast(g * b.data, a.shape),
-                            _unbroadcast(g * a.data, b.shape)))
+                 lambda g: (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None))
 
 
 def div(a, b) -> Tensor:
     a, b = _operands(a, b, "div")
     return _make(a.data / b.data, (a, b),
-                 lambda g: (_unbroadcast(g / b.data, a.shape),
-                            _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
+                 lambda g: (_unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
+                            _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+                            if b.requires_grad else None))
 
 
 def neg(a) -> Tensor:
@@ -286,9 +319,12 @@ def matmul(a, b) -> Tensor:
     out = np.matmul(a.data, b.data)
 
     def backward(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        return ga, gb
 
     return _make(out, (a, b), backward)
 
@@ -324,7 +360,12 @@ def dense(x, w, b=None) -> Tensor:
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = _as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    if a.is_float() and a.ndim and axis in (-1, a.ndim - 1):
+        out = _fold_last(np.add, a.data)
+        if not keepdims:
+            out = out[..., 0]
+    else:
+        out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
         g = np.asarray(g)
@@ -350,23 +391,23 @@ def softmax(a, axis=-1) -> Tensor:
 
 
 def _softmax(x: np.ndarray, axis) -> np.ndarray:
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(x - _reduce(np.maximum, x, axis))
+    return e / _reduce(np.add, e, axis)
 
 
 def _softmax_grad(out: np.ndarray, g: np.ndarray, axis) -> np.ndarray:
     """The gradient at softmax's input, given its output and ``g``."""
-    return out * (g - (g * out).sum(axis=axis, keepdims=True))
+    return out * (g - _reduce(np.add, g * out, axis))
 
 
 def log_softmax(a, axis=-1) -> Tensor:
     a = _as_tensor(a)
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
+    z = a.data - _reduce(np.maximum, a.data, axis)
+    lse = np.log(_reduce(np.add, np.exp(z), axis))
     out = z - lse
 
     def backward(g):
-        return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
+        return (g - np.exp(out) * _reduce(np.add, g, axis),)
 
     return _make(out, (a,), backward)
 
@@ -483,22 +524,34 @@ def concat(tensors, axis=0) -> Tensor:
     offsets = np.cumsum([0] + sizes)
 
     def backward(g):
-        return tuple(
-            np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(tensors))
-        )
+        lead = (slice(None),) * (axis % g.ndim)
+        return tuple(g[lead + (slice(offsets[i], offsets[i + 1]),)]
+                     for i in range(len(tensors)))
 
     return _make(out, tuple(tensors), backward)
 
 
+def _is_basic(idx) -> bool:
+    """Whether ``idx`` is a basic numpy index, which selects no element twice."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(p is None or p is Ellipsis or isinstance(p, slice)
+               or (isinstance(p, (int, np.integer)) and not isinstance(p, bool))
+               for p in parts)
+
+
 def take(a, idx) -> Tensor:
-    """Basic/advanced indexing with scatter-add backward."""
+    """Basic/advanced indexing. The backward scatters ``g`` into zeros:
+    ``np.add.at`` adds an advanced index's repeats, a basic index adds in
+    place."""
     a = _as_tensor(a)
     out = a.data[idx]
 
     def backward(g):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
+        if _is_basic(idx):
+            ga[idx] += g
+        else:
+            np.add.at(ga, idx, g)
         return (ga,)
 
     return _make(out, (a,), backward)
@@ -567,6 +620,8 @@ def conv2d(a, kernel, stride: int = 1, padding: str = "same", bias=None) -> Tens
     if bias is not None and bias.shape != (cout,):
         raise ValueError(f"conv2d: bias shape {bias.shape}, expected {(cout,)}")
     _same_dtype("conv2d", *parents)
+    if stride < 1:
+        raise ValueError(f"conv2d: stride must be at least 1, got {stride}")
     if padding == "same":
         if kh % 2 == 0 or kw % 2 == 0:
             raise ValueError("same padding requires odd kernel extents")
@@ -608,32 +663,53 @@ def conv2d(a, kernel, stride: int = 1, padding: str = "same", bias=None) -> Tens
 
 
 def max_pool2d(a, size: int = 2) -> Tensor:
-    """Non-overlapping max pooling over the spatial axes."""
+    """Non-overlapping max pooling over the spatial axes.
+
+    The forward is ``np.maximum`` over the size² strided window slices. A
+    window's gradient goes to its maxima in equal shares (1 / their count
+    times ``g``); a window holding a NaN gets NaN throughout.
+    """
     a = _as_tensor(a)
+    if size < 1:
+        raise ValueError(f"max_pool2d: size must be at least 1, got {size}")
     b, h, w, c = a.shape
     if h % size or w % size:
         raise ValueError(f"max_pool2d: spatial dims {h}x{w} not divisible by {size}")
-    blocks = a.data.reshape(b, h // size, size, w // size, size, c)
-    out = blocks.max(axis=(2, 4))
+    taps = [(i, j) for i in range(size) for j in range(size)]
+    windows = [a.data[:, i::size, j::size] for i, j in taps]
+    out = windows[0].copy()
+    for x in windows[1:]:
+        np.maximum(out, x, out=out)
 
     def backward(g):
-        full = out[:, :, None, :, None, :]
-        mask = (blocks == full).astype(a.data.dtype)
-        mask /= mask.sum(axis=(2, 4), keepdims=True)
-        gb = mask * g[:, :, None, :, None, :]
-        return (gb.reshape(b, h, w, c).astype(a.data.dtype, copy=False),)
+        hits = [x == out for x in windows]
+        count = hits[0].astype(a.data.dtype)
+        for hit in hits[1:]:
+            count += hit
+        gx = np.empty_like(a.data)
+        for (i, j), hit in zip(taps, hits):
+            np.multiply(hit / count, g, out=gx[:, i::size, j::size])
+        return (gx,)
 
     return _make(out, (a,), backward)
 
 
 def upsample_nearest2d(a, factor: int = 2) -> Tensor:
+    """Repeat each pixel ``factor`` times along both spatial axes. The
+    backward sums the factor² strided slices of ``g`` in row-major window
+    order from +0.0, as ``g.reshape(b, h, f, w, f, c).sum(axis=(2, 4))``
+    does, so a window of -0.0 sums to +0.0 there too."""
     a = _as_tensor(a)
-    b, h, w, c = a.shape
+    if factor < 1:
+        raise ValueError(f"upsample_nearest2d: factor must be at least 1, got {factor}")
     out = np.repeat(np.repeat(a.data, factor, axis=1), factor, axis=2)
 
     def backward(g):
-        gb = g.reshape(b, h, factor, w, factor, c)
-        return (gb.sum(axis=(2, 4)),)
+        slices = [g[:, i::factor, j::factor] for i in range(factor) for j in range(factor)]
+        gx = slices[0] + 0.0
+        for s in slices[1:]:
+            gx += s
+        return (gx,)
 
     return _make(out, (a,), backward)
 

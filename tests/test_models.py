@@ -192,6 +192,26 @@ class TestMetricFunctions:
         out = M.segmentation_metrics(tb(logits), Tensor(ids), tb(mask))
         assert out["mean_iou"] == (self._mean_iou_loop(logits, ids, mask), 61.0)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 11])
+    def test_argmax_fold_takes_the_first_maximum(self, k):
+        gen = np.random.default_rng(k)
+        x = gen.integers(0, 3, (400, 2, k)).astype(np.float64)  # ties everywhere
+        x[:5] = -0.0
+        x[5:10, :, ::2] = 0.0
+        x[10:15] = -np.inf
+        x[15:20, :, -1] = np.inf
+        pred = M._argmax_last(x)
+        assert pred.dtype == x.argmax(-1).dtype
+        assert np.array_equal(pred, x.argmax(-1))
+
+    def test_argmax_fold_with_nan_keeps_np_argmax(self):
+        x = np.zeros((6, 3), np.float32)
+        x[0] = [np.nan, 1.0, 2.0]
+        x[1] = [1.0, np.nan, np.nan]
+        x[2] = [np.inf, 0.0, np.nan]
+        x[3] = [5.0, 5.0, 1.0]
+        assert M._argmax_last(x).tolist() == x.argmax(-1).tolist() == [0, 1, 2, 0, 0, 0]
+
     def test_segmentation_mean_iou_all_masked_and_one_pixel(self):
         logits = np.zeros((2, 1, 1, 3), np.float32)
         ids = np.zeros((2, 1, 1), np.int64)

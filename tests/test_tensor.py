@@ -14,6 +14,18 @@ def rand(key, shape):
     return T.Tensor(R.normal(key, shape))
 
 
+def assert_same_bits(got, want):
+    """Equal bit for bit, every NaN counted as one value."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+
+    def bits(x):
+        x = np.where(np.isnan(x), np.nan, x).astype(x.dtype)
+        return x.view(np.dtype(f"u{x.dtype.itemsize}"))
+
+    assert np.array_equal(bits(got), bits(want))
+
+
 class TestElementwise:
     def test_add_identity(self):
         x = rand(R.RngKey.from_seed(0), (3, 4))
@@ -273,6 +285,84 @@ class TestSoftmax:
             T.softmax(T.tensor(np.array([1, 2], np.int64)))
 
 
+_SPECIALS = [0.0, -0.0, 1.0, -2.5, np.inf, -np.inf, np.nan, 1e16, 3e-30]
+
+# the same rows laid out three ways: the fold reads x[..., i] as a view
+_LAYOUTS = {
+    "contiguous": lambda x: x,
+    "strided": lambda x: np.repeat(x, 2, axis=-1)[:, ::2],
+    "transposed": lambda x: np.ascontiguousarray(x.T).T,
+}
+
+
+def _short_rows(n, dtype, seed=0):
+    """Rows of specials, rows of values of mixed magnitude (where the
+    summation order shows in the rounding), and rows of -0.0 and +0.0."""
+    gen = np.random.default_rng(seed)
+    special = np.array(_SPECIALS)[gen.integers(0, len(_SPECIALS), (300, n))]
+    mixed = gen.standard_normal((300, n)) * 10.0 ** gen.integers(-8, 9, (300, n))
+    zeros = np.array([[-0.0] * n, [0.0] * n])
+    return np.concatenate([special, mixed, zeros]).astype(dtype)
+
+
+class TestShortReductions:
+    @pytest.mark.parametrize("ufunc", [np.add, np.maximum], ids=["add", "maximum"])
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+    def test_fold_is_reduce_bit_for_bit(self, ufunc, n, dtype, layout):
+        x = _LAYOUTS[layout](_short_rows(n, dtype, seed=n))
+        with np.errstate(invalid="ignore"):
+            got = T._fold_last(ufunc, x)
+            want = ufunc.reduce(x, axis=-1, keepdims=True)
+        assert_same_bits(got, want)
+
+    def test_fold_over_more_axes(self):
+        x = _short_rows(3, np.float32)[:600].reshape(5, 4, 30, 3)
+        with np.errstate(invalid="ignore"):
+            for ufunc in (np.add, np.maximum):
+                assert_same_bits(T._fold_last(ufunc, x),
+                                 ufunc.reduce(x, axis=-1, keepdims=True))
+
+    def test_length_one_gives_a_fresh_array(self):
+        x = np.arange(6.0).reshape(6, 1)
+        for ufunc in (np.add, np.maximum):
+            out = T._fold_last(ufunc, x)
+            assert not np.shares_memory(out, x)
+            assert_same_bits(out, x)
+        for keepdims in (False, True):
+            assert not np.shares_memory(T.tsum(T.Tensor(x), -1, keepdims).data, x)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(5, 1), (6, 3), (4, 2, 7), (3, 9)])
+    def test_ops_equal_their_reduce_formulas(self, shape, dtype):
+        keys = R.split(R.RngKey.from_seed(60), 2)
+        x = (R.normal(keys[0], shape) * 30.0).astype(dtype)
+        g = R.normal(keys[1], shape).astype(dtype)
+        t = T.Tensor(x, requires_grad=True)
+
+        z = x - x.max(-1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(-1, keepdims=True))
+        out = T.log_softmax(t)
+        assert_same_bits(out.data, logp)
+        assert_same_bits(out._backward(g)[0],
+                         g - np.exp(logp) * g.sum(-1, keepdims=True))
+
+        e = np.exp(x - x.max(-1, keepdims=True))
+        p = e / e.sum(-1, keepdims=True)
+        out = T.softmax(t)
+        assert_same_bits(out.data, p)
+        assert_same_bits(out._backward(g)[0], p * (g - (g * p).sum(-1, keepdims=True)))
+
+        assert_same_bits(T.tsum(t, axis=-1).data, x.sum(-1))
+        assert_same_bits(T.tsum(t, axis=x.ndim - 1, keepdims=True).data,
+                         x.sum(-1, keepdims=True))
+
+    def test_integer_sum_keeps_numpy_widening(self):
+        x = T.Tensor(np.array([[1, 2, 3]], np.int32))
+        assert T.tsum(x, axis=-1).data.dtype == np.array([1], np.int32).sum().dtype
+
+
 class TestGrad:
     def test_square(self):
         g = T.grad(lambda p: p["x"] * p["x"], {"x": T.tensor(3.0)})
@@ -370,6 +460,43 @@ class TestShapeOps:
         assert np.array_equal(out.data[:2], a.data)
         check_grads(lambda p: T.tsum(T.concat([p["a"], p["b"]], axis=0)[1:4] ** 2.0),
                     {"a": a, "b": b})
+
+    @pytest.mark.parametrize("axis", [0, 1, 3, -1])
+    def test_concat_grad_is_the_gathered_slice(self, axis):
+        keys = R.split(R.RngKey.from_seed(61), 4)
+        widths = [1, 2, 3]
+        params = {}
+        for name, key, n in zip("abc", keys, widths):
+            shape = [2, 3, 4, 2]
+            shape[axis] = n
+            params[name] = T.Tensor(R.normal(key, tuple(shape)).astype(np.float32))
+        whole = np.concatenate([p.data for p in params.values()], axis=axis)
+        g = R.normal(keys[3], whole.shape).astype(np.float32)
+        grads = T.grad(lambda p: T.tsum(T.concat([p["a"], p["b"], p["c"]], axis)
+                                        * T.Tensor(g)), params)
+        offsets = np.cumsum([0] + widths)
+        for i, name in enumerate("abc"):
+            # the gather the slice replaced
+            want = np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
+            assert_same_bits(grads[name].data, want)
+
+    @pytest.mark.parametrize("idx", [
+        (slice(None), 1), (Ellipsis, 0), (1, slice(1, 3)), (None, 2), -1,
+        np.array([0, 2, 0]), ([1, 1], slice(None)), np.array([True, False, True])])
+    def test_take_grad_is_the_scatter_add(self, idx):
+        keys = R.split(R.RngKey.from_seed(62), 2)
+        x = T.Tensor(R.normal(keys[0], (3, 4, 2)), requires_grad=True)
+        out = T.take(x, idx)
+        g = R.normal(keys[1], out.shape)
+        want = np.zeros_like(x.data)
+        np.add.at(want, idx, g)
+        assert_same_bits(out._backward(g)[0], want)
+
+    def test_basic_indices(self):
+        for idx in [1, np.int64(1), slice(2), Ellipsis, None, (0, slice(None), None)]:
+            assert T._is_basic(idx)
+        for idx in [True, np.array([0, 1]), [0, 1], (0, [1, 1]), np.array(True)]:
+            assert not T._is_basic(idx)
 
     def test_sum_axes(self):
         x = rand(R.RngKey.from_seed(14), (3, 4))
@@ -527,6 +654,73 @@ class TestSpatialOps:
         check_grads(lambda p: T.tsum(T.max_pool2d(p["x"], 2) ** 2.0),
                     {"x": rand(R.RngKey.from_seed(19), (1, 4, 4, 3))})
 
+    @staticmethod
+    def _pool_reference(x, g, size):
+        """The 6-D block formulas the strided window slices replaced."""
+        b, h, w, c = x.shape
+        blocks = x.reshape(b, h // size, size, w // size, size, c)
+        out = blocks.max(axis=(2, 4))
+        mask = (blocks == out[:, :, None, :, None, :]).astype(x.dtype)
+        mask /= mask.sum(axis=(2, 4), keepdims=True)
+        gx = mask * g[:, :, None, :, None, :]
+        return out, gx.reshape(b, h, w, c).astype(x.dtype, copy=False)
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_max_pool_matches_the_block_formulas(self, size, dtype):
+        keys = R.split(R.RngKey.from_seed(63), 2)
+        # three levels make 2-, 3- and 4-way ties common
+        x = R.randint(keys[0], (3, 6, 6, 4), 0, 3).astype(dtype)
+        x[0, :size, :size, 0] = 2.0  # a window that is one tie
+        x[0, :size, :size, 1] = -0.0
+        x[0, 0, 0, 1] = 0.0
+        x[1, :size, :size, 2] = 0.0
+        x[1, 0, 0, 2] = -0.0
+        x[2, 0, 0, 3] = np.nan
+        x[2, size - 1, size - 1, 3] = np.inf
+        t = T.Tensor(x, requires_grad=True)
+        out = T.max_pool2d(t, size)
+        g = R.normal(keys[1], out.shape).astype(dtype)
+        with np.errstate(invalid="ignore"):
+            want_out, want_gx = self._pool_reference(x, g, size)
+            assert_same_bits(out.data, want_out)
+            assert_same_bits(out._backward(g)[0], want_gx)
+
+    def test_max_pool_ties_share_the_gradient(self):
+        x = np.zeros((1, 2, 4, 1), np.float32)
+        x[0, :, 2:, 0] = [[1.0, 3.0], [3.0, 2.0]]
+        t = T.Tensor(x, requires_grad=True)
+        gx = T.max_pool2d(t, 2)._backward(np.array([[[[8.0], [6.0]]]], np.float32))[0]
+        assert gx[0, :, :, 0].tolist() == [[2.0, 2.0, 0.0, 3.0], [2.0, 2.0, 3.0, 0.0]]
+
+    @pytest.mark.parametrize("factor", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_upsample_grad_matches_the_block_sum(self, factor, dtype):
+        b, h, w, c = 2, 3, 4, 5
+        up = T.upsample_nearest2d(T.Tensor(np.zeros((b, h, w, c), dtype),
+                                           requires_grad=True), factor)
+        gen = np.random.default_rng(factor)
+        g = gen.standard_normal(up.shape) * 10.0 ** gen.integers(-8, 9, up.shape)
+        g[0, :factor, :factor, 0] = -0.0  # a window of -0.0 sums to +0.0
+        g[1, :factor, :factor, 1] = np.where(np.eye(factor), np.inf, -np.inf)
+        g = g.astype(dtype)
+        with np.errstate(invalid="ignore"):
+            want = g.reshape(b, h, factor, w, factor, c).sum(axis=(2, 4))
+            assert_same_bits(up._backward(g)[0], want)
+
+    def test_sizes_below_one_refused(self):
+        x = T.Tensor(np.ones((1, 4, 4, 2), np.float32))
+        for factor in (0, -1):
+            with pytest.raises(ValueError, match="factor must be at least 1"):
+                T.upsample_nearest2d(x, factor)
+        for size in (0, -2):
+            with pytest.raises(ValueError, match="size must be at least 1"):
+                T.max_pool2d(x, size)
+        k = T.Tensor(np.ones((3, 3, 2, 1), np.float32))
+        for stride in (0, -1):
+            with pytest.raises(ValueError, match="stride must be at least 1"):
+                T.conv2d(x, k, stride=stride)
+
     def test_upsample_inverse_of_pool_shapes(self):
         x = rand(R.RngKey.from_seed(20), (2, 3, 3, 4))
         up = T.upsample_nearest2d(x, 2)
@@ -592,6 +786,21 @@ def test_no_tape_node_without_a_gradient(op):
     assert out._backward is None
     assert out._parents == ()
     assert not out.requires_grad
+
+
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div, T.matmul])
+def test_binary_ops_skip_the_gradient_nothing_reads(op):
+    keys = R.split(R.RngKey.from_seed(64), 3)
+    a = R.uniform(keys[0], (3, 4, 4)) + 0.5
+    b = R.uniform(keys[1], (4, 4)) + 0.5
+    g = R.normal(keys[2], (3, 4, 4))
+    both = op(T.Tensor(a, requires_grad=True), T.Tensor(b, requires_grad=True))
+    left = op(T.Tensor(a, requires_grad=True), T.Tensor(b))
+    right = op(T.Tensor(a), T.Tensor(b, requires_grad=True))
+    ga, gb = both._backward(g)
+    assert left._backward(g)[1] is None and right._backward(g)[0] is None
+    assert_same_bits(left._backward(g)[0], ga)
+    assert_same_bits(right._backward(g)[1], gb)
 
 
 def test_float_astype_needing_a_gradient_records_a_node():
