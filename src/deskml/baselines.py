@@ -254,7 +254,7 @@ def build_unet(config: Config, meta: DatasetMetaData) -> ModelContract:
 # DETR-mini
 
 
-# Key under which DETR's loss_fn leaves its matches and loss value on the
+# Key under which DETR's criterion leaves its matched pairs and loss on the
 # outputs dict, for the metric function called on the same outputs.
 _MATCHED = "_matched"
 
@@ -321,7 +321,8 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
         return {"class_logits": class_logits, "boxes": boxes}, model_state
 
     def match(outputs, batch):
-        """Per-image (target indices, slot indices) by the named matcher.
+        """The batch's matched pairs by the named matcher: one int64
+        (image, target, slot) index triple, ordered by image, then target.
 
         Cost of putting target j on slot s is
         lambda_cls * (1 - p_s(class_j)) + lambda_box * L1(box_s, box_j).
@@ -330,21 +331,18 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
         prob = T.softmax(outputs["class_logits"].detach()).data  # [b, s, k+1]
         pboxes = outputs["boxes"].data
         tcls, tbox = batch["label"].data, batch["boxes"].data
+        cls_cost = 1.0 - np.take_along_axis(prob, tcls[:, None, :], 2).transpose(0, 2, 1)
+        box_cost = np.abs(tbox[:, :, None, :] - pboxes[:, None, :, :]).sum(-1)
+        costs = lambda_cls * cls_cost + lambda_box * box_cost  # [b, M, s]
         mask = example_mask(batch.get("batch_mask"), len(pboxes))
-        out = []
-        for i in range(len(pboxes)):
-            real = np.nonzero(tcls[i] != no_object)[0]
-            if len(real) == 0 or mask[i] == 0:
-                out.append((real[:0], np.array([], np.int64)))
-                continue
-            cls_cost = 1.0 - prob[i][:, tcls[i][real]].T  # [n, s]
-            box_cost = np.abs(tbox[i][real][:, None, :] - pboxes[i][None, :, :]).sum(-1)
-            asg = matchers.match(lambda_cls * cls_cost + lambda_box * box_cost,
-                                 algorithm)
-            out.append((real, np.asarray(asg.row_to_col, np.int64)))
-        return out
+        real = (tcls != no_object) & (mask[:, None] != 0)
+        img, tgt = np.nonzero(real)
+        slot = np.empty_like(img)
+        for i in np.flatnonzero(real.any(-1)):
+            slot[img == i] = matchers.match(costs[i, real[i]], algorithm).row_to_col
+        return img, tgt, slot
 
-    def set_loss(outputs, batch, matches):
+    def set_loss(outputs, batch, pairs):
         """Mean over unmasked images of slot CE plus lambda_box * L1."""
         logits = outputs["class_logits"]
         boxes = outputs["boxes"]
@@ -352,14 +350,13 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
         tcls = batch["label"].data
         tbox = batch["boxes"].data
         mask = example_mask(batch.get("batch_mask"), b)
+        img, tgt, slot = pairs
         # classification targets over all slots; no-object where unmatched
         slot_cls = np.full((b, s), no_object, np.int64)
+        slot_cls[img, slot] = tcls[img, tgt]
         sel = np.zeros((b, max_objects, s))  # one-hot target->slot
-        n_obj = np.zeros(b)
-        for i, (targets, slots) in enumerate(matches):
-            slot_cls[i, slots] = tcls[i][targets]
-            sel[i, targets, slots] = 1.0
-            n_obj[i] = len(targets)
+        sel[img, tgt, slot] = 1.0
+        n_obj = np.bincount(img, minlength=b)
         ce = softmax_cross_entropy(logits, _one_hot(Tensor(slot_cls), k + 1))
         ce_per_image = T.tmean(ce, axis=-1)
         # L1 over matched slots, normalized per image by its object count
@@ -371,49 +368,46 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
         per_image = ce_per_image + l1_per_image * lambda_box
         return masked_mean(per_image, mask, mask.sum())
 
+    def criterion(outputs, batch):
+        """The matched pairs and the set loss of ``outputs`` against
+        ``batch``, computed once: they stay on the outputs dict, and a
+        later call with the same label, boxes and mask Tensors (the
+        metric function after ``loss_fn``) reuses them."""
+        targets = _targets(batch)
+        record = outputs.get(_MATCHED)
+        if record is None or not all(a is b for a, b in zip(record[0], targets)):
+            pairs = match(outputs, batch)
+            record = outputs[_MATCHED] = (targets, pairs, set_loss(outputs, batch, pairs))
+        return record[1:]
+
     def loss_fn(outputs, batch):
-        matches = match(outputs, batch)
-        loss = set_loss(outputs, batch, matches)
-        # the metric function reuses these for the same outputs and batch
-        outputs[_MATCHED] = (_targets(batch), matches, loss.item())
-        return loss
+        return criterion(outputs, batch)[1]
 
     def metric_fn(outputs, label, batch_mask=None, boxes=None):
+        mask = example_mask(batch_mask, len(label.data))
+        count = float(mask.sum())
+        if count == 0:  # a batch that is all padding contributes nothing
+            return dict.fromkeys(("matched_accuracy", "box_l1", "loss"), (0.0, 0.0))
         batch = {"label": label, "boxes": boxes}
         if batch_mask is not None:
             batch["batch_mask"] = batch_mask
-        record = outputs.get(_MATCHED)
-        if record is not None and all(
-                a is b for a, b in zip(record[0], _targets(batch))):
-            _, matches, loss = record
-        else:
-            matches, loss = match(outputs, batch), None
-        logits = outputs["class_logits"].data
-        pboxes = outputs["boxes"].data
-        tcls = label.data
-        tbox = boxes.data
-        mask = example_mask(batch_mask, logits.shape[0])
-        correct = 0.0
-        objects = 0.0
-        l1_sum = 0.0
-        loss_sum = 0.0
-        for i, (targets, slots) in enumerate(matches):
-            if mask[i] == 0:
-                continue
-            pred_cls = logits[i, slots].argmax(-1)
-            correct += float((pred_cls == tcls[i][targets]).sum())
-            objects += float(len(targets))
-            if len(targets):
-                l1_sum += float(np.abs(pboxes[i, slots] - tbox[i][targets]).mean(-1).sum())
-        # a batch that is all padding contributes no loss
-        if mask.sum() > 0:
-            if loss is None:
-                loss = set_loss(outputs, batch, matches).item()
-            loss_sum = float(loss) * float(mask.sum())
+        (img, tgt, slot), loss = criterion(outputs, batch)
+        pred_cls = outputs["class_logits"].data[img, slot].argmax(-1)
+        per = np.abs(outputs["boxes"].data[img, slot] - boxes.data[img, tgt]).mean(-1)
+        # each image's L1 sum in the boxes' dtype, one reduction of its
+        # length per object count (numpy adds 8 or more terms pairwise),
+        # then the images in order in float64
+        counts = np.bincount(img, minlength=len(mask))
+        first = np.cumsum(counts) - counts
+        sums = np.zeros(len(mask))
+        for c in range(1, max_objects + 1):
+            of_c = counts == c
+            sums[of_c] = per[first[of_c, None] + np.arange(c)].sum(-1)
         return {
-            "matched_accuracy": (correct, max(objects, 0.0)),
-            "box_l1": (l1_sum, objects),
-            "loss": (loss_sum, float(mask.sum())),
+            "matched_accuracy": (float((pred_cls == label.data[img, tgt]).sum()),
+                                 float(len(img))),
+            "box_l1": (float(np.cumsum(sums)[-1]), float(len(img))),
+            "loss": (loss.item() * count, count),
         }
 
     return ModelContract(

@@ -65,11 +65,15 @@ class OptimizerSpec:
         if self.grad_clip is not None and not self.grad_clip > 0:
             raise TrainError(
                 f"optimizer.grad_clip must be > 0, got {self.grad_clip}")
+        self.lr_at(0)  # lr_at checks a schedule again at every step
+        if self.kind == "sgd_momentum" and not 0 <= self.momentum < 1:
+            raise TrainError(
+                f"optimizer.momentum must be in [0, 1), got {self.momentum}")
 
     def lr_at(self, step: int) -> float:
         lr = self.lr(step) if callable(self.lr) else self.lr
-        if lr < 0:
-            raise TrainError(f"negative learning rate {lr} at step {step}")
+        if not lr >= 0:
+            raise TrainError(f"negative or NaN learning rate {lr} at step {step}")
         # a Python float, which numpy does not let widen a float32 update
         return float(lr)
 
@@ -340,9 +344,12 @@ def run_trainer(kind: str, config: Config, workdir: str,
     or a config differing in more than ``total_steps`` (in that too under
     ``optimizer.cosine_decay``), or at a step past ``total_steps``, is
     refused with ``TrainError``; so are ``eval_every < 1``,
-    ``optimizer.grad_clip <= 0`` and a config key that nothing reads,
-    before anything is written. ``stop_when`` is checked against eval metrics
-    to allow stopping as soon as a target is reached.
+    ``optimizer.grad_clip <= 0``, a negative or NaN ``optimizer.lr``, an
+    ``optimizer.momentum`` outside [0, 1) under ``sgd_momentum`` and a
+    config key that nothing reads (``optimizer.momentum`` under another
+    kind among them), before anything is written. ``stop_when`` is
+    checked against eval metrics to allow stopping as soon as a target
+    is reached.
     """
     if kind not in _TRAINER_KINDS:
         raise TrainError(f"unknown trainer kind {kind!r}; have {_TRAINER_KINDS}")
@@ -374,12 +381,16 @@ def run_trainer(kind: str, config: Config, workdir: str,
     contract = factory(config, meta)
 
     lr = config.get("optimizer.lr", 1e-3)
+    opt_kind = config.get("optimizer.kind", "adam")
     opt = OptimizerSpec(
-        kind=config.get("optimizer.kind", "adam"),
+        kind=opt_kind,
         lr=(cosine_decay(lr, total_steps)
             if config.get("optimizer.cosine_decay", False) else lr),
-        momentum=config.get("optimizer.momentum", 0.9),
         grad_clip=config.get("optimizer.grad_clip"),
+        # only sgd_momentum reads a momentum: under another kind the key
+        # stays unread, and is refused below
+        **({"momentum": config.get("optimizer.momentum", 0.9)}
+           if opt_kind == "sgd_momentum" else {}),
     )
 
     state = init_train_state(contract, opt, k_init)

@@ -8,7 +8,8 @@ from deskml import tensor as T
 from deskml import train as TR
 from deskml.config import Config
 from deskml.data import DatasetMetaData, ShardSpec, build_dataset
-from deskml.models import ModelError, registered_models
+from deskml.models import (ModelError, _one_hot, example_mask, masked_mean,
+                           registered_models, softmax_cross_entropy)
 from deskml.tensor import Tensor
 from gradcheck import check_grads
 
@@ -244,6 +245,163 @@ class TestDetrLoss:
         params = {"logits": out["class_logits"],
                   "raw": Tensor(R.normal(R.RngKey.from_seed(5), (1, 8, 4)))}
         check_grads(f, params, rtol=1e-4)
+
+
+class PerImageDetrCriterion:
+    """DETR's matching, set loss and metrics computed image by image, as
+    they were before the batch form: the reference it must equal bit for
+    bit. ``metrics`` recomputes the matches and the loss, as eval did."""
+
+    def __init__(self, k, max_objects, algorithm, lambda_cls=1.0, lambda_box=5.0):
+        self.k, self.no_object, self.max_objects = k, k, max_objects
+        self.algorithm = algorithm
+        self.lambda_cls, self.lambda_box = lambda_cls, lambda_box
+
+    def match(self, outputs, batch):
+        prob = T.softmax(outputs["class_logits"].detach()).data
+        pboxes = outputs["boxes"].data
+        tcls, tbox = batch["label"].data, batch["boxes"].data
+        mask = example_mask(batch.get("batch_mask"), len(pboxes))
+        out = []
+        for i in range(len(pboxes)):
+            real = np.nonzero(tcls[i] != self.no_object)[0]
+            if len(real) == 0 or mask[i] == 0:
+                out.append((real[:0], np.array([], np.int64)))
+                continue
+            cls_cost = 1.0 - prob[i][:, tcls[i][real]].T
+            box_cost = np.abs(tbox[i][real][:, None, :] - pboxes[i][None, :, :]).sum(-1)
+            asg = matchers.match(self.lambda_cls * cls_cost + self.lambda_box * box_cost,
+                                 self.algorithm)
+            out.append((real, np.asarray(asg.row_to_col, np.int64)))
+        return out
+
+    def set_loss(self, outputs, batch, matches):
+        logits, boxes = outputs["class_logits"], outputs["boxes"]
+        b, s, _ = logits.shape
+        tcls, tbox = batch["label"].data, batch["boxes"].data
+        mask = example_mask(batch.get("batch_mask"), b)
+        slot_cls = np.full((b, s), self.no_object, np.int64)
+        sel = np.zeros((b, self.max_objects, s))
+        n_obj = np.zeros(b)
+        for i, (targets, slots) in enumerate(matches):
+            slot_cls[i, slots] = tcls[i][targets]
+            sel[i, targets, slots] = 1.0
+            n_obj[i] = len(targets)
+        ce = softmax_cross_entropy(logits, _one_hot(Tensor(slot_cls), self.k + 1))
+        ce_per_image = T.tmean(ce, axis=-1)
+        matched = Tensor(sel.astype(boxes.data.dtype)) @ boxes
+        diff = matched - Tensor(tbox.astype(boxes.data.dtype)) * Tensor(
+            sel.sum(-1, keepdims=True).astype(boxes.data.dtype))
+        l1 = T.tsum(T.tsum(T.relu(diff) + T.relu(-diff), axis=-1), axis=-1)
+        l1_per_image = l1 * Tensor((1.0 / np.maximum(n_obj, 1.0)).astype(boxes.data.dtype))
+        per_image = ce_per_image + l1_per_image * self.lambda_box
+        return masked_mean(per_image, mask, mask.sum())
+
+    def metrics(self, outputs, label, batch_mask=None, boxes=None):
+        batch = {"label": label, "boxes": boxes}
+        if batch_mask is not None:
+            batch["batch_mask"] = batch_mask
+        matches = self.match(outputs, batch)
+        logits, pboxes = outputs["class_logits"].data, outputs["boxes"].data
+        tcls, tbox = label.data, boxes.data
+        mask = example_mask(batch_mask, logits.shape[0])
+        correct = objects = l1_sum = loss_sum = 0.0
+        for i, (targets, slots) in enumerate(matches):
+            if mask[i] == 0:
+                continue
+            pred_cls = logits[i, slots].argmax(-1)
+            correct += float((pred_cls == tcls[i][targets]).sum())
+            objects += float(len(targets))
+            if len(targets):
+                l1_sum += float(np.abs(pboxes[i, slots] - tbox[i][targets]).mean(-1).sum())
+        if mask.sum() > 0:
+            loss_sum = self.set_loss(outputs, batch, matches).item() * float(mask.sum())
+        return {"matched_accuracy": (correct, objects), "box_l1": (l1_sum, objects),
+                "loss": (loss_sum, float(mask.sum()))}
+
+
+class TestDetrBatchCriterion:
+    """The batch-form criterion gives the per-image one's loss, gradients,
+    metric tables and matches, bit for bit."""
+
+    K = 2  # classes; label K is no-object
+
+    def case(self, dtype, max_objects, mask, seed=0, b=6):
+        k = self.K
+        slots = max_objects + 3
+        keys = R.split(R.RngKey.from_seed(seed), 4)
+        labels = np.floor(R.uniform(keys[0], (b, max_objects)) * (k + 1)).astype(np.int64)
+        labels[0] = k  # no objects
+        labels[1] = np.arange(max_objects) % k  # every target real
+        labels[2, :3] = [0, k, 1][:max_objects]  # a no-object before an object
+        batch = {"label": Tensor(labels),
+                 "boxes": Tensor(R.uniform(keys[1], (b, max_objects, 4)), dtype="f32")}
+        if mask is not None:
+            batch["batch_mask"] = Tensor(np.array(mask, np.float32))
+        params = {"class_logits": Tensor(R.normal(keys[2], (b, slots, k + 1)), dtype=dtype),
+                  "boxes": Tensor(R.uniform(keys[3], (b, slots, 4)), dtype=dtype)}
+        return batch, params
+
+    def contract(self, dtype, max_objects, algorithm):
+        cfg = Config({"model": {"dtype": dtype, "matcher": algorithm,
+                                "num_slots": max_objects + 3},
+                      "dataset": {"max_objects": max_objects}})
+        return (B.build_detr_mini(cfg, image_meta(k=self.K, size=16)),
+                PerImageDetrCriterion(self.K, max_objects, algorithm))
+
+    @staticmethod
+    def metric_args(batch):
+        return batch["label"], batch.get("batch_mask"), batch["boxes"]
+
+    @pytest.mark.parametrize("algorithm", ["hungarian", "greedy", "sinkhorn"])
+    @pytest.mark.parametrize("max_objects", [0, 3, 9])
+    @pytest.mark.parametrize("mask", [None, [1, 1, 1, 0, 1, 0]])
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_equals_the_per_image_criterion(self, dtype, mask, max_objects, algorithm):
+        contract, ref = self.contract(dtype, max_objects, algorithm)
+        metric_fn = contract.get_metrics_fn()
+        for seed in range(2):
+            batch, params = self.case(dtype, max_objects, mask, seed=seed)
+            label, batch_mask, boxes = self.metric_args(batch)
+            matches = ref.match(params, batch)
+            seen = {}
+
+            def new(p):
+                seen["outputs"] = dict(p)
+                return contract.loss_fn(seen["outputs"], batch)
+
+            loss, grads = T.value_and_grad(new, params)
+            ref_loss, ref_grads = T.value_and_grad(
+                lambda p: ref.set_loss(p, batch, matches), params)
+            assert loss.item() == ref_loss.item()
+            for name in params:
+                assert grads[name].dtype == ref_grads[name].dtype
+                assert np.array_equal(grads[name].data, ref_grads[name].data), name
+
+            img, tgt, slot = seen["outputs"][B._MATCHED][1]
+            assert img.dtype == tgt.dtype == slot.dtype == np.int64
+            assert np.array_equal(img, np.repeat(np.arange(len(matches)),
+                                                 [len(t) for t, _ in matches]))
+            assert np.array_equal(tgt, np.concatenate([t for t, _ in matches]))
+            assert np.array_equal(slot, np.concatenate([s for _, s in matches]))
+
+            want = ref.metrics(params, label, batch_mask, boxes=boxes)
+            # after loss_fn, as a train step calls it, and afresh, as eval does
+            assert metric_fn(seen["outputs"], label, batch_mask, boxes=boxes) == want
+            assert metric_fn(dict(params), label, batch_mask, boxes=boxes) == want
+
+    @pytest.mark.parametrize("max_objects", [0, 3, 9])
+    def test_all_padding_batch_reads_zero_without_matching(self, monkeypatch, max_objects):
+        contract, ref = self.contract("f32", max_objects, "hungarian")
+        batch, params = self.case("f32", max_objects, [0] * 6)
+        label, batch_mask, boxes = self.metric_args(batch)
+        calls = []
+        monkeypatch.setattr(T, "softmax", lambda *a: calls.append(a))
+        table = contract.get_metrics_fn()(params, label, batch_mask, boxes=boxes)
+        assert calls == []
+        monkeypatch.undo()
+        assert table == ref.metrics(params, label, batch_mask, boxes=boxes)
+        assert table == dict.fromkeys(("matched_accuracy", "box_l1", "loss"), (0.0, 0.0))
 
 
 @pytest.mark.parametrize("name", ["vit_classification", "mixer_classification"])

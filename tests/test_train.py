@@ -133,6 +133,26 @@ class TestOptimizer:
         with pytest.raises(TR.TrainError, match="negative"):
             TR.OptimizerSpec(kind="sgd", lr=-0.1).lr_at(0)
 
+    @pytest.mark.parametrize("lr", [-1e-3, float("nan"), TR.cosine_decay(-0.1, 10)])
+    def test_bad_lr_rejected_when_built(self, lr):
+        with pytest.raises(TR.TrainError, match="negative or NaN learning rate"):
+            TR.OptimizerSpec(kind="adam", lr=lr)
+
+    def test_schedule_checked_at_every_step(self):
+        opt = TR.OptimizerSpec(kind="sgd", lr=lambda step: 0.1 - step)
+        assert opt.lr_at(0) == 0.1
+        with pytest.raises(TR.TrainError, match="negative or NaN learning rate"):
+            opt.lr_at(1)
+
+    @pytest.mark.parametrize("momentum", [1.0, 1.5, -1.0, float("nan")])
+    def test_momentum_outside_unit_interval_rejected(self, momentum):
+        with pytest.raises(TR.TrainError, match=r"momentum must be in \[0, 1\)"):
+            TR.OptimizerSpec(kind="sgd_momentum", lr=0.1, momentum=momentum)
+
+    def test_momentum_bounds_apply_to_sgd_momentum_only(self):
+        TR.OptimizerSpec(kind="sgd_momentum", lr=0.1, momentum=0.0)
+        TR.OptimizerSpec(kind="adam", lr=0.1, momentum=1.5)
+
     def test_lr_at_is_a_python_float(self):
         # an np.float64 would widen a float32 update
         for lr in (TR.cosine_decay(0.1, 10), 1):
@@ -536,6 +556,30 @@ class TestRunTrainer:
         with pytest.raises(TR.TrainError, match="'optimizer.beta2'"):
             TR.run_trainer("classification", cfg, wd)
         assert not os.path.exists(os.path.join(wd, "metrics.jsonl"))
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_momentum_under_another_kind_refused(self, tmp_path, kind):
+        cfg = trainer_config(optimizer={"kind": kind, "lr": 1e-2,
+                                        "momentum": 0.5})
+        wd = str(tmp_path / "x")
+        with pytest.raises(TR.TrainError, match="'optimizer.momentum'"):
+            TR.run_trainer("classification", cfg, wd)
+        assert not os.path.exists(wd)
+
+    @pytest.mark.parametrize("optimizer, match", [
+        ({"kind": "adam", "lr": -1e-3}, "negative or NaN learning rate"),
+        ({"kind": "adam", "lr": float("nan")}, "negative or NaN learning rate"),
+        ({"kind": "adam", "lr": -0.1, "cosine_decay": True},
+         "negative or NaN learning rate"),
+        ({"kind": "sgd_momentum", "lr": 1e-2, "momentum": 1.5}, "momentum must be"),
+        ({"kind": "sgd_momentum", "lr": 1e-2, "momentum": -1.0}, "momentum must be"),
+    ])
+    def test_bad_optimizer_refused_before_anything_is_written(
+            self, tmp_path, optimizer, match):
+        wd = str(tmp_path / "x")
+        with pytest.raises(TR.TrainError, match=match):
+            TR.run_trainer("classification", trainer_config(optimizer=optimizer), wd)
+        assert not os.path.exists(wd)
 
     @pytest.mark.parametrize("grad_clip", [0, -1])
     def test_grad_clip_not_above_zero_refused(self, tmp_path, grad_clip):

@@ -1,6 +1,6 @@
 """Fixed-seed byte-identity oracle for refactors that must not change results.
 
-Trains nine short runs and prints the sha256 prefix of every file each
+Trains ten short runs and prints the sha256 prefix of every file each
 run writes (``metrics.jsonl`` and each ``ckpt_<step>.bin``):
 
 - the six registered baselines at seed 3: 32 train and 20 eval examples,
@@ -9,7 +9,11 @@ run writes (``metrics.jsonl`` and each ``ckpt_<step>.bin``):
   1e-2, ``grad_clip`` 0.5, batch 4 and 28 eval examples (padded eval);
 - the same 2 x 2 ViT run with Adam;
 - that Adam run again with ``"model": {"dtype": "f64"}``, whose lines a
-  change to float32 arithmetic alone leaves as they are.
+  change to float32 arithmetic alone leaves as they are;
+- DETR on 2 hosts x 2 devices with ``model.num_slots`` 10 and
+  ``dataset.max_objects`` 9, batch 4, 32 train and 28 eval examples
+  (padded eval), 4 steps, eval every 2, Adam at lr 1e-3: images with 8
+  or more objects, whose box sums numpy adds pairwise.
 
 A change that keeps results byte for byte prints the same lines as its
 parent. The script imports only ``deskml`` from the ``src/`` next to it,
@@ -83,6 +87,14 @@ def runs() -> list[tuple[str, str, dict]]:
             "batch_size": 4, "eval_every": 2, "total_steps": 4,
             "optimizer": {"kind": opt, "lr": 1e-2, "grad_clip": 0.5},
         }))
+    out.append(("detr_2x2_max9", "detection", {
+        "model": {"name": "detr_detection", "num_slots": 10},
+        "dataset": {"name": "boxes_detection", "num_train_examples": 32,
+                    "num_eval_examples": 28, "max_objects": 9},
+        "topology": {"host_count": 2, "devices_per_host": 2},
+        "batch_size": 4, "eval_every": 2, "total_steps": 4,
+        "optimizer": {"kind": "adam", "lr": 1e-3},
+    }))
     return out
 
 
