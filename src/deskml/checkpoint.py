@@ -58,6 +58,12 @@ def save_checkpoint(state, path: str):
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, path)
+    if os.name == "posix":  # make the rename itself survive a crash
+        fd = os.open(directory or ".", os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
 def load_checkpoint(path: str):

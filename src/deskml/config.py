@@ -131,7 +131,14 @@ def _parse_value(text: str, existing):
     if isinstance(existing, str):
         return text
     if isinstance(existing, list):
-        return json.loads(text)
+        try:
+            value = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"cannot parse {text!r} as a JSON list: {e.msg}") from None
+        if not isinstance(value, list):
+            raise ConfigError(f"cannot parse {text!r} as a JSON list: "
+                              f"got {type(value).__name__}")
+        return value
     # new key: infer via JSON, fall back to string
     try:
         return json.loads(text)
@@ -166,5 +173,8 @@ def override(config: Config, assignments: list[str]) -> Config:
         leaf = parts[-1]
         if leaf not in node and not create:
             raise ConfigError(f"unknown config key {key!r} (use +{key}= to create)")
-        node[leaf] = _parse_value(text, node.get(leaf))
+        try:
+            node[leaf] = _parse_value(text, node.get(leaf))
+        except ConfigError as e:
+            raise ConfigError(f"config key {key!r}: {e}") from None
     return Config(values)

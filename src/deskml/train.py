@@ -12,8 +12,10 @@ the topology. Metric tables are sums, normalized after aggregation.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
+import platform
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -325,6 +327,39 @@ def _truncate_records(path: str, step: int) -> int:
     return count
 
 
+# glibc mallopt parameters, and the values the trainer sets: 32 MiB is
+# the ceiling of glibc's own dynamic mmap threshold on 64-bit
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD, _TRIM_THRESHOLD = 32 << 20, 1 << 30
+
+
+def _keep_freed_memory() -> bool:
+    """Tell glibc's malloc to keep freed memory mapped; returns whether
+    both settings took.
+
+    By default glibc unmaps a freed large array and trims the free top of
+    the heap, so each train step faults the memory the last one freed
+    back in. Raising the mmap threshold to 32 MiB puts a step's arrays on
+    the heap, and raising the trim threshold to 1 GiB keeps the heap's
+    free top, so later steps reuse the same pages. Both are needed:
+    setting the trim threshold alone also freezes the mmap threshold at
+    its 128 KiB start, and every large array then gets a fresh ``mmap``.
+
+    The setting is process-wide and cannot be undone: glibc has no call
+    that turns its dynamic mmap threshold back on. Off glibc, or where
+    ``mallopt`` is missing, nothing is done and False is returned.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    # mallopt returns 1 on success and 0 on error; the trim threshold is
+    # left alone when the mmap threshold could not be raised
+    return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
+            and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1)
+
+
 _TRAINER_KINDS = ("classification", "segmentation", "detection")
 
 
@@ -349,7 +384,9 @@ def run_trainer(kind: str, config: Config, workdir: str,
     config key that nothing reads (``optimizer.momentum`` under another
     kind among them), before anything is written. ``stop_when`` is
     checked against eval metrics to allow stopping as soon as a target
-    is reached.
+    is reached. On glibc, just before the first step, it tells malloc to
+    keep freed memory mapped for the rest of the process (see
+    ``_keep_freed_memory``).
     """
     if kind not in _TRAINER_KINDS:
         raise TrainError(f"unknown trainer kind {kind!r}; have {_TRAINER_KINDS}")
@@ -439,6 +476,9 @@ def run_trainer(kind: str, config: Config, workdir: str,
     # an uninterrupted run's exactly
     metrics_path = os.path.join(workdir, "metrics.jsonl")
     kept = _truncate_records(metrics_path, resumed_at)
+    # after set-up, so the data synthesis' transient arrays are not kept
+    # on the heap; before the first step, so no step faults its memory in
+    _keep_freed_memory()
     final_metrics = {}
     with open(metrics_path, "a") as sink:
         writer = MetricWriter(sink, start=kept)

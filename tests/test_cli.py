@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from deskml import checkpoint as CK
 from deskml.cli import EXIT_CONFIG, EXIT_USAGE, cli_main
@@ -75,6 +76,20 @@ def test_unknown_override_key_is_config_error(tmp_path, capsys):
                      "--override", "no.such.key=1"])
     capsys.readouterr()
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("value", ["[8,8", "7"])
+def test_malformed_list_override_is_config_error(tmp_path, capsys, value):
+    wd = str(tmp_path / "x")
+    cfg = write_config(tmp_path, {"dataset": {
+        "num_train_examples": 64, "num_eval_examples": 16,
+        "input_shape": [8, 8, 1]}})
+    code = cli_main(["run", "--config", cfg, "--workdir", wd,
+                     "--override", f"dataset.input_shape={value}"])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "config error" in err and "input_shape" in err
+    assert not os.path.exists(wd)
 
 
 def test_unknown_model_is_config_error(tmp_path, capsys):

@@ -61,6 +61,19 @@ def test_override_type_clash():
         C.override(cfg, ["n=hello"])
 
 
+def test_override_list_leaf():
+    cfg = C.Config({"dataset": {"input_shape": [8, 8, 1]}})
+    out = C.override(cfg, ["dataset.input_shape=[4, 4, 3]"])
+    assert out.get("dataset.input_shape") == [4, 4, 3]
+
+
+@pytest.mark.parametrize("text", ["[8,8", "7", '"8x8"', '{"h": 8}', "null"])
+def test_override_list_leaf_rejects_a_non_list(text):
+    cfg = C.Config({"dataset": {"input_shape": [8, 8, 1]}})
+    with pytest.raises(C.ConfigError, match="as a JSON list"):
+        C.override(cfg, [f"dataset.input_shape={text}"])
+
+
 def test_override_unknown_key_needs_plus():
     cfg = C.Config({})
     with pytest.raises(C.ConfigError, match="unknown config key"):

@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import os
+import platform
+import statistics
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -445,6 +449,27 @@ class TestCheckpoint:
                 assert np.array_equal(a[name].data, b[name].data)
                 assert a[name].data.dtype == b[name].data.dtype
 
+    @pytest.mark.skipif(os.name != "posix", reason="directory fsync is POSIX-only")
+    def test_rename_is_synced_to_its_directory(self, tmp_path, monkeypatch):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            synced = os.path.samestat(os.fstat(fd), os.stat(tmp_path))
+            events.append(("fsync", "workdir" if synced else "file"))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.path.basename(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(CK.os, "fsync", fsync)
+        monkeypatch.setattr(CK.os, "replace", replace)
+        CK.save_checkpoint(fresh_state(build_mlp(Config(), mlp_meta())),
+                           str(tmp_path / "ckpt_0.bin"))
+        assert events == [("fsync", "file"), ("replace", "ckpt_0.bin"),
+                          ("fsync", "workdir")]
+
     def test_missing_file(self):
         with pytest.raises(CK.CheckpointError, match="not found"):
             CK.load_checkpoint("/nonexistent/ckpt_0.bin")
@@ -849,3 +874,109 @@ def test_interrupted_anywhere_resumes_byte_identical(tmp_path, monkeypatch,
     assert sorted(files) == sorted(vit_2x2_files)
     for name in files:
         assert files[name] == vit_2x2_files[name], name
+
+
+class TestKeepFreedMemory:
+    class StandInLibc:
+        """A libc whose ``mallopt`` records its calls and returns ``ok``."""
+        def __init__(self, ok=1):
+            self.calls, self.ok = [], ok
+
+        def mallopt(self, param, value):
+            self.calls.append((param, value))
+            return self.ok
+
+    def use_libc(self, monkeypatch, libc, name="glibc"):
+        monkeypatch.setattr(TR.platform, "libc_ver", lambda: (name, "2.36"))
+        monkeypatch.setattr(TR.ctypes, "CDLL", lambda _: libc)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+    def test_takes_on_glibc(self):
+        assert TR._keep_freed_memory() is True
+
+    def test_sets_both_thresholds_mmap_first(self, monkeypatch):
+        libc = self.StandInLibc()
+        self.use_libc(monkeypatch, libc)
+        assert TR._keep_freed_memory() is True
+        assert libc.calls == [(-3, 32 << 20), (-1, 1 << 30)]
+
+    def test_refused_mmap_threshold_leaves_trim_alone(self, monkeypatch):
+        libc = self.StandInLibc(ok=0)
+        self.use_libc(monkeypatch, libc)
+        assert TR._keep_freed_memory() is False
+        assert libc.calls == [(-3, 32 << 20)]
+
+    def test_libc_without_mallopt_is_a_no_op(self, monkeypatch):
+        self.use_libc(monkeypatch, object())
+        assert TR._keep_freed_memory() is False
+
+    def test_off_glibc_is_a_no_op(self, monkeypatch):
+        libc = self.StandInLibc()
+        self.use_libc(monkeypatch, libc, name="")
+        assert TR._keep_freed_memory() is False
+        assert libc.calls == []
+
+    def test_set_after_set_up_before_the_first_step(self, tmp_path, monkeypatch):
+        events = []
+        for fn in ("build_dataset", "_truncate_records", "_keep_freed_memory",
+                   "train_step"):
+            real = getattr(TR, fn)
+
+            def record(*args, _fn=fn, _real=real, **kwargs):
+                events.append(_fn)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(TR, fn, record)
+        TR.run_trainer("classification", trainer_config(total_steps=2),
+                       str(tmp_path), seed=0)
+        assert events == ["build_dataset", "_truncate_records",
+                          "_keep_freed_memory", "train_step", "train_step"]
+
+
+# A fresh interpreter, since the malloc setting is process-wide: it counts
+# the minor page faults of each train step of a small 2x2 ViT run
+FAULT_COUNT = """
+import json, resource, sys, tempfile
+from deskml import train
+from deskml.config import Config
+
+faults = []
+step = train.train_step
+
+def counted(*args, **kwargs):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    out = step(*args, **kwargs)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return out
+
+train.train_step = counted
+config = Config({
+    "model": {"name": "vit_classification"},
+    "dataset": {"num_train_examples": 256, "num_eval_examples": 32},
+    "batch_size": 8,
+    "topology": {"host_count": 2, "devices_per_host": 2},
+    "total_steps": 16,
+    "optimizer": {"kind": "adam", "lr": 1e-3},
+})
+with tempfile.TemporaryDirectory() as workdir:
+    train.run_trainer("classification", config, workdir, seed=1)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+def test_train_steps_reuse_freed_memory(tmp_path):
+    # freeing a step's arrays gave their pages back to the OS, so each
+    # step of this run faulted about 250 pages back in (120 at the least)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ, TMPDIR=str(tmp_path), OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", FAULT_COUNT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    faults = json.loads(proc.stdout)
+    assert len(faults) == 16
+    # the first steps fault in the heap the later ones reuse
+    assert statistics.median(faults[4:]) < 25, faults
