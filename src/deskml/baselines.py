@@ -34,8 +34,18 @@ def _in_dtype(dtype: str, params: dict, model_state: dict) -> tuple[dict, dict]:
             {k: Tensor(v, dtype=dtype) for k, v in model_state.items()})
 
 
+def _rate(config: Config, key: str, default: float, closed: bool = False) -> float:
+    """The value of ``key``, refused unless it lies in [0, 1), or in
+    [0, 1] when ``closed``; NaN is refused too."""
+    value = config.get(key, default)
+    if not (0 <= value < 1 or closed and value == 1):
+        raise ModelError(f"config key {key!r} must be in [0, 1{']' if closed else ')'}, "
+                         f"got {value}")
+    return value
+
+
 def _classification_contract(config, meta, arch) -> ModelContract:
-    smoothing = config.get("model.label_smoothing", 0.0)
+    smoothing = _rate(config, "model.label_smoothing", 0.0)
 
     def loss_fn(logits, batch):
         return classification_loss(logits, batch, num_classes=meta.num_classes,
@@ -87,7 +97,7 @@ def build_vit(config: Config, meta: DatasetMetaData) -> ModelContract:
     depth = config.get("model.depth", 2)
     heads = config.get("model.heads", 4)
     mlp_dim = config.get("model.mlp_dim", 2 * dim)
-    drop = config.get("model.dropout", 0.0)
+    drop = _rate(config, "model.dropout", 0.0)
     dtype = _dtype(config)
     k = meta.num_classes
     _, h, w, c = meta.input_shape
@@ -169,7 +179,7 @@ def build_mixer(config: Config, meta: DatasetMetaData) -> ModelContract:
 
 def build_resnet(config: Config, meta: DatasetMetaData) -> ModelContract:
     width = config.get("model.width", 16)
-    momentum = config.get("model.bn_momentum", 0.9)
+    momentum = _rate(config, "model.bn_momentum", 0.9, closed=True)
     dtype = _dtype(config)
     k = meta.num_classes
     c = meta.input_shape[-1]
@@ -259,10 +269,6 @@ def build_unet(config: Config, meta: DatasetMetaData) -> ModelContract:
 _MATCHED = "_matched"
 
 
-def _targets(batch: dict) -> tuple:
-    return batch["label"], batch["boxes"], batch.get("batch_mask")
-
-
 def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
     dim = config.get("model.dim", 64)
     heads = config.get("model.heads", 4)
@@ -320,7 +326,7 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
         boxes = T.sigmoid(L.dense(q, s["box_head"]))
         return {"class_logits": class_logits, "boxes": boxes}, model_state
 
-    def match(outputs, batch):
+    def match(outputs, tcls, tbox, mask):
         """The batch's matched pairs by the named matcher: one int64
         (image, target, slot) index triple, ordered by image, then target.
 
@@ -330,11 +336,9 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
         """
         prob = T.softmax(outputs["class_logits"].detach()).data  # [b, s, k+1]
         pboxes = outputs["boxes"].data
-        tcls, tbox = batch["label"].data, batch["boxes"].data
         cls_cost = 1.0 - np.take_along_axis(prob, tcls[:, None, :], 2).transpose(0, 2, 1)
         box_cost = np.abs(tbox[:, :, None, :] - pboxes[:, None, :, :]).sum(-1)
         costs = lambda_cls * cls_cost + lambda_box * box_cost  # [b, M, s]
-        mask = example_mask(batch.get("batch_mask"), len(pboxes))
         real = (tcls != no_object) & (mask[:, None] != 0)
         img, tgt = np.nonzero(real)
         slot = np.empty_like(img)
@@ -342,14 +346,11 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
             slot[img == i] = matchers.match(costs[i, real[i]], algorithm).row_to_col
         return img, tgt, slot
 
-    def set_loss(outputs, batch, pairs):
+    def set_loss(outputs, tcls, tbox, mask, pairs):
         """Mean over unmasked images of slot CE plus lambda_box * L1."""
         logits = outputs["class_logits"]
         boxes = outputs["boxes"]
         b, s, _ = logits.shape
-        tcls = batch["label"].data
-        tbox = batch["boxes"].data
-        mask = example_mask(batch.get("batch_mask"), b)
         img, tgt, slot = pairs
         # classification targets over all slots; no-object where unmatched
         slot_cls = np.full((b, s), no_object, np.int64)
@@ -368,30 +369,28 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
         per_image = ce_per_image + l1_per_image * lambda_box
         return masked_mean(per_image, mask, mask.sum())
 
-    def criterion(outputs, batch):
-        """The matched pairs and the set loss of ``outputs`` against
-        ``batch``, computed once: they stay on the outputs dict, and a
-        later call with the same label, boxes and mask Tensors (the
-        metric function after ``loss_fn``) reuses them."""
-        targets = _targets(batch)
+    def criterion(outputs, label, boxes, batch_mask=None):
+        """The matched pairs and the set loss of ``outputs`` against the
+        targets, computed once: they stay on the outputs dict, and a later
+        call with the same label, boxes and mask Tensors (the metric
+        function after ``loss_fn``) reuses them."""
+        targets = (label, boxes, batch_mask)
         record = outputs.get(_MATCHED)
         if record is None or not all(a is b for a, b in zip(record[0], targets)):
-            pairs = match(outputs, batch)
-            record = outputs[_MATCHED] = (targets, pairs, set_loss(outputs, batch, pairs))
+            arrays = (label.data, boxes.data, example_mask(batch_mask, len(label.data)))
+            pairs = match(outputs, *arrays)
+            record = outputs[_MATCHED] = (targets, pairs, set_loss(outputs, *arrays, pairs))
         return record[1:]
 
     def loss_fn(outputs, batch):
-        return criterion(outputs, batch)[1]
+        return criterion(outputs, batch["label"], batch["boxes"], batch.get("batch_mask"))[1]
 
-    def metric_fn(outputs, label, batch_mask=None, boxes=None):
+    def metric_fn(outputs, label, boxes, batch_mask=None):
         mask = example_mask(batch_mask, len(label.data))
         count = float(mask.sum())
         if count == 0:  # a batch that is all padding contributes nothing
             return dict.fromkeys(("matched_accuracy", "box_l1", "loss"), (0.0, 0.0))
-        batch = {"label": label, "boxes": boxes}
-        if batch_mask is not None:
-            batch["batch_mask"] = batch_mask
-        (img, tgt, slot), loss = criterion(outputs, batch)
+        (img, tgt, slot), loss = criterion(outputs, label, boxes, batch_mask)
         pred_cls = outputs["class_logits"].data[img, slot].argmax(-1)
         per = np.abs(outputs["boxes"].data[img, slot] - boxes.data[img, tgt]).mean(-1)
         # each image's L1 sum in the boxes' dtype, one reduction of its

@@ -30,8 +30,9 @@ def save_checkpoint(state, path: str):
     for group in ARRAY_GROUPS:
         tree = getattr(state, group)
         for name in sorted(tree):
-            arr = np.ascontiguousarray(tree[name].data)
-            arr = arr.astype(arr.dtype.newbyteorder("<"))
+            # little-endian, copied only if it is not; tobytes writes C order
+            data = tree[name].data
+            arr = np.asarray(data, data.dtype.newbyteorder("<"))
             arrays.append({
                 "group": group,
                 "name": name,

@@ -1,6 +1,13 @@
 """Experiment runner: load a config, apply overrides, train, print metrics.
 
 Exit codes: 0 success, 2 usage error, 3 config error, 4 runtime failure.
+A config error is a ``ConfigError``: an unreadable file, a bad override,
+an unknown model, or a missing or malformed key that ``run_trainer``
+looks up. ``run_trainer``'s other refusals of config values (a
+``TrainError``, ``ModelError`` or ``DatasetError``, such as
+``eval_every < 1`` or a key nothing reads) and its refusals of a
+workdir's checkpoints (another config or layout, a step past
+``total_steps``) exit 4.
 """
 
 from __future__ import annotations
@@ -47,12 +54,10 @@ def cli_main(argv=None) -> int:
             raise ConfigError(f"unknown model {model_name!r}; "
                               f"registered: {sorted(baselines.BASELINES)}")
         kind = baselines.BASELINES[model_name][2]
+        metrics = run_trainer(kind, config, args.workdir, seed=args.seed)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-
-    try:
-        metrics = run_trainer(kind, config, args.workdir, seed=args.seed)
     except Exception as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME

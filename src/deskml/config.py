@@ -150,7 +150,9 @@ def override(config: Config, assignments: list[str]) -> Config:
     """Apply ``dotted.key=value`` assignments, returning a new Config.
 
     A plain key must already exist; prefix with ``+`` to create one.
-    Values are coerced to the existing leaf's type.
+    Values are coerced to the existing leaf's type, and a plain key
+    refuses a non-map over a map and a map over a leaf; ``+`` replaces
+    either.
     """
     values = config.to_dict()
     for item in assignments:
@@ -174,7 +176,12 @@ def override(config: Config, assignments: list[str]) -> Config:
         if leaf not in node and not create:
             raise ConfigError(f"unknown config key {key!r} (use +{key}= to create)")
         try:
-            node[leaf] = _parse_value(text, node.get(leaf))
+            value = _parse_value(text, node.get(leaf))
         except ConfigError as e:
             raise ConfigError(f"config key {key!r}: {e}") from None
+        if not create and isinstance(node[leaf], dict) != isinstance(value, dict):
+            what = "a leaf with a map" if isinstance(value, dict) else "a map with a non-map"
+            raise ConfigError(f"config key {key!r}: an override cannot replace {what} "
+                              f"(use +{key}= to replace it)")
+        node[leaf] = value
     return Config(values)

@@ -74,7 +74,7 @@ def pad_incomplete_batch(batch: dict, target: int) -> dict:
     degenerate all-zero rows never enter the model; "label" padding is
     the sentinel class 0. "batch_mask" is 1 for real rows, 0 for padding.
     """
-    sizes = {k: v.shape[0] for k, v in batch.items() if k != "batch_mask"}
+    sizes = {k: v.shape[0] for k, v in batch.items()}
     n = next(iter(sizes.values()))
     if any(s != n for s in sizes.values()):
         raise DatasetError(f"inconsistent leading extents: {sizes}")
@@ -82,8 +82,6 @@ def pad_incomplete_batch(batch: dict, target: int) -> dict:
         raise DatasetError(f"batch of {n} rows exceeds target {target}")
     out = {}
     for key, t in batch.items():
-        if key == "batch_mask":
-            continue
         data = t.data
         if n < target:
             if key == "label":
@@ -94,8 +92,6 @@ def pad_incomplete_batch(batch: dict, target: int) -> dict:
         out[key] = Tensor(data)
     mask = np.zeros(target, np.float32)
     mask[:n] = 1.0
-    if "batch_mask" in batch:
-        mask[:n] = batch["batch_mask"].data
     out["batch_mask"] = Tensor(mask)
     return out
 

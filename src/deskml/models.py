@@ -37,7 +37,7 @@ class ModelContract:
     meta: DatasetMetaData
     build_model: Callable[[], ArchitectureHandle]
     loss_fn: Callable  # (outputs, batch) -> scalar Tensor
-    get_metrics_fn: Callable  # () -> metric_fn
+    get_metrics_fn: Callable  # () -> metric_fn(outputs, **batch but "inputs")
 
 
 # ---------------------------------------------------------------------------

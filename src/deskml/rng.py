@@ -167,22 +167,22 @@ def _unit(bits: np.ndarray) -> np.ndarray:
     return (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
-def uniform(key: RngKey, shape, dtype=np.float64) -> np.ndarray:
-    """Uniform samples in [0, 1) with the given shape."""
+def uniform(key: RngKey, shape) -> np.ndarray:
+    """Float64 uniform samples in [0, 1) with the given shape."""
     n = int(np.prod(shape)) if len(tuple(shape)) else 1
     u = _unit(_random_bits(key, max(n, 1)))
-    return u[:n].reshape(shape).astype(dtype)
+    return u[:n].reshape(shape)
 
 
-def normal(key: RngKey, shape, dtype=np.float64) -> np.ndarray:
-    """Standard normal samples via Box-Muller."""
+def normal(key: RngKey, shape) -> np.ndarray:
+    """Float64 standard normal samples via Box-Muller."""
     n = int(np.prod(shape)) if len(tuple(shape)) else 1
     m = max(n, 1)
     u = _unit(_random_bits(key, 2 * m))
     u1, u2 = u[:m], u[m:]
     r = np.sqrt(-2.0 * np.log1p(-u1))  # log1p avoids log(0)
     z = r * np.cos(2.0 * np.pi * u2)
-    return z[:n].reshape(shape).astype(dtype)
+    return z[:n].reshape(shape)
 
 
 def randint(key: RngKey, shape, low: int, high: int) -> np.ndarray:

@@ -171,26 +171,33 @@ def _operands(a, b, op: str) -> tuple[Tensor, Tensor]:
     return a, b
 
 
+def _fold(ufunc, slices) -> np.ndarray:
+    """``ufunc`` folded left to right over the equal-shape float
+    ``slices``, in whole-array passes, into one fresh array (0-d for 0-d
+    slices). An add starts from +0.0, as numpy's float ``add.reduce``
+    does, so slices of -0.0 alone sum to +0.0."""
+    if ufunc is np.add:
+        out = np.zeros_like(slices[0])
+    else:
+        out, slices = slices[0].copy(), slices[1:]
+    for s in slices:
+        ufunc(out, s, out=out)
+    return out
+
+
 def _fold_last(ufunc, x: np.ndarray) -> np.ndarray:
     """``ufunc.reduce(x, axis=-1, keepdims=True)`` for float ``x``, bit for bit.
 
     On a last axis shorter than 8, ``reduce`` pays per row; this folds
-    ``ufunc`` left to right over the slices ``x[..., i]`` instead, in
-    whole-array passes. Below length 8 numpy's float ``add.reduce`` sums
-    in that same order (pairwise summation starts at 8) from the identity
-    +0.0, so a row of -0.0 alone sums to +0.0 here too; ``maximum`` is
-    exact in any order. Longer axes keep ``reduce``. The result is always
-    a fresh array.
+    ``ufunc`` over the slices ``x[..., i]`` instead. Below length 8
+    numpy's float ``add.reduce`` sums in that same order (pairwise
+    summation starts at 8); ``maximum`` is exact in any order. Longer
+    axes keep ``reduce``. The result is always a fresh array.
     """
     n = x.shape[-1]
     if n >= 8 or n == 0:
         return ufunc.reduce(x, axis=-1, keepdims=True)
-    out = ufunc(x[..., 0], x[..., 1]) if n > 1 else x[..., 0].copy()
-    for i in range(2, n):
-        ufunc(out, x[..., i], out=out)
-    if ufunc is np.add:
-        out += 0.0
-    return out[..., None]
+    return _fold(ufunc, [x[..., i] for i in range(n)])[..., None]
 
 
 def _reduce(ufunc, x: np.ndarray, axis) -> np.ndarray:
@@ -274,10 +281,9 @@ def relu(a) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    # stable: avoid exp overflow on large |x|
-    out = np.where(a.data >= 0,
-                   1.0 / (1.0 + np.exp(-np.abs(a.data))),
-                   np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
+    # stable: exp(-|x|) cannot overflow
+    e = np.exp(-np.abs(a.data))
+    out = np.where(a.data >= 0, 1.0, e) / (1.0 + e)
     return _make(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -360,12 +366,9 @@ def dense(x, w, b=None) -> Tensor:
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = _as_tensor(a)
-    if a.is_float() and a.ndim and axis in (-1, a.ndim - 1):
-        out = _fold_last(np.add, a.data)
-        if not keepdims:
-            out = out[..., 0]
-    else:
-        out = a.data.sum(axis=axis, keepdims=keepdims)
+    out = _reduce(np.add, a.data, axis) if a.is_float() else a.data.sum(axis, keepdims=True)
+    if not keepdims:
+        out = out.squeeze(axis)
 
     def backward(g):
         g = np.asarray(g)
@@ -531,27 +534,15 @@ def concat(tensors, axis=0) -> Tensor:
     return _make(out, tuple(tensors), backward)
 
 
-def _is_basic(idx) -> bool:
-    """Whether ``idx`` is a basic numpy index, which selects no element twice."""
-    parts = idx if isinstance(idx, tuple) else (idx,)
-    return all(p is None or p is Ellipsis or isinstance(p, slice)
-               or (isinstance(p, (int, np.integer)) and not isinstance(p, bool))
-               for p in parts)
-
-
 def take(a, idx) -> Tensor:
-    """Basic/advanced indexing. The backward scatters ``g`` into zeros:
-    ``np.add.at`` adds an advanced index's repeats, a basic index adds in
-    place."""
+    """Basic/advanced indexing. The backward scatters ``g`` into zeros
+    with ``np.add.at``, which adds an advanced index's repeats."""
     a = _as_tensor(a)
     out = a.data[idx]
 
     def backward(g):
         ga = np.zeros_like(a.data)
-        if _is_basic(idx):
-            ga[idx] += g
-        else:
-            np.add.at(ga, idx, g)
+        np.add.at(ga, idx, g)
         return (ga,)
 
     return _make(out, (a,), backward)
@@ -677,9 +668,7 @@ def max_pool2d(a, size: int = 2) -> Tensor:
         raise ValueError(f"max_pool2d: spatial dims {h}x{w} not divisible by {size}")
     taps = [(i, j) for i in range(size) for j in range(size)]
     windows = [a.data[:, i::size, j::size] for i, j in taps]
-    out = windows[0].copy()
-    for x in windows[1:]:
-        np.maximum(out, x, out=out)
+    out = _fold(np.maximum, windows)
 
     def backward(g):
         hits = [x == out for x in windows]
@@ -705,11 +694,8 @@ def upsample_nearest2d(a, factor: int = 2) -> Tensor:
     out = np.repeat(np.repeat(a.data, factor, axis=1), factor, axis=2)
 
     def backward(g):
-        slices = [g[:, i::factor, j::factor] for i in range(factor) for j in range(factor)]
-        gx = slices[0] + 0.0
-        for s in slices[1:]:
-            gx += s
-        return (gx,)
+        return (_fold(np.add, [g[:, i::factor, j::factor]
+                               for i in range(factor) for j in range(factor)]),)
 
     return _make(out, (a,), backward)
 

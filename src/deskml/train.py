@@ -187,9 +187,8 @@ def _concat_batches(device_batches: list) -> dict:
 
 
 def _batch_metrics(metric_fn, outputs, batch: dict) -> dict:
-    aux = {k: v for k, v in batch.items()
-           if k not in ("inputs", "label", "batch_mask")}
-    return metric_fn(outputs, batch["label"], batch.get("batch_mask"), **aux)
+    """``metric_fn(outputs, **batch)`` over every batch key but ``inputs``."""
+    return metric_fn(outputs, **{k: v for k, v in batch.items() if k != "inputs"})
 
 
 def train_step(state: TrainState, device_batches: list, topology: Topology,

@@ -146,7 +146,7 @@ class TestDetrLoss:
         out = self.outputs()
         contract.loss_fn(out, {"label": labels, "boxes": boxes})
         assert calls == {"hungarian": 0, solver: 2}  # one per image
-        contract.get_metrics_fn()(out, labels, None, boxes=boxes)
+        contract.get_metrics_fn()(out, label=labels, boxes=boxes)
         assert calls == {"hungarian": 0, solver: 2}  # loss_fn's matches reused
 
     def count_hungarian(self, monkeypatch):
@@ -226,7 +226,7 @@ class TestDetrLoss:
         logits[0, 6] = [-5.0, 5.0, -5.0]
         boxes[0, 6] = tbox[0, 1]
         table = metric_fn({"class_logits": Tensor(logits), "boxes": Tensor(boxes)},
-                          Tensor(labels), None, boxes=Tensor(tbox))
+                          label=Tensor(labels), boxes=Tensor(tbox))
         assert table["matched_accuracy"] == (2.0, 2.0)
         assert table["box_l1"][0] == pytest.approx(0.0, abs=1e-9)
 
@@ -387,8 +387,10 @@ class TestDetrBatchCriterion:
 
             want = ref.metrics(params, label, batch_mask, boxes=boxes)
             # after loss_fn, as a train step calls it, and afresh, as eval does
-            assert metric_fn(seen["outputs"], label, batch_mask, boxes=boxes) == want
-            assert metric_fn(dict(params), label, batch_mask, boxes=boxes) == want
+            assert metric_fn(seen["outputs"], label=label, batch_mask=batch_mask,
+                             boxes=boxes) == want
+            assert metric_fn(dict(params), label=label, batch_mask=batch_mask,
+                             boxes=boxes) == want
 
     @pytest.mark.parametrize("max_objects", [0, 3, 9])
     def test_all_padding_batch_reads_zero_without_matching(self, monkeypatch, max_objects):
@@ -397,7 +399,8 @@ class TestDetrBatchCriterion:
         label, batch_mask, boxes = self.metric_args(batch)
         calls = []
         monkeypatch.setattr(T, "softmax", lambda *a: calls.append(a))
-        table = contract.get_metrics_fn()(params, label, batch_mask, boxes=boxes)
+        table = contract.get_metrics_fn()(params, label=label, batch_mask=batch_mask,
+                                          boxes=boxes)
         assert calls == []
         monkeypatch.undo()
         assert table == ref.metrics(params, label, batch_mask, boxes=boxes)

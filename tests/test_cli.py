@@ -92,6 +92,27 @@ def test_malformed_list_override_is_config_error(tmp_path, capsys, value):
     assert not os.path.exists(wd)
 
 
+@pytest.mark.parametrize("extra, overrides, key", [
+    # a config error that run_trainer finds
+    ({"dataset": 7}, [], "'dataset.name'"),
+    # a non-map over a map, and a map over a leaf
+    ({}, ["dataset=7"], "'dataset'"),
+    ({"optimizer": {"kind": "adam", "lr": 1e-2, "grad_clip": None}},
+     ['optimizer.grad_clip={"a": 1}'], "'optimizer.grad_clip'"),
+])
+def test_config_error_anywhere_exits_3_before_the_workdir(tmp_path, capsys,
+                                                           extra, overrides, key):
+    wd = str(tmp_path / "x")
+    argv = ["run", "--config", write_config(tmp_path, extra), "--workdir", wd]
+    for item in overrides:
+        argv += ["--override", item]
+    code = cli_main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: ") and key in err
+    assert not os.path.exists(wd)
+
+
 def test_unknown_model_is_config_error(tmp_path, capsys):
     wd = str(tmp_path / "x")
     code = cli_main(["run", "--config",

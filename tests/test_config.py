@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from deskml import config as C
@@ -79,6 +81,21 @@ def test_override_unknown_key_needs_plus():
     with pytest.raises(C.ConfigError, match="unknown config key"):
         C.override(cfg, ["new.key=1"])
     assert C.override(cfg, ["+new.key=1"]).get("new.key") == 1
+
+
+@pytest.mark.parametrize("values, item, what", [
+    ({"dataset": {"name": "x"}}, "dataset=7", "a map with a non-map"),
+    ({"dataset": {"name": "x"}}, "dataset=null", "a map with a non-map"),
+    ({"optimizer": {"grad_clip": None}}, 'optimizer.grad_clip={"a": 1}',
+     "a leaf with a map"),
+])
+def test_override_keeps_maps_and_leaves_apart(values, item, what):
+    cfg = C.Config(values)
+    key = item.split("=")[0]
+    with pytest.raises(C.ConfigError, match=f"'{key}': an override cannot replace {what}"):
+        C.override(cfg, [item])
+    # + replaces either
+    assert C.override(cfg, ["+" + item]).get(key) == json.loads(item.split("=", 1)[1])
 
 
 def test_override_bool_leaf():

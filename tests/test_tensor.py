@@ -324,6 +324,17 @@ class TestShortReductions:
                 assert_same_bits(T._fold_last(ufunc, x),
                                  ufunc.reduce(x, axis=-1, keepdims=True))
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_a_one_dimensional_tensor_reduces_as_one_row(self, n):
+        # the fold's slices of a 1-D array are 0-d
+        row = _short_rows(n, np.float32, seed=n)[300]  # mixed magnitudes
+        for op in (T.softmax, T.log_softmax, lambda t: T.tsum(t, axis=-1)):
+            one = op(T.Tensor(row, requires_grad=True))
+            batch = op(T.Tensor(row[None], requires_grad=True))
+            assert_same_bits(one.data, batch.data[0])
+            g = np.ones_like(one.data)
+            assert_same_bits(one._backward(g)[0], batch._backward(g[None])[0][0])
+
     def test_length_one_gives_a_fresh_array(self):
         x = np.arange(6.0).reshape(6, 1)
         for ufunc in (np.add, np.maximum):
@@ -491,12 +502,6 @@ class TestShapeOps:
         want = np.zeros_like(x.data)
         np.add.at(want, idx, g)
         assert_same_bits(out._backward(g)[0], want)
-
-    def test_basic_indices(self):
-        for idx in [1, np.int64(1), slice(2), Ellipsis, None, (0, slice(None), None)]:
-            assert T._is_basic(idx)
-        for idx in [True, np.array([0, 1]), [0, 1], (0, [1, 1]), np.array(True)]:
-            assert not T._is_basic(idx)
 
     def test_sum_axes(self):
         x = rand(R.RngKey.from_seed(14), (3, 4))

@@ -17,7 +17,7 @@ from deskml import train as TR
 from deskml.baselines import build_mlp, build_resnet, build_vit
 from deskml.config import Config
 from deskml.data import DatasetMetaData
-from deskml.models import (ArchitectureHandle, ModelContract,
+from deskml.models import (ArchitectureHandle, ModelContract, ModelError,
                            classification_loss, classification_metrics)
 from deskml.tensor import Tensor
 
@@ -470,6 +470,23 @@ class TestCheckpoint:
         assert events == [("fsync", "file"), ("replace", "ckpt_0.bin"),
                           ("fsync", "workdir")]
 
+    def test_zero_d_arrays_load_back_zero_d(self, tmp_path):
+        # a 0-d parameter and its Adam slots, which np.ascontiguousarray
+        # would have written as shape (1,)
+        scalar = {"params": {"s": np.float32(0.5)}, "model_state": {},
+                  "opt_state": {"s/m": np.float32(0.25), "s/v": np.float32(0.125)}}
+        state = TR.TrainState(step=1, rng=R.RngKey.from_seed(0), **{
+            group: {k: Tensor(np.asarray(v)) for k, v in tree.items()}
+            for group, tree in scalar.items()})
+        path = str(tmp_path / "ckpt_1.bin")
+        CK.save_checkpoint(state, path)
+        loaded = CK.load_checkpoint(path)
+        for group, tree in scalar.items():
+            for name, value in tree.items():
+                got = getattr(loaded, group)[name].data
+                assert got.shape == () and got.dtype == np.float32 and got == value
+        TR._check_same_layout(state, loaded, path)  # so a resume accepts it
+
     def test_missing_file(self):
         with pytest.raises(CK.CheckpointError, match="not found"):
             CK.load_checkpoint("/nonexistent/ckpt_0.bin")
@@ -604,6 +621,25 @@ class TestRunTrainer:
         wd = str(tmp_path / "x")
         with pytest.raises(TR.TrainError, match=match):
             TR.run_trainer("classification", trainer_config(optimizer=optimizer), wd)
+        assert not os.path.exists(wd)
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("vit_classification", "dropout", -0.1),  # switched dropout off
+        ("vit_classification", "dropout", 1.0),  # a non-finite loss at step 0
+        ("vit_classification", "dropout", 1.5),  # scaled every kept unit by -0.0
+        ("vit_classification", "dropout", float("nan")),
+        ("fully_connected_classification", "label_smoothing", -0.1),
+        ("fully_connected_classification", "label_smoothing", 1.0),
+        ("fully_connected_classification", "label_smoothing", float("nan")),
+        ("resnet_classification", "bn_momentum", -0.1),
+        ("resnet_classification", "bn_momentum", 1.5),
+        ("resnet_classification", "bn_momentum", float("nan")),
+    ])
+    def test_model_rate_outside_its_range_refused(self, tmp_path, name, key, value):
+        wd = str(tmp_path / "x")
+        with pytest.raises(ModelError, match=f"'model.{key}' must be in \\[0, 1"):
+            TR.run_trainer("classification",
+                           trainer_config(model={"name": name, key: value}), wd)
         assert not os.path.exists(wd)
 
     @pytest.mark.parametrize("grad_clip", [0, -1])
