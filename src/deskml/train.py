@@ -1,13 +1,13 @@
 """Training loops with simulated multi-host, multi-device data parallelism.
 
-Devices are simulated in-process. A step concatenates its device
-batches in host-then-device order and runs them as one batch: one
-forward, one backward and one optimizer update, like one SPMD program
-whose gradients are averaged across devices. Train batches are never
-padded and every loss is a per-example mean, so this is the mean of the
-device gradients. Batch norm takes its statistics over the whole step
-batch (sync batch norm), so a step depends on the global batch, not on
-the topology. Metric tables are sums, normalized after aggregation.
+Hosts and devices are simulated in-process. A step concatenates the
+host batches in host order and runs them as one batch: one forward, one
+backward and one optimizer update, like one SPMD program whose
+gradients are averaged across devices. Train batches are never padded
+and every loss is a per-example mean, so this is the mean of the device
+gradients. Batch norm takes its statistics over the whole step batch
+(sync batch norm), so a step depends on the global batch, not on the
+topology. Metric tables are sums, normalized after aggregation.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ class Topology:
     def __post_init__(self):
         if self.host_count < 1 or self.devices_per_host < 1:
             raise TrainError("topology extents must be >= 1")
-
-    @property
-    def total_devices(self) -> int:
-        return self.host_count * self.devices_per_host
 
 
 # the state slots each optimizer kind keeps per parameter
@@ -178,12 +174,12 @@ def init_train_state(contract: ModelContract, opt: OptimizerSpec,
     )
 
 
-def _concat_batches(device_batches: list) -> dict:
-    """The device batches as one batch, rows in device order."""
-    if len(device_batches) == 1:
-        return device_batches[0]
-    return {k: Tensor(np.concatenate([b[k].data for b in device_batches]))
-            for k in device_batches[0]}
+def _concat_batches(host_batches: list) -> dict:
+    """The host batches as one batch, rows in host order."""
+    if len(host_batches) == 1:
+        return host_batches[0]
+    return {k: Tensor(np.concatenate([b[k].data for b in host_batches]))
+            for k in host_batches[0]}
 
 
 def _batch_metrics(metric_fn, outputs, batch: dict) -> dict:
@@ -191,15 +187,15 @@ def _batch_metrics(metric_fn, outputs, batch: dict) -> dict:
     return metric_fn(outputs, **{k: v for k, v in batch.items() if k != "inputs"})
 
 
-def train_step(state: TrainState, device_batches: list, topology: Topology,
+def train_step(state: TrainState, host_batches: list, topology: Topology,
                contract: ModelContract, opt: OptimizerSpec):
-    """One synchronous data-parallel update over the concatenated device
-    batches; returns (new_state, MetricTable)."""
-    if len(device_batches) != topology.total_devices:
-        raise TrainError(f"expected {topology.total_devices} device batches, "
-                         f"got {len(device_batches)}")
+    """One synchronous data-parallel update over the concatenated host
+    batches, one per host; returns (new_state, MetricTable)."""
+    if len(host_batches) != topology.host_count:
+        raise TrainError(f"expected {topology.host_count} host batches, "
+                         f"got {len(host_batches)}")
     arch = contract.build_model()
-    batch = _concat_batches(device_batches)
+    batch = _concat_batches(host_batches)
     key, new_rng = R.split(state.rng, 2)
     stash = {}
 
@@ -227,11 +223,11 @@ def train_step(state: TrainState, device_batches: list, topology: Topology,
     return new_state, table
 
 
-def eval_step(state: TrainState, device_batches: list,
+def eval_step(state: TrainState, host_batches: list,
               contract: ModelContract) -> dict:
-    """Pure evaluation of the concatenated device batches; returns a
+    """Pure evaluation of the concatenated host batches; returns a
     MetricTable."""
-    batch = _concat_batches(device_batches)
+    batch = _concat_batches(host_batches)
     outputs, _ = contract.build_model().apply(
         state.params, state.model_state, batch["inputs"], train=False)
     return _batch_metrics(contract.get_metrics_fn(), outputs, batch)
@@ -254,17 +250,6 @@ def aggregate_metrics(tables: list) -> dict:
             raise TrainError(f"metric {name!r} has zero total normalizer")
         out[name] = value / norm
     return out
-
-
-def _split_device_batches(batch: dict, devices: int) -> list:
-    n = batch["inputs"].shape[0]
-    if n % devices:
-        raise TrainError(f"host batch {n} not divisible by {devices} devices")
-    per = n // devices
-    return [
-        {k: Tensor(v.data[d * per:(d + 1) * per]) for k, v in batch.items()}
-        for d in range(devices)
-    ]
 
 
 def _check_same_layout(fresh: TrainState, loaded: TrainState, path: str):
@@ -458,10 +443,9 @@ def run_trainer(kind: str, config: Config, workdir: str,
 
     def run_eval(st: TrainState) -> dict:
         tables = []
-        for h, ds in enumerate(datasets):
+        for ds in datasets:
             for host_batch in ds.eval_iter():
-                dev = _split_device_batches(host_batch, topology.devices_per_host)
-                tables.append(eval_step(st, dev, contract))
+                tables.append(eval_step(st, [host_batch], contract))
         return aggregate_metrics(tables)
 
     if resumed_at == total_steps:  # a finished run: its final eval again
@@ -490,13 +474,9 @@ def run_trainer(kind: str, config: Config, workdir: str,
             save_checkpoint(state, os.path.join(workdir, f"ckpt_{step}.bin"))
 
         for _ in range(total_steps - state.step):
-            host_batches = [next(ds.train_iter) for ds in datasets]
-            device_batches = []
-            for hb in host_batches:
-                device_batches.extend(
-                    _split_device_batches(hb, topology.devices_per_host))
-            state, table = train_step(state, device_batches, topology,
-                                      contract, opt)
+            state, table = train_step(
+                state, [next(ds.train_iter) for ds in datasets], topology,
+                contract, opt)
             train_tables.append(table)
             if state.step % eval_every == 0 or state.step == total_steps:
                 writer.write(state.step, {

@@ -18,7 +18,7 @@ from deskml import matchers as MA
 from deskml import rng as R
 from deskml import tensor as T
 from deskml import train as TR
-from deskml.baselines import BASELINES, build_mlp
+from deskml.baselines import BASELINES
 from deskml.checkpoint import load_checkpoint
 from deskml.config import Config
 from deskml.data import DatasetMetaData, ShardSpec, build_dataset, shard_indices
@@ -271,27 +271,19 @@ def test_criterion_4_aggregation():
 # 5. data-parallel equivalence
 
 
-def test_criterion_5_data_parallel():
-    meta = DatasetMetaData(num_classes=3, input_shape=(-1, 2),
-                           num_train_examples=320, num_eval_examples=32)
-    cfg = Config({"model": {"dtype": "f64"}})
-    contract = build_mlp(cfg, meta)
-    opt = TR.OptimizerSpec(kind="adam", lr=1e-2)
-    ks = R.split(key(0), 20)
-    batches = [{"inputs": Tensor(R.normal(ks[2 * i], (32, 2))),
-                "label": Tensor(R.randint(ks[2 * i + 1], (32,), 0, 3))}
-               for i in range(10)]
+def test_criterion_5_data_parallel(tmp_path):
+    def run(devices, batch_size):
+        wd = str(tmp_path / f"{devices}x{batch_size}")
+        TR.run_trainer("classification", Config({
+            "model": {"name": "fully_connected_classification", "dtype": "f64"},
+            "dataset": {"num_train_examples": 320, "num_eval_examples": 32},
+            "topology": {"host_count": 1, "devices_per_host": devices},
+            "batch_size": batch_size, "total_steps": 10, "eval_every": 10,
+            "optimizer": {"kind": "adam", "lr": 1e-2},
+        }), wd, seed=0)
+        return load_checkpoint(os.path.join(wd, "ckpt_10.bin")).params
 
-    def run(devices):
-        state = TR.init_train_state(contract, opt, key(1))
-        topo = TR.Topology(1, devices)
-        for batch in batches:
-            state, _ = TR.train_step(
-                state, TR._split_device_batches(batch, devices),
-                topo, contract, opt)
-        return state.params
-
-    single, sharded = run(1), run(4)
+    single, sharded = run(1, 32), run(4, 8)
     worst = 0.0
     for name in single:
         a, b = single[name].data, sharded[name].data

@@ -190,8 +190,10 @@ class TestDetrLoss:
             return loss, grads
 
         monkeypatch.setattr(TR, "value_and_grad", recorded)
-        parts = TR._split_device_batches(self.small_batch(), 2)
-        _, table = TR.train_step(state, parts, TR.Topology(1, 2), contract,
+        batch = self.small_batch()
+        parts = [{k: Tensor(v.data[i:i + 2]) for k, v in batch.items()}
+                 for i in (0, 2)]
+        _, table = TR.train_step(state, parts, TR.Topology(2, 1), contract,
                                  TR.OptimizerSpec())
         assert len(calls) == 3  # one per image with objects
         assert table["loss"] == (losses[0] * 4.0, 4.0)

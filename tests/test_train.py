@@ -58,6 +58,13 @@ def toy_batch(n=4, dim=2, k=3, seed=0):
             "label": Tensor(R.randint(k2, (n,), 0, k))}
 
 
+def host_batches(batch, hosts):
+    """``batch`` cut into ``hosts`` equal host batches, rows in order."""
+    per = batch["inputs"].shape[0] // hosts
+    return [{k: Tensor(v.data[h * per:(h + 1) * per]) for k, v in batch.items()}
+            for h in range(hosts)]
+
+
 class TestInit:
     def test_mlp_parameter_count(self):
         contract = build_mlp(Config(), mlp_meta())
@@ -246,21 +253,12 @@ class TestUpdateInParameterDtype:
 
 
 class TestDataParallel:
-    def test_device_count_validated(self):
+    def test_host_count_validated(self):
         contract = quadratic_contract()
         opt = TR.OptimizerSpec(kind="sgd", lr=0.1)
         state = fresh_state(contract, opt)
-        with pytest.raises(TR.TrainError, match="device batches"):
-            TR.train_step(state, [toy_batch()], TR.Topology(1, 4), contract, opt)
-
-    def test_split_device_batches(self):
-        batch = toy_batch(n=8)
-        parts = TR._split_device_batches(batch, 4)
-        assert len(parts) == 4
-        rebuilt = np.concatenate([p["inputs"].data for p in parts])
-        assert np.array_equal(rebuilt, batch["inputs"].data)
-        with pytest.raises(TR.TrainError, match="divisible"):
-            TR._split_device_batches(batch, 3)
+        with pytest.raises(TR.TrainError, match="expected 2 host batches, got 1"):
+            TR.train_step(state, [toy_batch()], TR.Topology(2, 1), contract, opt)
 
     def test_four_devices_match_one_device(self):
         """Averaged sharded gradients equal the full-batch gradient (f64)."""
@@ -269,16 +267,15 @@ class TestDataParallel:
         opt = TR.OptimizerSpec(kind="adam", lr=1e-2)
         batch = toy_batch(n=32, seed=3)
 
-        def run(devices):
+        def run(hosts, devices):
             state = fresh_state(contract, opt, seed=1)
-            topo = TR.Topology(1, devices)
+            topo = TR.Topology(hosts, devices)
             for _ in range(5):
                 state, _ = TR.train_step(
-                    state, TR._split_device_batches(batch, devices),
-                    topo, contract, opt)
+                    state, host_batches(batch, hosts), topo, contract, opt)
             return state.params
 
-        a, b = run(1), run(4)
+        a, b = run(1, 1), run(2, 2)
         for name in a:
             diff = np.abs(a[name].data - b[name].data).max()
             assert diff < 1e-9, f"{name}: {diff}"
@@ -288,8 +285,8 @@ class TestDataParallel:
         opt = TR.OptimizerSpec(kind="sgd", lr=0.0)
         state = fresh_state(contract, opt)
         batch = toy_batch(n=8, seed=2)
-        _, table = TR.train_step(state, TR._split_device_batches(batch, 2),
-                                 TR.Topology(1, 2), contract, opt)
+        _, table = TR.train_step(state, host_batches(batch, 2),
+                                 TR.Topology(2, 1), contract, opt)
         assert table["accuracy"][1] == 8.0
 
 
@@ -325,7 +322,7 @@ def test_nan_input_surfaces_as_a_non_finite_loss():
 
 
 class TestOneBatchPerStep:
-    """A step runs its device batches as one batch, so it depends only on
+    """A step runs its host batches as one batch, so it depends only on
     the global batch, not on how the topology splits it."""
 
     @pytest.mark.parametrize("build, model", [(build_vit, {"dropout": 0.1}),
@@ -343,7 +340,7 @@ class TestOneBatchPerStep:
             tables = []
             for batch in batches:
                 state, table = TR.train_step(
-                    state, TR._split_device_batches(batch, hosts * devices),
+                    state, host_batches(batch, hosts),
                     TR.Topology(hosts, devices), contract, opt)
                 tables.append(table)
             return state, tables
@@ -377,7 +374,7 @@ class TestOneBatchPerStep:
             return value_and_grad(*args)
 
         monkeypatch.setattr(TR, "value_and_grad", counted)
-        parts = TR._split_device_batches(toy_batch(n=16), 4)
+        parts = host_batches(toy_batch(n=16), 2)
         TR.train_step(state, parts, TR.Topology(2, 2), contract, opt)
         assert calls == ["value_and_grad", "apply"]
         calls.clear()
@@ -695,7 +692,7 @@ class TestRunTrainer:
     def test_eval_with_an_all_padding_device_batch(self, tmp_path, model,
                                                    dataset, kind):
         # 24 eval examples over 2 hosts leave each host a last batch of 4
-        # real and 4 padding rows, so its second device sees only padding
+        # real and 4 padding rows, a device's worth of rows all padding
         cfg = Config({
             "model": {"name": model},
             "dataset": {"name": dataset, "num_train_examples": 16,
