@@ -1,13 +1,8 @@
 """Experiment runner: load a config, apply overrides, train, print metrics.
 
 Exit codes: 0 success, 2 usage error, 3 config error, 4 runtime failure.
-A config error is a ``ConfigError``: an unreadable file, a bad override,
-an unknown model, or a missing or malformed key that ``run_trainer``
-looks up. ``run_trainer``'s other refusals of config values (a
-``TrainError``, ``ModelError`` or ``DatasetError``, such as
-``eval_every < 1`` or a key nothing reads) and its refusals of a
-workdir's checkpoints (another config or layout, a step past
-``total_steps``) exit 4.
+A run refused before its workdir exists exits 3; a failure after that,
+a refused checkpoint in the workdir among them, exits 4.
 """
 
 from __future__ import annotations

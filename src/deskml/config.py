@@ -95,6 +95,8 @@ def load_config(path: str) -> Config:
             text = f.read()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config file {path}: {e}") from None
     if not text.strip():
         return Config({})
     try:

@@ -24,15 +24,21 @@ import numpy as np
 from . import rng as R
 from .checkpoint import (ARRAY_GROUPS, CheckpointError, load_checkpoint,
                          save_checkpoint)
-from .config import Config
-from .data import ShardSpec, build_dataset
+from .config import Config, ConfigError
+from .data import DatasetError, ShardSpec, build_dataset
 from .metric_io import MetricWriter
-from .models import ModelContract, get_model_cls, model_defaults
+from .models import ModelContract, ModelError, get_model_cls, model_defaults
 from .tensor import Tensor, value_and_grad
 
 
 class TrainError(Exception):
     pass
+
+
+# run_trainer raises each refusal made before the workdir exists as a
+# subclass of its module's error that is also a ConfigError (CLI exit 3)
+_REFUSED = {base: type(base.__name__, (base, ConfigError), {})
+            for base in (TrainError, ModelError, DatasetError)}
 
 
 @dataclass(frozen=True)
@@ -347,6 +353,14 @@ def _keep_freed_memory() -> bool:
 _TRAINER_KINDS = ("classification", "segmentation", "detection")
 
 
+def _int_setting(config: Config, key: str, default: int, low: int) -> int:
+    """``config``'s ``key``, refused unless an int (not a bool) >= ``low``."""
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise TrainError(f"config key {key!r} must be >= {low} (an int), got {value!r}")
+    return value
+
+
 def run_trainer(kind: str, config: Config, workdir: str,
                 seed: int = 0, stop_when: Callable | None = None) -> dict:
     """Full training loop; returns the final aggregated eval metrics.
@@ -359,66 +373,67 @@ def run_trainer(kind: str, config: Config, workdir: str,
     ``metrics.jsonl`` to that step, so the finished files equal those of
     an uninterrupted run; when that checkpoint is at ``total_steps`` the
     run is finished, and its final eval is recomputed and returned with
-    nothing trained or written. A checkpoint written under another seed,
-    or a config differing in more than ``total_steps`` (in that too under
-    ``optimizer.cosine_decay``), or at a step past ``total_steps``, is
-    refused with ``TrainError``; so are ``eval_every < 1``,
-    ``optimizer.grad_clip <= 0``, a negative or NaN ``optimizer.lr``, an
-    ``optimizer.momentum`` outside [0, 1) under ``sgd_momentum`` and a
-    config key that nothing reads (``optimizer.momentum`` under another
-    kind among them), before anything is written. ``stop_when`` is
+    nothing trained or written. Config is checked before the workdir is
+    made (integer settings, optimizer values, keys nothing reads), and a
+    refusal there raises its module's error as a ``ConfigError`` too. A
+    checkpoint written under another seed, or a config differing in more
+    than ``total_steps`` (in that too under ``optimizer.cosine_decay``),
+    or at a step past ``total_steps``, is refused later with a plain
+    ``TrainError``. ``stop_when`` is
     checked against eval metrics to allow stopping as soon as a target
     is reached. On glibc, just before the first step, it tells malloc to
     keep freed memory mapped for the rest of the process (see
     ``_keep_freed_memory``).
     """
-    if kind not in _TRAINER_KINDS:
-        raise TrainError(f"unknown trainer kind {kind!r}; have {_TRAINER_KINDS}")
-    config = config.with_defaults(model_defaults(config.require("model.name")))
+    try:
+        if kind not in _TRAINER_KINDS:
+            raise TrainError(f"unknown trainer kind {kind!r}; have {_TRAINER_KINDS}")
+        config = config.with_defaults(model_defaults(config.require("model.name")))
 
-    topology = Topology(
-        host_count=config.get("topology.host_count", 1),
-        devices_per_host=config.get("topology.devices_per_host", 1),
-    )
-    per_device_batch = config.get("batch_size", 32)
-    total_steps = config.get("total_steps", 200)
-    eval_every = config.get("eval_every", max(total_steps // 4, 1))
-    if eval_every < 1:
-        raise TrainError(f"config key 'eval_every' must be >= 1, got {eval_every}")
+        topology = Topology(
+            host_count=_int_setting(config, "topology.host_count", 1, 1),
+            devices_per_host=_int_setting(config, "topology.devices_per_host", 1, 1),
+        )
+        per_device_batch = _int_setting(config, "batch_size", 32, 1)
+        total_steps = _int_setting(config, "total_steps", 200, 0)
+        eval_every = _int_setting(config, "eval_every", max(total_steps // 4, 1), 1)
 
-    root = R.RngKey.from_seed(seed)
-    k_data, k_init = R.split(root, 2)
-    datasets = [
-        build_dataset(
-            config.require("dataset.name"),
-            ShardSpec(h, topology.host_count, topology.devices_per_host,
-                      per_device_batch),
-            k_data, config)
-        for h in range(topology.host_count)
-    ]
-    meta = datasets[0].meta_data
+        root = R.RngKey.from_seed(seed)
+        k_data, k_init = R.split(root, 2)
+        datasets = [
+            build_dataset(
+                config.require("dataset.name"),
+                ShardSpec(h, topology.host_count, topology.devices_per_host,
+                          per_device_batch),
+                k_data, config)
+            for h in range(topology.host_count)
+        ]
+        meta = datasets[0].meta_data
 
-    factory = get_model_cls(config.require("model.name"))
-    contract = factory(config, meta)
+        factory = get_model_cls(config.require("model.name"))
+        contract = factory(config, meta)
 
-    lr = config.get("optimizer.lr", 1e-3)
-    opt_kind = config.get("optimizer.kind", "adam")
-    opt = OptimizerSpec(
-        kind=opt_kind,
-        lr=(cosine_decay(lr, total_steps)
-            if config.get("optimizer.cosine_decay", False) else lr),
-        grad_clip=config.get("optimizer.grad_clip"),
-        # only sgd_momentum reads a momentum: under another kind the key
-        # stays unread, and is refused below
-        **({"momentum": config.get("optimizer.momentum", 0.9)}
-           if opt_kind == "sgd_momentum" else {}),
-    )
+        lr = config.get("optimizer.lr", 1e-3)
+        opt_kind = config.get("optimizer.kind", "adam")
+        opt = OptimizerSpec(
+            kind=opt_kind,
+            lr=(cosine_decay(lr, total_steps)
+                if config.get("optimizer.cosine_decay", False) else lr),
+            grad_clip=config.get("optimizer.grad_clip"),
+            # only sgd_momentum reads a momentum: under another kind the key
+            # stays unread, and is refused below
+            **({"momentum": config.get("optimizer.momentum", 0.9)}
+               if opt_kind == "sgd_momentum" else {}),
+        )
 
-    state = init_train_state(contract, opt, k_init)
-    unread = config.unread()
-    if unread:
-        raise TrainError(f"unknown config key {unread[0]!r}: nothing reads it")
-    state = replace(state, fingerprint=_run_fingerprint(config, seed))
+        state = init_train_state(contract, opt, k_init)
+        unread = config.unread()
+        if unread:
+            raise TrainError(f"unknown config key {unread[0]!r}: nothing reads it")
+        state = replace(state, fingerprint=_run_fingerprint(config, seed))
+    except tuple(_REFUSED) as e:
+        base = next(b for b in _REFUSED if isinstance(e, b))
+        raise _REFUSED[base](*e.args) from e
 
     # resume from the newest readable checkpoint in the workdir, if any
     os.makedirs(workdir, exist_ok=True)

@@ -70,6 +70,20 @@ def test_bad_config_file_is_config_error(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("make", ["directory", "not_utf8"])
+def test_unreadable_config_file_is_config_error(tmp_path, capsys, make):
+    path, wd = tmp_path / "cfg.json", str(tmp_path / "x")
+    if make == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{}")
+    code = cli_main(["run", "--config", str(path), "--workdir", wd])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: ") and str(path) in err
+    assert not os.path.exists(wd)
+
+
 def test_unknown_override_key_is_config_error(tmp_path, capsys):
     code = cli_main(["run", "--config", write_config(tmp_path),
                      "--workdir", str(tmp_path / "x"),
@@ -99,6 +113,15 @@ def test_malformed_list_override_is_config_error(tmp_path, capsys, value):
     ({}, ["dataset=7"], "'dataset'"),
     ({"optimizer": {"kind": "adam", "lr": 1e-2, "grad_clip": None}},
      ['optimizer.grad_clip={"a": 1}'], "'optimizer.grad_clip'"),
+    # refusals of config values by the trainer, the model and the dataset
+    ({"eval_every": 0}, [], "'eval_every'"),
+    ({"total_steps": -5}, [], "'total_steps'"),
+    ({"batch_size": 8.0}, [], "'batch_size'"),
+    ({"model": {"name": "detr_detection", "num_slots": 2}}, [], "num_slots 2"),
+    ({"model": {"name": "unet_segmentation"}, "dataset": {"image_size": 2}}, [],
+     "image_size"),
+    ({}, ["+model.dropuot=0.1"], "'model.dropuot'"),
+    ({}, ["optimizer.lr=-1"], "learning rate -1.0"),
 ])
 def test_config_error_anywhere_exits_3_before_the_workdir(tmp_path, capsys,
                                                            extra, overrides, key):

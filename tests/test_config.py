@@ -33,6 +33,18 @@ def test_missing_file(tmp_path):
         C.load_config(str(tmp_path / "nope.json"))
 
 
+@pytest.mark.parametrize("make", ["directory", "not_utf8"])
+def test_unreadable_file_is_a_config_error(tmp_path, make):
+    path = tmp_path / "cfg.json"
+    if make == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(C.ConfigError, match="cannot read config file") as info:
+        C.load_config(str(path))
+    assert str(path) in str(info.value)
+
+
 def test_missing_required_key():
     cfg = C.Config({"a": 1})
     with pytest.raises(C.ConfigError, match="missing config key"):

@@ -15,7 +15,7 @@ from deskml import rng as R
 from deskml import tensor as T
 from deskml import train as TR
 from deskml.baselines import build_mlp, build_resnet, build_vit
-from deskml.config import Config
+from deskml.config import Config, ConfigError
 from deskml.data import DatasetMetaData
 from deskml.models import (ArchitectureHandle, ModelContract, ModelError,
                            classification_loss, classification_metrics)
@@ -588,6 +588,38 @@ class TestRunTrainer:
         with pytest.raises(TR.TrainError, match="'eval_every' must be >= 1"):
             TR.run_trainer("classification", trainer_config(eval_every=eval_every),
                            str(tmp_path / "x"))
+
+    @pytest.mark.parametrize("key, value, name", [
+        ("total_steps", -5, "total_steps"), ("total_steps", 2.5, "total_steps"),
+        ("eval_every", 2.5, "eval_every"), ("eval_every", True, "eval_every"),
+        ("batch_size", 8.0, "batch_size"), ("batch_size", 0, "batch_size"),
+        ("batch_size", True, "batch_size"),
+        ("topology", {"host_count": 0}, "topology.host_count"),
+        ("topology", {"devices_per_host": 2.0}, "topology.devices_per_host")])
+    def test_bad_integer_setting_is_a_config_error(self, tmp_path, key, value,
+                                                   name):
+        wd = str(tmp_path / "x")
+        with pytest.raises(ConfigError, match=f"'{name}' must be >= ") as info:
+            TR.run_trainer("classification", trainer_config(**{key: value}), wd)
+        assert isinstance(info.value, TR.TrainError)
+        assert not os.path.exists(wd)
+
+    def test_steps_get_whole_host_batches(self, tmp_path, monkeypatch):
+        seen = {"train": [], "eval": []}
+
+        def rows_of(name, step):
+            def recorded(state, batches, *args):
+                seen[name].append([b["inputs"].shape[0] for b in batches])
+                return step(state, batches, *args)
+            return recorded
+
+        monkeypatch.setattr(TR, "train_step", rows_of("train", TR.train_step))
+        monkeypatch.setattr(TR, "eval_step", rows_of("eval", TR.eval_step))
+        cfg = trainer_config(topology={"host_count": 2, "devices_per_host": 2},
+                             batch_size=4, total_steps=2, eval_every=2)
+        TR.run_trainer("classification", cfg, str(tmp_path / "x"))
+        assert seen["train"] == [[8, 8], [8, 8]]
+        assert seen["eval"] == [[8], [8]]  # one call per host batch
 
     def test_unread_optimizer_key_refused(self, tmp_path):
         cfg = trainer_config(optimizer={"kind": "adam", "lr": 1e-2, "beta2": 0.5})
