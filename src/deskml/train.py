@@ -357,7 +357,8 @@ def _int_setting(config: Config, key: str, default: int, low: int) -> int:
     """``config``'s ``key``, refused unless an int (not a bool) >= ``low``."""
     value = config.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise TrainError(f"config key {key!r} must be >= {low} (an int), got {value!r}")
+        raise TrainError(
+            f"config key {key!r} must be >= {low} (an int), got {value!r}")
     return value
 
 
@@ -379,11 +380,10 @@ def run_trainer(kind: str, config: Config, workdir: str,
     checkpoint written under another seed, or a config differing in more
     than ``total_steps`` (in that too under ``optimizer.cosine_decay``),
     or at a step past ``total_steps``, is refused later with a plain
-    ``TrainError``. ``stop_when`` is
-    checked against eval metrics to allow stopping as soon as a target
-    is reached. On glibc, just before the first step, it tells malloc to
-    keep freed memory mapped for the rest of the process (see
-    ``_keep_freed_memory``).
+    ``TrainError``. ``stop_when`` is checked against eval metrics to
+    allow stopping as soon as a target is reached. On glibc, just before
+    the first step, it tells malloc to keep freed memory mapped for the
+    rest of the process (see ``_keep_freed_memory``).
     """
     try:
         if kind not in _TRAINER_KINDS:
