@@ -24,7 +24,10 @@ from .tensor import Tensor
 
 
 def _dtype(config: Config) -> str:
-    return config.get("model.dtype", "f32")
+    dtype = config.get("model.dtype", "f32")
+    if dtype not in ("f32", "f64"):
+        raise ModelError(f"config key 'model.dtype' must be 'f32' or 'f64', got {dtype!r}")
+    return dtype
 
 
 def _in_dtype(dtype: str, params: dict, model_state: dict) -> tuple[dict, dict]:
@@ -42,6 +45,23 @@ def _rate(config: Config, key: str, default: float, closed: bool = False) -> flo
         raise ModelError(f"config key {key!r} must be in [0, 1{']' if closed else ')'}, "
                          f"got {value}")
     return value
+
+
+def _count(config: Config, key: str, default: int, low: int) -> int:
+    """The value of ``key``, refused unless >= ``low``."""
+    value = config.get(key, default)
+    if value < low:
+        raise ModelError(f"config key {key!r} must be >= {low}, got {value}")
+    return value
+
+
+def _heads(config: Config, dim: int) -> int:
+    """``model.heads``, refused unless >= 1 and a divisor of ``dim``."""
+    heads = _count(config, "model.heads", 4, 1)
+    if dim % heads:
+        raise ModelError(f"config key 'model.heads' must divide model.dim {dim}, "
+                         f"got {heads}")
+    return heads
 
 
 def _classification_contract(config, meta, arch) -> ModelContract:
@@ -92,10 +112,10 @@ def build_mlp(config: Config, meta: DatasetMetaData) -> ModelContract:
 
 
 def build_vit(config: Config, meta: DatasetMetaData) -> ModelContract:
-    patch = config.get("model.patch_size", 4)
+    patch = _count(config, "model.patch_size", 4, 1)
     dim = config.get("model.dim", 64)
-    depth = config.get("model.depth", 2)
-    heads = config.get("model.heads", 4)
+    depth = _count(config, "model.depth", 2, 0)
+    heads = _heads(config, dim)
     mlp_dim = config.get("model.mlp_dim", 2 * dim)
     drop = _rate(config, "model.dropout", 0.0)
     dtype = _dtype(config)
@@ -123,7 +143,8 @@ def build_vit(config: Config, meta: DatasetMetaData) -> ModelContract:
         cls = params["cls_token"] + T.zeros((b, 1, dim), dtype=dtype)
         x = T.concat([cls, x], axis=1)
         x = L.add_positional_embedding(x, s["pos"])
-        keys = R.split(rng, depth) if rng is not None else [None] * depth
+        # one dropout key per block, and none to split without blocks
+        keys = R.split(rng, depth) if rng is not None and depth else [None] * depth
         for i in range(depth):
             x = L.transformer_block(x, s[f"block{i}"], heads,
                                     train=train, drop_rate=drop, key=keys[i])
@@ -139,9 +160,9 @@ def build_vit(config: Config, meta: DatasetMetaData) -> ModelContract:
 
 
 def build_mixer(config: Config, meta: DatasetMetaData) -> ModelContract:
-    patch = config.get("model.patch_size", 4)
+    patch = _count(config, "model.patch_size", 4, 1)
     dim = config.get("model.dim", 64)
-    depth = config.get("model.depth", 2)
+    depth = _count(config, "model.depth", 2, 0)
     token_mlp = config.get("model.token_mlp_dim", 32)
     channel_mlp = config.get("model.channel_mlp_dim", 64)
     dtype = _dtype(config)
@@ -271,9 +292,9 @@ _MATCHED = "_matched"
 
 def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
     dim = config.get("model.dim", 64)
-    heads = config.get("model.heads", 4)
-    enc_depth = config.get("model.encoder_depth", 2)
-    dec_depth = config.get("model.decoder_depth", 2)
+    heads = _heads(config, dim)
+    enc_depth = _count(config, "model.encoder_depth", 2, 0)
+    dec_depth = _count(config, "model.decoder_depth", 2, 0)
     mlp_dim = config.get("model.mlp_dim", 2 * dim)
     num_slots = config.get("model.num_slots", 8)
     max_objects = config.get("dataset.max_objects", 3)

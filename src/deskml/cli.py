@@ -29,7 +29,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workdir", required=True, help="output directory")
     parser.add_argument("--override", action="append", default=[],
                         metavar="KEY=VALUE",
-                        help="config override; repeatable; +key=value creates")
+                        help="config override; repeatable; the value must fit "
+                             "the leaf's kind (an int leaf takes an int, a list "
+                             "leaf a JSON list); +key=value creates")
     parser.add_argument("--seed", type=int, default=0)
     return parser
 

@@ -24,6 +24,9 @@ class Config:
         self._read: set[str] = set()
 
     def get(self, path: str, default=None, *, required=False):
+        """The value at ``path``, or ``default`` where it is missing. A value
+        not of its default's kind (``_KINDS``) is refused; a read with no
+        default, ``require`` among them, takes any value."""
         self._read.add(path)
         node = self._values
         parts = path.split(".")
@@ -33,6 +36,9 @@ class Config:
                     raise ConfigError(f"missing config key {'.'.join(parts[:i + 1])!r}")
                 return default
             node = node[part]
+        kind = _misfit(node, default)
+        if kind:
+            raise ConfigError(f"config key {path!r} must be {kind}, got {node!r}")
         return copy.deepcopy(node) if isinstance(node, (dict, list)) else node
 
     def require(self, path: str):
@@ -112,39 +118,31 @@ def dumps(config: Config) -> str:
     return json.dumps(config.to_dict(), indent=2, sort_keys=True)
 
 
+_BOOLS = {"true": True, "1": True, "false": False, "0": False}
+# The kinds of config values, by the type of a default or of an override's
+# leaf: each kind's name and how an override's text is read for it. A
+# value must be of its default's kind, but an int also fits a float
+# default; a bool fits only a bool, and a null nothing.
+_KINDS = {bool: ("a bool", lambda t: _BOOLS.get(t.lower(), t)), int: ("an int", int),
+          float: ("a number", float), str: ("a string", str),
+          list: ("a JSON list", json.loads), dict: ("a JSON map", json.loads)}
+
+
+def _misfit(value, default) -> str | None:
+    """``default``'s kind if ``value`` is not of it; a None default takes any."""
+    want, got = type(default), type(value)
+    if default is None or got is want or (want is float and got is int):
+        return None
+    return _KINDS[want][0]
+
+
 def _parse_value(text: str, existing):
-    """Parse an override value, coercing to the existing leaf's type."""
-    if isinstance(existing, bool):
-        if text.lower() in ("true", "1"):
-            return True
-        if text.lower() in ("false", "0"):
-            return False
-        raise ConfigError(f"cannot parse {text!r} as bool")
-    if isinstance(existing, int) and not isinstance(existing, bool):
-        try:
-            return int(text)
-        except ValueError:
-            raise ConfigError(f"cannot parse {text!r} as int") from None
-    if isinstance(existing, float):
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(f"cannot parse {text!r} as float") from None
-    if isinstance(existing, str):
-        return text
-    if isinstance(existing, list):
-        try:
-            value = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"cannot parse {text!r} as a JSON list: {e.msg}") from None
-        if not isinstance(value, list):
-            raise ConfigError(f"cannot parse {text!r} as a JSON list: "
-                              f"got {type(value).__name__}")
-        return value
-    # new key: infer via JSON, fall back to string
+    """Read an override's text as ``_KINDS`` says for the existing leaf, as
+    JSON for a new key or a null; text that does not parse stays text,
+    which ``override`` then refuses unless it fits the leaf's kind."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError:
+        return _KINDS.get(type(existing), (None, json.loads))[1](text)
+    except ValueError:
         return text
 
 
@@ -152,9 +150,9 @@ def override(config: Config, assignments: list[str]) -> Config:
     """Apply ``dotted.key=value`` assignments, returning a new Config.
 
     A plain key must already exist; prefix with ``+`` to create one.
-    Values are coerced to the existing leaf's type, and a plain key
-    refuses a non-map over a map and a map over a leaf; ``+`` replaces
-    either.
+    A value must fit its leaf's kind, as one must fit its default in
+    ``Config.get``; a plain key refuses a non-map over a map and a map
+    over a leaf, and ``+`` replaces either.
     """
     values = config.to_dict()
     for item in assignments:
@@ -177,11 +175,12 @@ def override(config: Config, assignments: list[str]) -> Config:
         leaf = parts[-1]
         if leaf not in node and not create:
             raise ConfigError(f"unknown config key {key!r} (use +{key}= to create)")
-        try:
-            value = _parse_value(text, node.get(leaf))
-        except ConfigError as e:
-            raise ConfigError(f"config key {key!r}: {e}") from None
-        if not create and isinstance(node[leaf], dict) != isinstance(value, dict):
+        existing = node.get(leaf)
+        value = _parse_value(text, existing)
+        kind = None if isinstance(existing, dict) else _misfit(value, existing)
+        if kind:
+            raise ConfigError(f"config key {key!r}: cannot parse {text!r} as {kind}")
+        if not create and isinstance(existing, dict) != isinstance(value, dict):
             what = "a leaf with a map" if isinstance(value, dict) else "a map with a non-map"
             raise ConfigError(f"config key {key!r}: an override cannot replace {what} "
                               f"(use +{key}= to replace it)")

@@ -66,9 +66,12 @@ class OptimizerSpec:
         if self.kind not in _SLOTS:
             raise TrainError(f"unknown optimizer kind {self.kind!r}; "
                              f"have {sorted(_SLOTS)}")
-        if self.grad_clip is not None and not self.grad_clip > 0:
-            raise TrainError(
-                f"optimizer.grad_clip must be > 0, got {self.grad_clip}")
+        clip = self.grad_clip
+        # read with no default, so Config's kind rule leaves it to this check
+        if clip is not None and (isinstance(clip, bool) or not isinstance(clip, (int, float))):
+            raise TrainError(f"optimizer.grad_clip must be a number, got {clip!r}")
+        if clip is not None and not clip > 0:
+            raise TrainError(f"optimizer.grad_clip must be > 0, got {clip}")
         self.lr_at(0)  # lr_at checks a schedule again at every step
         if self.kind == "sgd_momentum" and not 0 <= self.momentum < 1:
             raise TrainError(
@@ -354,11 +357,10 @@ _TRAINER_KINDS = ("classification", "segmentation", "detection")
 
 
 def _int_setting(config: Config, key: str, default: int, low: int) -> int:
-    """``config``'s ``key``, refused unless an int (not a bool) >= ``low``."""
+    """``config``'s int ``key`` (kind checked by ``Config.get``), refused below ``low``."""
     value = config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise TrainError(
-            f"config key {key!r} must be >= {low} (an int), got {value!r}")
+    if value < low:
+        raise TrainError(f"config key {key!r} must be >= {low}, got {value!r}")
     return value
 
 
@@ -375,8 +377,8 @@ def run_trainer(kind: str, config: Config, workdir: str,
     an uninterrupted run; when that checkpoint is at ``total_steps`` the
     run is finished, and its final eval is recomputed and returned with
     nothing trained or written. Config is checked before the workdir is
-    made (integer settings, optimizer values, keys nothing reads), and a
-    refusal there raises its module's error as a ``ConfigError`` too. A
+    made (kinds in ``Config.get``, bounds, keys nothing reads); a refusal
+    there is a ``ConfigError``, or its module's error raised as one. A
     checkpoint written under another seed, or a config differing in more
     than ``total_steps`` (in that too under ``optimizer.cosine_decay``),
     or at a step past ``total_steps``, is refused later with a plain

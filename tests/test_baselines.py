@@ -487,6 +487,16 @@ def test_every_baseline_trains_one_step(tmp_path):
         assert "loss" in out
 
 
+def test_vit_without_blocks_trains_one_step(tmp_path):
+    # as Mixer and DETR do at depth 0: no block, so no dropout key to split
+    cfg = Config({"model": {"name": "vit_classification", "depth": 0,
+                            "dropout": 0.1},
+                  "batch_size": 4, "total_steps": 1, "eval_every": 1,
+                  "dataset": {"num_train_examples": 8, "num_eval_examples": 4}})
+    out = TR.run_trainer("classification", cfg, str(tmp_path / "vit"), seed=0)
+    assert np.isfinite(out["loss"])
+
+
 @pytest.mark.parametrize("name", sorted(B.BASELINES))
 def test_fixed_seed_runs_are_byte_identical(tmp_path, name):
     _, defaults, kind = B.BASELINES[name]

@@ -122,6 +122,28 @@ def test_malformed_list_override_is_config_error(tmp_path, capsys, value):
      "image_size"),
     ({}, ["+model.dropuot=0.1"], "'model.dropuot'"),
     ({}, ["optimizer.lr=-1"], "learning rate -1.0"),
+    # values of another kind than their defaults, refused by Config
+    ({"optimizer": {"kind": "adam", "lr": "x"}}, [], "'optimizer.lr' must be a number"),
+    ({"model": {"name": "vit_classification", "dropout": "x"}}, [],
+     "'model.dropout' must be a number"),
+    ({"dataset": {"num_train_examples": "64", "num_eval_examples": 16}}, [],
+     "'dataset.num_train_examples' must be an int"),
+    ({"model": {"name": "vit_classification", "dim": "64"}}, [],
+     "'model.dim' must be an int"),
+    ({"optimizer": {"kind": "adam", "lr": 1e-2, "cosine_decay": 1}}, [],
+     "'optimizer.cosine_decay' must be a bool"),
+    ({"model": {"name": "fully_connected_classification", "hidden": 64}}, [],
+     "'model.hidden' must be a JSON list"),
+    ({"model": {"name": "vit_classification", "dropout": None}}, [],
+     "'model.dropout' must be a number, got None"),
+    # grad_clip, read with no default, and the model's shapes and dtype
+    ({"optimizer": {"kind": "adam", "lr": 1e-2, "grad_clip": True}}, [],
+     "optimizer.grad_clip must be a number"),
+    ({"model": {"name": "vit_classification", "heads": 3}}, [], "'model.heads'"),
+    ({"model": {"name": "vit_classification", "patch_size": 0}}, [],
+     "'model.patch_size'"),
+    ({"model": {"name": "vit_classification", "dtype": "f16"}}, [], "'model.dtype'"),
+    ({"model": {"name": "vit_classification", "depth": -1}}, [], "'model.depth'"),
 ])
 def test_config_error_anywhere_exits_3_before_the_workdir(tmp_path, capsys,
                                                            extra, overrides, key):

@@ -52,6 +52,30 @@ def test_missing_required_key():
     assert cfg.get("zzz", 5) == 5
 
 
+@pytest.mark.parametrize("value, default, kind", [
+    (True, 1, "an int"),  # a bool is not an int
+    (1, False, "a bool"),
+    (3, 0.5, None),  # an int fits a float default, and stays an int
+    (0.5, 3, "an int"),
+    (None, 0.5, "a number"),  # a null fits nothing
+    ([3], 3, "an int"),
+    (3, [3], "a JSON list"),
+    ("0.5", 0.5, "a number"),
+    ({"c": 1}, "x", "a string"),
+    ("x", None, None),  # a read with no default takes any value
+])
+def test_get_refuses_a_value_unlike_its_default(value, default, kind):
+    cfg = C.Config({"a": {"b": value}})
+    if kind is None:
+        assert cfg.get("a.b", default) == value
+        assert type(cfg.get("a.b", default)) is type(value)
+        assert cfg.require("a.b") == value
+    else:
+        with pytest.raises(C.ConfigError,
+                           match=f"config key 'a.b' must be {kind}, got "):
+            cfg.get("a.b", default)
+
+
 def test_override_basic():
     cfg = C.Config({"lr": 0.1})
     out = C.override(cfg, ["lr=0.01"])
@@ -108,6 +132,23 @@ def test_override_keeps_maps_and_leaves_apart(values, item, what):
         C.override(cfg, [item])
     # + replaces either
     assert C.override(cfg, ["+" + item]).get(key) == json.loads(item.split("=", 1)[1])
+
+
+@pytest.mark.parametrize("leaf, text, value", [
+    (False, "TRUE", True), (True, "0", False), (3, " 7", 7), (0.5, "2", 2.0),
+    ("x", "007", "007"), (None, "1.5", 1.5), (None, "abc", "abc"),
+])
+def test_override_reads_its_text_for_the_leaf(leaf, text, value):
+    out = C.override(C.Config({"k": leaf}), [f"k={text}"]).get("k")
+    assert out == value and type(out) is type(value)
+
+
+@pytest.mark.parametrize("leaf, text, kind", [
+    (False, "yes", "a bool"), (3, "2.0", "an int"), (0.5, "x", "a number"),
+])
+def test_override_refuses_text_unlike_its_leaf(leaf, text, kind):
+    with pytest.raises(C.ConfigError, match=f"'k': cannot parse '{text}' as {kind}$"):
+        C.override(C.Config({"k": leaf}), [f"k={text}"])
 
 
 def test_override_bool_leaf():
