@@ -37,27 +37,9 @@ def _in_dtype(dtype: str, params: dict, model_state: dict) -> tuple[dict, dict]:
             {k: Tensor(v, dtype=dtype) for k, v in model_state.items()})
 
 
-def _rate(config: Config, key: str, default: float, closed: bool = False) -> float:
-    """The value of ``key``, refused unless it lies in [0, 1), or in
-    [0, 1] when ``closed``; NaN is refused too."""
-    value = config.get(key, default)
-    if not (0 <= value < 1 or closed and value == 1):
-        raise ModelError(f"config key {key!r} must be in [0, 1{']' if closed else ')'}, "
-                         f"got {value}")
-    return value
-
-
-def _count(config: Config, key: str, default: int, low: int) -> int:
-    """The value of ``key``, refused unless >= ``low``."""
-    value = config.get(key, default)
-    if value < low:
-        raise ModelError(f"config key {key!r} must be >= {low}, got {value}")
-    return value
-
-
 def _heads(config: Config, dim: int) -> int:
-    """``model.heads``, refused unless >= 1 and a divisor of ``dim``."""
-    heads = _count(config, "model.heads", 4, 1)
+    """``model.heads``, refused unless a divisor of ``dim``."""
+    heads = config.get("model.heads", 4, within="[1, inf)")
     if dim % heads:
         raise ModelError(f"config key 'model.heads' must divide model.dim {dim}, "
                          f"got {heads}")
@@ -65,7 +47,7 @@ def _heads(config: Config, dim: int) -> int:
 
 
 def _classification_contract(config, meta, arch) -> ModelContract:
-    smoothing = _rate(config, "model.label_smoothing", 0.0)
+    smoothing = config.get("model.label_smoothing", 0.0, within="[0, 1)")
 
     def loss_fn(logits, batch):
         return classification_loss(logits, batch, num_classes=meta.num_classes,
@@ -81,7 +63,7 @@ def _classification_contract(config, meta, arch) -> ModelContract:
 
 
 def build_mlp(config: Config, meta: DatasetMetaData) -> ModelContract:
-    hidden = config.get("model.hidden", [64])
+    hidden = config.get("model.hidden", [64], within="[1, inf)")
     dtype = _dtype(config)
     k = meta.num_classes
     d_in = int(np.prod(meta.input_shape[1:]))
@@ -112,12 +94,12 @@ def build_mlp(config: Config, meta: DatasetMetaData) -> ModelContract:
 
 
 def build_vit(config: Config, meta: DatasetMetaData) -> ModelContract:
-    patch = _count(config, "model.patch_size", 4, 1)
-    dim = config.get("model.dim", 64)
-    depth = _count(config, "model.depth", 2, 0)
+    patch = config.get("model.patch_size", 4, within="[1, inf)")
+    dim = config.get("model.dim", 64, within="[1, inf)")
+    depth = config.get("model.depth", 2, within="[0, inf)")
     heads = _heads(config, dim)
-    mlp_dim = config.get("model.mlp_dim", 2 * dim)
-    drop = _rate(config, "model.dropout", 0.0)
+    mlp_dim = config.get("model.mlp_dim", 2 * dim, within="[1, inf)")
+    drop = config.get("model.dropout", 0.0, within="[0, 1)")
     dtype = _dtype(config)
     k = meta.num_classes
     _, h, w, c = meta.input_shape
@@ -160,11 +142,11 @@ def build_vit(config: Config, meta: DatasetMetaData) -> ModelContract:
 
 
 def build_mixer(config: Config, meta: DatasetMetaData) -> ModelContract:
-    patch = _count(config, "model.patch_size", 4, 1)
-    dim = config.get("model.dim", 64)
-    depth = _count(config, "model.depth", 2, 0)
-    token_mlp = config.get("model.token_mlp_dim", 32)
-    channel_mlp = config.get("model.channel_mlp_dim", 64)
+    patch = config.get("model.patch_size", 4, within="[1, inf)")
+    dim = config.get("model.dim", 64, within="[1, inf)")
+    depth = config.get("model.depth", 2, within="[0, inf)")
+    token_mlp = config.get("model.token_mlp_dim", 32, within="[1, inf)")
+    channel_mlp = config.get("model.channel_mlp_dim", 64, within="[1, inf)")
     dtype = _dtype(config)
     k = meta.num_classes
     _, h, w, c = meta.input_shape
@@ -199,8 +181,8 @@ def build_mixer(config: Config, meta: DatasetMetaData) -> ModelContract:
 
 
 def build_resnet(config: Config, meta: DatasetMetaData) -> ModelContract:
-    width = config.get("model.width", 16)
-    momentum = _rate(config, "model.bn_momentum", 0.9, closed=True)
+    width = config.get("model.width", 16, within="[1, inf)")
+    momentum = config.get("model.bn_momentum", 0.9, within="[0, 1]")
     dtype = _dtype(config)
     k = meta.num_classes
     c = meta.input_shape[-1]
@@ -245,7 +227,7 @@ def build_resnet(config: Config, meta: DatasetMetaData) -> ModelContract:
 
 
 def build_unet(config: Config, meta: DatasetMetaData) -> ModelContract:
-    width = config.get("model.width", 16)
+    width = config.get("model.width", 16, within="[1, inf)")
     dtype = _dtype(config)
     k = meta.num_classes
     _, h, w, c = meta.input_shape
@@ -291,15 +273,15 @@ _MATCHED = "_matched"
 
 
 def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
-    dim = config.get("model.dim", 64)
+    dim = config.get("model.dim", 64, within="[2, inf)")  # conv1 has dim // 2 channels
     heads = _heads(config, dim)
-    enc_depth = _count(config, "model.encoder_depth", 2, 0)
-    dec_depth = _count(config, "model.decoder_depth", 2, 0)
-    mlp_dim = config.get("model.mlp_dim", 2 * dim)
-    num_slots = config.get("model.num_slots", 8)
-    max_objects = config.get("dataset.max_objects", 3)
-    lambda_cls = config.get("model.lambda_cls", 1.0)
-    lambda_box = config.get("model.lambda_box", 5.0)
+    enc_depth = config.get("model.encoder_depth", 2, within="[0, inf)")
+    dec_depth = config.get("model.decoder_depth", 2, within="[0, inf)")
+    mlp_dim = config.get("model.mlp_dim", 2 * dim, within="[1, inf)")
+    num_slots = config.get("model.num_slots", 8, within="[1, inf)")
+    max_objects = config.get("dataset.max_objects", 3, within="[0, inf)")
+    lambda_cls = config.get("model.lambda_cls", 1.0, within="[0, inf)")
+    lambda_box = config.get("model.lambda_box", 5.0, within="[0, inf)")
     algorithm = config.get("model.matcher", "hungarian")
     dtype = _dtype(config)
     if algorithm not in matchers._ALGORITHMS:

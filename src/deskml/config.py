@@ -23,15 +23,20 @@ class Config:
         self._values = copy.deepcopy(values) if values else {}
         self._read: set[str] = set()
 
-    def get(self, path: str, default=None, *, required=False):
-        """The value at ``path``, or ``default`` where it is missing. A value
-        not of its default's kind (``_KINDS``) is refused; a read with no
-        default, ``require`` among them, takes any value."""
+    def get(self, path: str, default=None, *, required=False, within=None):
+        """The value at ``path``, or ``default`` where it is missing. Refused:
+        a non-map above ``path``; a value not of its default's kind
+        (``_misfit``), where a read with no default, ``require`` among them,
+        takes any; and a number, or a list element, outside the interval
+        ``within`` as the error prints it (``"[0, 1)"``, ``"[1, inf)"``)."""
         self._read.add(path)
         node = self._values
         parts = path.split(".")
         for i, part in enumerate(parts):
-            if not isinstance(node, dict) or part not in node:
+            if not isinstance(node, dict):
+                raise ConfigError(f"config key {'.'.join(parts[:i])!r} must be a JSON map "
+                                  f"to hold {path!r}, got {node!r}")
+            if part not in node:
                 if required:
                     raise ConfigError(f"missing config key {'.'.join(parts[:i + 1])!r}")
                 return default
@@ -39,6 +44,11 @@ class Config:
         kind = _misfit(node, default)
         if kind:
             raise ConfigError(f"config key {path!r} must be {kind}, got {node!r}")
+        values = node if isinstance(node, list) else [node]
+        bad = [v for v in values if _outside(v, within)] if within else []
+        if bad:
+            got = f"{bad[0]!r} in {node!r}" if isinstance(node, list) else repr(node)
+            raise ConfigError(f"config key {path!r} must be in {within}, got {got}")
         return copy.deepcopy(node) if isinstance(node, (dict, list)) else node
 
     def require(self, path: str):
@@ -122,18 +132,31 @@ _BOOLS = {"true": True, "1": True, "false": False, "0": False}
 # The kinds of config values, by the type of a default or of an override's
 # leaf: each kind's name and how an override's text is read for it. A
 # value must be of its default's kind, but an int also fits a float
-# default; a bool fits only a bool, and a null nothing.
+# default; a bool fits only a bool, and a null nothing. A list's
+# elements must be of the kind of the default's first.
 _KINDS = {bool: ("a bool", lambda t: _BOOLS.get(t.lower(), t)), int: ("an int", int),
           float: ("a number", float), str: ("a string", str),
           list: ("a JSON list", json.loads), dict: ("a JSON map", json.loads)}
 
 
 def _misfit(value, default) -> str | None:
-    """``default``'s kind if ``value`` is not of it; a None default takes any."""
+    """``default``'s kind if ``value`` is not of it; a None default takes
+    any, and each element of a list must be of its default's first one's."""
     want, got = type(default), type(value)
-    if default is None or got is want or (want is float and got is int):
+    if default is None or (want is float and got is int):
         return None
-    return _KINDS[want][0]
+    if got is not want:
+        return _KINDS[want][0]
+    inner = [_misfit(v, default[0]) for v in value] if want is list and default else []
+    return next((f"a JSON list with each element {k}" for k in inner if k), None)
+
+
+def _outside(value, within: str) -> bool:
+    """Whether the number ``value`` lies outside the interval ``within``,
+    e.g. ``"[0, 1)"``; NaN lies outside every one."""
+    lo, hi = (float(end) for end in within[1:-1].split(","))
+    return not ((lo <= value if within[0] == "[" else lo < value)
+                and (value <= hi if within[-1] == "]" else value < hi))
 
 
 def _parse_value(text: str, existing):

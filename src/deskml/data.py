@@ -112,8 +112,8 @@ def _blob_centers(key: R.RngKey, k: int, dim: int) -> np.ndarray:
 
 
 def _gen_blobs(task_key, key, n, config: Config):
-    k = config.get("dataset.num_classes", 4)
-    shape = tuple(config.get("dataset.input_shape", [2]))
+    k = config.get("dataset.num_classes", 4, within="[1, inf)")
+    shape = tuple(config.get("dataset.input_shape", [2], within="[1, inf)"))
     dim = int(np.prod(shape))
     kl, kn = R.split(key, 2)
     # centers define the task itself, so they derive from the task key
@@ -125,14 +125,6 @@ def _gen_blobs(task_key, key, n, config: Config):
         "inputs": x.reshape((n,) + shape).astype(np.float32),
         "label": labels.astype(np.int64),
     }, k, shape
-
-
-def _image_size(config: Config) -> int:
-    size = config.get("dataset.image_size", 16)
-    if size < 3:
-        raise DatasetError(
-            f"dataset.image_size must be >= 3 to hold a shape, got {size}")
-    return size
 
 
 def _image_keys(key: R.RngKey, n: int):
@@ -170,7 +162,7 @@ def _rect_mask(top, left, h, w, size: int) -> np.ndarray:
 
 
 def _gen_shapes_segmentation(task_key, key, n, config: Config):
-    size = _image_size(config)
+    size = config.get("dataset.image_size", 16, within="[3, inf)")  # the smallest shape is 3 wide
     k_noise, k0, k1 = _image_keys(key, n)
     noise = R.normal(k_noise, (n, size, size)) * 0.1
     vals = _uniform_lanes(k0, k1, 8)
@@ -191,12 +183,9 @@ def _gen_shapes_segmentation(task_key, key, n, config: Config):
 
 
 def _gen_boxes_detection(task_key, key, n, config: Config):
-    size = _image_size(config)
-    k = config.get("dataset.num_classes", 2)
-    max_objects = config.get("dataset.max_objects", 3)
-    if k < 1 or max_objects < 0:
-        raise DatasetError(f"boxes_detection needs num_classes >= 1 and "
-                           f"max_objects >= 0, got {k} and {max_objects}")
+    size = config.get("dataset.image_size", 16, within="[3, inf)")
+    k = config.get("dataset.num_classes", 2, within="[1, inf)")
+    max_objects = config.get("dataset.max_objects", 3, within="[0, inf)")
     k_noise, k0, k1 = _image_keys(key, n)
     noise = R.normal(k_noise, (n, size, size)) * 0.05
     # each image's key splits into its count, class and geometry keys
@@ -239,17 +228,20 @@ def build_dataset(name: str, shard: ShardSpec, seed: R.RngKey,
 
     The train stream is an infinite per-epoch reshuffle of this host's
     shard; the eval iterator covers the host's eval shard exactly once
-    per call, padding the final batch.
+    per call, padding the final batch. A ``dataset.*`` value of the
+    wrong kind or outside its range is refused by ``Config.get`` with a
+    ``ConfigError``; an unknown name or a shard the examples cannot fill
+    raises a ``DatasetError``.
     """
     gen = _GENERATORS.get(name)
     if gen is None:
         raise DatasetError(
             f"unknown dataset {name!r}; registered: {available_datasets()}")
     config = config or Config()
-    n_train = config.get("dataset.num_train_examples", _DEFAULT_COUNTS["train"])
-    n_eval = config.get("dataset.num_eval_examples", _DEFAULT_COUNTS["eval"])
-    if n_train < 1 or n_eval < 1:
-        raise DatasetError("example counts must be >= 1")
+    n_train = config.get("dataset.num_train_examples", _DEFAULT_COUNTS["train"],
+                         within="[1, inf)")
+    n_eval = config.get("dataset.num_eval_examples", _DEFAULT_COUNTS["eval"],
+                        within="[1, inf)")
 
     k_task, k_train, k_eval, k_shuffle = R.split(seed, 4)
     train_arrays, num_classes, input_shape = gen(

@@ -16,6 +16,7 @@ import ctypes
 import json
 import os
 import platform
+import re
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -356,14 +357,6 @@ def _keep_freed_memory() -> bool:
 _TRAINER_KINDS = ("classification", "segmentation", "detection")
 
 
-def _int_setting(config: Config, key: str, default: int, low: int) -> int:
-    """``config``'s int ``key`` (kind checked by ``Config.get``), refused below ``low``."""
-    value = config.get(key, default)
-    if value < low:
-        raise TrainError(f"config key {key!r} must be >= {low}, got {value!r}")
-    return value
-
-
 def run_trainer(kind: str, config: Config, workdir: str,
                 seed: int = 0, stop_when: Callable | None = None) -> dict:
     """Full training loop; returns the final aggregated eval metrics.
@@ -372,13 +365,15 @@ def run_trainer(kind: str, config: Config, workdir: str,
     out. Writes ``<workdir>/metrics.jsonl`` (records numbered in order,
     so identical runs are byte-identical) and ``ckpt_<step>.bin`` at
     every eval and at the end. On a workdir that already holds
-    checkpoints it resumes from the newest one that loads, truncating
+    checkpoints (files named ``ckpt_<digits>.bin``; any other name is
+    left alone) it resumes from the newest one that loads, truncating
     ``metrics.jsonl`` to that step, so the finished files equal those of
     an uninterrupted run; when that checkpoint is at ``total_steps`` the
     run is finished, and its final eval is recomputed and returned with
     nothing trained or written. Config is checked before the workdir is
-    made (kinds in ``Config.get``, bounds, keys nothing reads); a refusal
-    there is a ``ConfigError``, or its module's error raised as one. A
+    made: ``Config.get`` refuses a value of the wrong kind or outside its
+    range with a ``ConfigError``, and a check across values (a shape, a
+    name, keys nothing reads) raises its module's error as one. A
     checkpoint written under another seed, or a config differing in more
     than ``total_steps`` (in that too under ``optimizer.cosine_decay``),
     or at a step past ``total_steps``, is refused later with a plain
@@ -393,12 +388,12 @@ def run_trainer(kind: str, config: Config, workdir: str,
         config = config.with_defaults(model_defaults(config.require("model.name")))
 
         topology = Topology(
-            host_count=_int_setting(config, "topology.host_count", 1, 1),
-            devices_per_host=_int_setting(config, "topology.devices_per_host", 1, 1),
+            host_count=config.get("topology.host_count", 1, within="[1, inf)"),
+            devices_per_host=config.get("topology.devices_per_host", 1, within="[1, inf)"),
         )
-        per_device_batch = _int_setting(config, "batch_size", 32, 1)
-        total_steps = _int_setting(config, "total_steps", 200, 0)
-        eval_every = _int_setting(config, "eval_every", max(total_steps // 4, 1), 1)
+        per_device_batch = config.get("batch_size", 32, within="[1, inf)")
+        total_steps = config.get("total_steps", 200, within="[0, inf)")
+        eval_every = config.get("eval_every", max(total_steps // 4, 1), within="[1, inf)")
 
         root = R.RngKey.from_seed(seed)
         k_data, k_init = R.split(root, 2)
@@ -440,9 +435,8 @@ def run_trainer(kind: str, config: Config, workdir: str,
     # resume from the newest readable checkpoint in the workdir, if any
     os.makedirs(workdir, exist_ok=True)
     resumed_at = -1
-    ckpts = sorted(
-        ((int(f[5:-4]), f) for f in os.listdir(workdir)
-         if f.startswith("ckpt_") and f.endswith(".bin")), reverse=True)
+    names = (re.fullmatch(r"ckpt_([0-9]+)\.bin", f) for f in os.listdir(workdir))
+    ckpts = sorted(((int(m[1]), m[0]) for m in names if m), reverse=True)
     for _, fname in ckpts:
         path = os.path.join(workdir, fname)
         try:

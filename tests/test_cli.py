@@ -144,6 +144,37 @@ def test_malformed_list_override_is_config_error(tmp_path, capsys, value):
      "'model.patch_size'"),
     ({"model": {"name": "vit_classification", "dtype": "f16"}}, [], "'model.dtype'"),
     ({"model": {"name": "vit_classification", "depth": -1}}, [], "'model.depth'"),
+    # values outside their range, list elements among them, refused by Config
+    ({"model": {"name": "fully_connected_classification", "hidden": [0]}}, [],
+     "'model.hidden' must be in [1, inf), got 0 in [0]"),
+    ({"model": {"name": "fully_connected_classification", "hidden": [2.5]}}, [],
+     "'model.hidden' must be a JSON list with each element an int"),
+    ({"model": {"name": "fully_connected_classification", "hidden": ["a"]}}, [],
+     "'model.hidden' must be a JSON list with each element an int"),
+    ({"model": {"name": "vit_classification", "dim": 0}}, [], "'model.dim' must be in"),
+    ({"model": {"name": "vit_classification", "mlp_dim": 0}}, [],
+     "'model.mlp_dim' must be in"),
+    ({"model": {"name": "mixer_classification", "token_mlp_dim": 0}}, [],
+     "'model.token_mlp_dim' must be in"),
+    ({"model": {"name": "resnet_classification", "width": 0}}, [], "'model.width' must be in"),
+    ({"model": {"name": "unet_segmentation", "width": 0}}, [], "'model.width' must be in"),
+    ({"model": {"name": "detr_detection", "lambda_box": -1.0}}, [],
+     "'model.lambda_box' must be in [0, inf), got -1.0"),
+    ({"model": {"name": "detr_detection", "lambda_cls": -1.0}}, [],
+     "'model.lambda_cls' must be in [0, inf), got -1.0"),
+    ({"model": {"name": "detr_detection", "dim": 1, "heads": 1}}, [],
+     "'model.dim' must be in [2, inf), got 1"),
+    ({"model": {"name": "detr_detection", "num_slots": 0},
+      "dataset": {"num_train_examples": 64, "num_eval_examples": 16, "max_objects": 0}}, [],
+     "'model.num_slots' must be in [1, inf), got 0"),
+    ({"dataset": {"num_train_examples": 64, "num_eval_examples": 16, "num_classes": 0}}, [],
+     "'dataset.num_classes' must be in [1, inf), got 0"),
+    ({"dataset": {"num_train_examples": 64, "num_eval_examples": 16, "input_shape": [0]}},
+     [], "'dataset.input_shape' must be in [1, inf), got 0 in [0]"),
+    ({"dataset": {"num_train_examples": 64, "num_eval_examples": 16,
+                  "input_shape": [2, "2"]}}, [],
+     "'dataset.input_shape' must be a JSON list with each element an int"),
+    ({"optimizer": 5}, [], "'optimizer' must be a JSON map to hold 'optimizer."),
 ])
 def test_config_error_anywhere_exits_3_before_the_workdir(tmp_path, capsys,
                                                            extra, overrides, key):

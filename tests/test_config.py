@@ -1,4 +1,7 @@
+import ast
 import json
+import pathlib
+import re
 
 import pytest
 
@@ -46,10 +49,25 @@ def test_unreadable_file_is_a_config_error(tmp_path, make):
 
 
 def test_missing_required_key():
-    cfg = C.Config({"a": 1})
-    with pytest.raises(C.ConfigError, match="missing config key"):
+    cfg = C.Config({"a": {}})
+    with pytest.raises(C.ConfigError, match="missing config key 'a.b'$"):
         cfg.require("a.b.c")
     assert cfg.get("zzz", 5) == 5
+
+
+@pytest.mark.parametrize("values, path, key", [
+    ({"a": 1}, "a.b.c", "a"),
+    ({"optimizer": 5}, "optimizer.lr", "optimizer"),
+    ({"topology": [2]}, "topology.host_count", "topology"),
+    ({"a": {"b": "x"}}, "a.b.c", "a.b"),
+])
+def test_get_refuses_a_non_map_above_the_path(values, path, key):
+    # not a fall back to the default, with or without one
+    cfg = C.Config(values)
+    for read in (lambda: cfg.get(path, 1), lambda: cfg.require(path)):
+        with pytest.raises(C.ConfigError, match=f"^config key '{key}' must be a "
+                                                f"JSON map to hold '{path}', got "):
+            read()
 
 
 @pytest.mark.parametrize("value, default, kind", [
@@ -74,6 +92,41 @@ def test_get_refuses_a_value_unlike_its_default(value, default, kind):
         with pytest.raises(C.ConfigError,
                            match=f"config key 'a.b' must be {kind}, got "):
             cfg.get("a.b", default)
+
+
+@pytest.mark.parametrize("value, default, within, got", [
+    (1, 4, "[1, inf)", None),  # each closed end takes its bound
+    (0, 4, "[1, inf)", "0"),
+    (0.0, 0.5, "[0, 1)", None),
+    (1.0, 0.5, "[0, 1)", "1.0"),  # an open end refuses its bound
+    (1, 0.5, "[0, 1]", None),
+    (0.0, 0.5, "(0, 1]", "0.0"),
+    (1e-9, 0.5, "(0, 1]", None),
+    (1.5, 0.5, "[0, 1]", "1.5"),
+    (float("nan"), 0.5, "[0, 1)", "nan"),  # NaN lies outside every interval
+    (float("nan"), 0.5, "[0, inf)", "nan"),
+    ([3, 1], [64], "[1, inf)", None),
+    ([3, 0], [64], "[1, inf)", "0 in [3, 0]"),  # every element is checked
+    ([], [64], "[1, inf)", None),
+])
+def test_get_refuses_a_value_outside_within(value, default, within, got):
+    cfg = C.Config({"a": {"b": value}})
+    if got is None:
+        assert cfg.get("a.b", default, within=within) == value
+    else:
+        with pytest.raises(C.ConfigError) as info:
+            cfg.get("a.b", default, within=within)
+        assert str(info.value) == f"config key 'a.b' must be in {within}, got {got}"
+
+
+@pytest.mark.parametrize("value, default, kind", [
+    ([3, 2.5], [64], "an int"), ([3, "a"], [64], "an int"), ([True], [64], "an int"),
+    ([[1, "a"]], [[1]], "a JSON list with each element an int")])
+def test_get_refuses_a_list_element_unlike_the_defaults_first(value, default, kind):
+    cfg = C.Config({"a": {"b": value}})
+    with pytest.raises(C.ConfigError, match=re.escape(
+            f"'a.b' must be a JSON list with each element {kind}, got {value!r}")):
+        cfg.get("a.b", default, within="[1, inf)")
 
 
 def test_override_basic():
@@ -178,7 +231,8 @@ def test_unread_names_leaves_no_get_covered():
     assert cfg.unread() == ["a.b", "a.c", "d.e", "f", "g"]
     cfg.get("a.b")
     cfg.get("d")  # reading a map reads every key under it
-    cfg.get("g.h", 0)  # a missing path below a leaf does not read the leaf
+    with pytest.raises(C.ConfigError, match="'g' must be a JSON map"):
+        cfg.get("g.h", 0)  # a path below a leaf is refused, and does not read it
     assert cfg.unread() == ["a.c", "f", "g"]
 
 
@@ -190,3 +244,30 @@ def test_unread_empty_map_needs_a_read_at_or_below_it():
     cfg.get("z")  # or the map itself
     cfg.get("modl.name", "m")  # a sibling's prefix does not
     assert cfg.unread() == ["modle"]
+
+
+# number reads that pass no within=, their ranges checked by OptimizerSpec
+_RANGED_ELSEWHERE = {"optimizer.lr", "optimizer.momentum"}
+
+
+def test_every_number_or_list_read_passes_within():
+    # a default that is not a literal string, bool, null or map is taken for
+    # a number or a list: an expression's kind cannot be read from the source
+    unranged, reads = set(), 0
+    for path in sorted(pathlib.Path(C.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "get" and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "config"):
+                continue
+            reads += 1
+            keywords = {k.arg: k.value for k in node.keywords}
+            default = node.args[1] if len(node.args) > 1 else keywords.get("default")
+            if default is None or isinstance(default, ast.Dict) or (
+                    isinstance(default, ast.Constant)
+                    and type(default.value) in (str, bool, type(None))):
+                continue
+            if "within" not in keywords:
+                unranged.add(node.args[0].value)
+    assert reads >= 30  # the walk found the reads
+    assert unranged == _RANGED_ELSEWHERE

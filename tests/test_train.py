@@ -17,7 +17,7 @@ from deskml import train as TR
 from deskml.baselines import build_mlp, build_resnet, build_vit
 from deskml.config import Config, ConfigError
 from deskml.data import DatasetMetaData
-from deskml.models import (ArchitectureHandle, ModelContract, ModelError,
+from deskml.models import (ArchitectureHandle, ModelContract,
                            classification_loss, classification_metrics)
 from deskml.tensor import Tensor
 
@@ -585,7 +585,7 @@ class TestRunTrainer:
 
     @pytest.mark.parametrize("eval_every", [0, -1])
     def test_eval_every_below_one_refused(self, tmp_path, eval_every):
-        with pytest.raises(TR.TrainError, match="'eval_every' must be >= 1"):
+        with pytest.raises(ConfigError, match=r"'eval_every' must be in \[1, inf\)"):
             TR.run_trainer("classification", trainer_config(eval_every=eval_every),
                            str(tmp_path / "x"))
 
@@ -608,9 +608,9 @@ class TestRunTrainer:
     def test_int_setting_below_its_bound_is_a_config_error(
             self, tmp_path, key, value, name):
         wd = str(tmp_path / "x")
-        with pytest.raises(ConfigError, match=f"'{name}' must be >= ") as info:
+        with pytest.raises(ConfigError, match=f"'{name}' must be in \\[") as info:
             TR.run_trainer("classification", trainer_config(**{key: value}), wd)
-        assert isinstance(info.value, TR.TrainError)
+        assert type(info.value) is ConfigError
         assert not os.path.exists(wd)
 
     def test_steps_get_whole_host_batches(self, tmp_path, monkeypatch):
@@ -675,7 +675,7 @@ class TestRunTrainer:
     ])
     def test_model_rate_outside_its_range_refused(self, tmp_path, name, key, value):
         wd = str(tmp_path / "x")
-        with pytest.raises(ModelError, match=f"'model.{key}' must be in \\[0, 1"):
+        with pytest.raises(ConfigError, match=f"'model.{key}' must be in \\[0, 1"):
             TR.run_trainer("classification",
                            trainer_config(model={"name": name, key: value}), wd)
         assert not os.path.exists(wd)
@@ -796,6 +796,19 @@ class TestResume:
             f.write(raw[:len(raw) // 2])
         TR.run_trainer("classification", self.config(), split, seed=3)
         self.assert_same_files(full, split, ["metrics.jsonl", "ckpt_10.bin"])
+
+    @pytest.mark.parametrize("name", ["ckpt_best.bin", "ckpt_.bin"])
+    def test_foreign_checkpoint_name_is_left_alone(self, tmp_path, name):
+        full = self.full_run(tmp_path)
+        split = str(tmp_path / "split")
+        TR.run_trainer("classification", self.config(total_steps=5), split,
+                       seed=3)
+        foreign = os.path.join(split, name)
+        with open(foreign, "wb") as f:
+            f.write(read_bytes(os.path.join(split, "ckpt_5.bin")))
+        TR.run_trainer("classification", self.config(), split, seed=3)
+        self.assert_same_files(full, split, ["metrics.jsonl", "ckpt_10.bin"])
+        assert read_bytes(foreign) == read_bytes(os.path.join(split, "ckpt_5.bin"))
 
     def test_changed_layout_refused(self, tmp_path):
         wd = str(tmp_path / "run")
