@@ -280,8 +280,13 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
     mlp_dim = config.get("model.mlp_dim", 2 * dim, within="[1, inf)")
     num_slots = config.get("model.num_slots", 8, within="[1, inf)")
     max_objects = config.get("dataset.max_objects", 3, within="[0, inf)")
-    lambda_cls = config.get("model.lambda_cls", 1.0, within="[0, inf)")
-    lambda_box = config.get("model.lambda_box", 5.0, within="[0, inf)")
+    # a matching cost is at most lambda_cls * 1 + lambda_box * 4, which
+    # these bounds keep finite in float32 (max about 3.4e38)
+    lambda_cls = config.get("model.lambda_cls", 1.0, within="[0, 1e37]")
+    lambda_box = config.get("model.lambda_box", 5.0, within="[0, 1e37]")
+    if lambda_cls == lambda_box == 0:
+        raise ModelError("model.lambda_cls and model.lambda_box are both 0, "
+                         "so every matching would cost the same")
     algorithm = config.get("model.matcher", "hungarian")
     dtype = _dtype(config)
     if algorithm not in matchers._ALGORITHMS:

@@ -69,7 +69,7 @@ def save_checkpoint(state, path: str):
 
 def load_checkpoint(path: str):
     from .rng import RngKey
-    from .train import TrainState
+    from .train import TrainState, _flat_loaded
 
     try:
         with open(path, "rb") as f:
@@ -95,6 +95,8 @@ def load_checkpoint(path: str):
             arr = np.frombuffer(buf, dtype=dtype).reshape(spec["shape"]).copy()
             groups[spec["group"]][spec["name"]] = Tensor(arr)
             offset += nbytes
+        groups["params"], groups["opt_state"] = _flat_loaded(
+            groups["params"], groups["opt_state"])
         return TrainState(
             step=int(header["step"]),
             **groups,

@@ -8,6 +8,16 @@ and every loss is a per-example mean, so this is the mean of the device
 gradients. Batch norm takes its statistics over the whole step batch
 (sync batch norm), so a step depends on the global batch, not on the
 topology. Metric tables are sums, normalized after aggregation.
+
+A state's ``params`` and ``opt_state`` stay name -> Tensor dicts, but
+each array in them is a view into one contiguous buffer per dtype (the
+slots of a dtype share one, ``[m | v]`` under Adam). A step gathers the
+gradients into the same layout, so the update is about a dozen numpy
+calls over the buffers, not a dozen per array, and it is elementwise,
+so its results are the per-array ones bit for bit. Checkpoints store
+the same named arrays as before, byte for byte. A state whose dicts
+are not views of such buffers (built, loaded or edited by hand, or with
+an entry replaced) is gathered into new ones once, before its step.
 """
 
 from __future__ import annotations
@@ -114,49 +124,161 @@ def _init_opt_state(params: dict, opt: OptimizerSpec) -> dict:
             for name, p in params.items() for slot in _SLOTS[opt.kind]}
 
 
+class _Layout:
+    """Where each array of a name -> Tensor dict lies in the flat buffer
+    of its dtype: ``dtypes`` and ``sizes`` give the buffers, ``spans``
+    each name's (name, buffer index, start, stop, shape), in dict order.
+
+    A buffer holds one segment per key suffix, each laid out alike: the
+    params have the one suffix ``""``, the slots of Adam ``("/m", "/v")``.
+    """
+
+    def __init__(self, params: dict):
+        index, self.sizes, self.spans = {}, [], []
+        for name, t in params.items():
+            i = index.setdefault(t.data.dtype, len(index))
+            if i == len(self.sizes):
+                self.sizes.append(0)
+            start = self.sizes[i]
+            self.sizes[i] += t.data.size
+            self.spans.append((name, i, start, self.sizes[i], t.data.shape))
+        self.dtypes = list(index)
+        self._cuts = {}
+
+    def cuts(self, suffixes=("",)) -> list:
+        """(name + suffix, buffer index, start, stop, shape) for each name
+        and suffix, in dict order; worked out once per suffixes."""
+        if suffixes not in self._cuts:
+            self._cuts[suffixes] = [
+                (name + s, i, k * self.sizes[i] + start, k * self.sizes[i] + stop, shape)
+                for name, i, start, stop, shape in self.spans
+                for k, s in enumerate(suffixes)]
+        return self._cuts[suffixes]
+
+    def views(self, bufs: list, suffixes=("",)) -> list:
+        """Each entry's view into ``bufs``, in ``cuts`` order."""
+        return [bufs[i][a:b].reshape(shape) for _, i, a, b, shape in self.cuts(suffixes)]
+
+    def gather(self, tensors: dict, suffixes=("",)) -> list:
+        """A copy of ``tensors[name + suffix]`` for each suffix and name,
+        in that order, as one flat buffer per dtype."""
+        return [np.concatenate(
+            # the empty head lets a kind without slots (sgd) gather nothing
+            [np.empty(0, dtype)] + [tensors[name + s].data for s in suffixes
+                                    for name, j, *_ in self.spans if j == i],
+            axis=None, dtype=dtype) for i, dtype in enumerate(self.dtypes)]
+
+
+class _Flat(dict):
+    """A name -> Tensor dict whose arrays are views into ``bufs``, one
+    contiguous buffer per dtype of ``layout``."""
+
+    __slots__ = ("layout", "bufs", "suffixes", "_views")
+
+    def __init__(self, layout: _Layout, bufs: list, suffixes=("",)):
+        self.layout, self.bufs, self.suffixes = layout, bufs, suffixes
+        self._views = layout.views(bufs, suffixes)
+        super().__init__(zip([c[0] for c in layout.cuts(suffixes)],
+                             map(Tensor, self._views)))
+
+    def __reduce__(self):
+        # a copy or a pickle holds arrays that are no longer views of a
+        # buffer, so it is a plain dict, which the trainer gathers again
+        return dict, (dict(self),)
+
+    def intact(self) -> bool:
+        """Whether every entry still holds the view it was built with:
+        none was replaced, added or removed since."""
+        return (len(self) == len(self._views)
+                and all(t.data is v for t, v in zip(self.values(), self._views)))
+
+
+def _fits(params: dict, opt_state: dict, slots) -> bool:
+    """Whether ``opt_state`` holds exactly the ``slots`` of each
+    parameter, each of its parameter's shape and dtype."""
+    if len(opt_state) != len(params) * len(slots):
+        return False
+    for name, p in params.items():
+        for slot in slots:
+            t = opt_state.get(f"{name}/{slot}")
+            if t is None or (t.data.shape, t.data.dtype) != (p.data.shape, p.data.dtype):
+                return False
+    return True
+
+
+def _flat_state(params: dict, opt_state: dict, slots) -> tuple:
+    """``params`` and their optimizer ``slots`` as ``_Flat`` dicts of one
+    layout: as they are when they already are, else gathered once into
+    new buffers (a state built by ``init_train_state``, loaded, or built
+    or edited by hand)."""
+    suffixes = tuple(f"/{s}" for s in slots)
+    if (isinstance(params, _Flat) and isinstance(opt_state, _Flat)
+            and opt_state.layout is params.layout
+            and opt_state.suffixes == suffixes
+            and params.intact() and opt_state.intact()):
+        return params, opt_state
+    if not _fits(params, opt_state, slots):
+        raise TrainError(f"the optimizer state does not hold the slots {slots} "
+                         "of every parameter, in its shape and dtype")
+    layout = _Layout(params)
+    return (_Flat(layout, layout.gather(params)),
+            _Flat(layout, layout.gather(opt_state, suffixes), suffixes))
+
+
+def _flat_loaded(params: dict, opt_state: dict) -> tuple:
+    """A loaded state's params and slots as ``_Flat`` dicts when the slots
+    are those of an optimizer kind; else as they are, for the trainer's
+    layout check to refuse."""
+    for slots in _SLOTS.values():
+        if _fits(params, opt_state, slots):
+            return _flat_state(params, opt_state, slots)
+    return params, opt_state
+
+
 def _fresh(c: float, a) -> np.ndarray:
     """``c * a`` in ``a``'s dtype, as a new array even when ``a`` is 0-d."""
     return np.multiply(c, a, out=np.empty_like(a))
 
 
-def _apply_update(params: dict, g: dict, opt_state: dict,
+def _apply_update(params: _Flat, g: list, opt_state: _Flat,
                   opt: OptimizerSpec, step: int):
-    """Apply the mean gradients ``g`` (name -> array in its parameter's
-    dtype); returns the new params and optimizer slots, in the same
-    dtypes. Each result (a slot, Adam's denominator, the update, which
-    then becomes the new parameter) is one new array and the rest of the
-    arithmetic runs in place on those, so the params, slots and
-    gradients passed in are never written."""
+    """Apply the mean gradients ``g``, one flat buffer per dtype of
+    ``params.layout`` (``_Layout.gather``); returns the new params and
+    optimizer slots as ``_Flat`` dicts of new buffers, in the same
+    dtypes. The arithmetic runs once over each dtype's buffer. Each
+    result (the slots, Adam's denominator, the update, which then
+    becomes the new parameters) is one new buffer and the rest runs in
+    place on those, so the params, slots and gradients passed in are
+    never written."""
     lr = opt.lr_at(step)
+    layout = params.layout
     if opt.grad_clip is not None:
-        # the norm alone accumulates in float64, whatever the dtype
+        # the norm alone accumulates in float64, whatever the dtype, one
+        # sum per parameter in params order
         norm = np.sqrt(sum(float(np.square(v, dtype=np.float64).sum())
-                           for v in g.values()))
+                           for v in layout.views(g)))
         if norm > opt.grad_clip:
             scale = float(opt.grad_clip / norm)
-            g = {k: v * scale for k, v in g.items()}
-    new_params, new_slots = {}, dict(opt_state)
-    for name in params:
-        p = params[name].data
-        gi = g[name]
+            g = [b * scale for b in g]
+    new_params, new_slots = [], []
+    for p, old, gi, n in zip(params.bufs, opt_state.bufs, g, layout.sizes):
+        s = np.empty_like(old)  # the new slots: [m] or [m | v]
         if opt.kind == "sgd":
             upd = _fresh(lr, gi)
         elif opt.kind == "sgd_momentum":
-            m = _fresh(opt.momentum, opt_state[f"{name}/m"].data)
-            m += gi
-            new_slots[f"{name}/m"] = Tensor(m)
-            upd = _fresh(lr, m)
+            np.multiply(opt.momentum, old, out=s)
+            s += gi
+            upd = _fresh(lr, s)
         else:  # adam
             t = step + 1
+            m, v = s[:n], s[n:]
             upd = _fresh(1 - _BETA1, gi)  # scratch until the update proper
-            m = _fresh(_BETA1, opt_state[f"{name}/m"].data)
+            np.multiply(_BETA1, old[:n], out=m)
             m += upd
             d = _fresh(1 - _BETA2, gi)
             d *= gi
-            v = _fresh(_BETA2, opt_state[f"{name}/v"].data)
+            np.multiply(_BETA2, old[n:], out=v)
             v += d
-            new_slots[f"{name}/m"] = Tensor(m)
-            new_slots[f"{name}/v"] = Tensor(v)
             # upd = lr * (m / (1 - B1^t)) / (sqrt(v / (1 - B2^t)) + eps)
             np.divide(v, 1 - _BETA2 ** t, out=d)
             np.sqrt(d, out=d)
@@ -164,8 +286,10 @@ def _apply_update(params: dict, g: dict, opt_state: dict,
             np.divide(m, 1 - _BETA1 ** t, out=upd)
             upd *= lr
             upd /= d
-        new_params[name] = Tensor(np.subtract(p, upd, out=upd))
-    return new_params, new_slots
+        new_params.append(np.subtract(p, upd, out=upd))
+        new_slots.append(s)
+    return (_Flat(layout, new_params),
+            _Flat(layout, new_slots, opt_state.suffixes))
 
 
 def init_train_state(contract: ModelContract, opt: OptimizerSpec,
@@ -175,11 +299,13 @@ def init_train_state(contract: ModelContract, opt: OptimizerSpec,
     arch = contract.build_model()
     k_init, k_state = R.split(rng, 2)
     params, model_state = arch.init(k_init)
+    params, opt_state = _flat_state(params, _init_opt_state(params, opt),
+                                    _SLOTS[opt.kind])
     return TrainState(
         step=0,
         params=params,
         model_state=model_state,
-        opt_state=_init_opt_state(params, opt),
+        opt_state=opt_state,
         rng=k_state,
     )
 
@@ -207,6 +333,8 @@ def train_step(state: TrainState, host_batches: list, topology: Topology,
     arch = contract.build_model()
     batch = _concat_batches(host_batches)
     key, new_rng = R.split(state.rng, 2)
+    params, opt_state = _flat_state(state.params, state.opt_state,
+                                    _SLOTS[opt.kind])
     stash = {}
 
     def objective(p):
@@ -214,14 +342,19 @@ def train_step(state: TrainState, host_batches: list, topology: Topology,
             p, state.model_state, batch["inputs"], train=True, rng=key)
         return contract.loss_fn(stash["outputs"], batch)
 
-    loss, grads = value_and_grad(objective, state.params)
+    loss, grads = value_and_grad(objective, params)
     if not np.isfinite(loss.item()):
         raise TrainError(f"non-finite loss at step {state.step}")
-    # the outputs hold the whole tape: drop them before the update runs
+    # the outputs hold the whole tape, and the per-name gradients are
+    # copied into g: drop both before the update runs
     table = _batch_metrics(contract.get_metrics_fn(), stash.pop("outputs"), batch)
-    new_params, new_opt = _apply_update(
-        state.params, {k: v.data for k, v in grads.items()},
-        state.opt_state, opt, state.step)
+    g = params.layout.gather(grads)
+    del grads
+    if not all(np.isfinite(b).all() for b in g):
+        name = next(k for k, t in _Flat(params.layout, g).items()
+                    if not np.isfinite(t.data).all())
+        raise TrainError(f"non-finite gradient for {name!r} at step {state.step}")
+    new_params, new_opt = _apply_update(params, g, opt_state, opt, state.step)
     new_state = replace(
         state,
         step=state.step + 1,

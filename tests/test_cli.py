@@ -159,9 +159,9 @@ def test_malformed_list_override_is_config_error(tmp_path, capsys, value):
     ({"model": {"name": "resnet_classification", "width": 0}}, [], "'model.width' must be in"),
     ({"model": {"name": "unet_segmentation", "width": 0}}, [], "'model.width' must be in"),
     ({"model": {"name": "detr_detection", "lambda_box": -1.0}}, [],
-     "'model.lambda_box' must be in [0, inf), got -1.0"),
+     "'model.lambda_box' must be in [0, 1e37], got -1.0"),
     ({"model": {"name": "detr_detection", "lambda_cls": -1.0}}, [],
-     "'model.lambda_cls' must be in [0, inf), got -1.0"),
+     "'model.lambda_cls' must be in [0, 1e37], got -1.0"),
     ({"model": {"name": "detr_detection", "dim": 1, "heads": 1}}, [],
      "'model.dim' must be in [2, inf), got 1"),
     ({"model": {"name": "detr_detection", "num_slots": 0},
@@ -175,6 +175,11 @@ def test_malformed_list_override_is_config_error(tmp_path, capsys, value):
                   "input_shape": [2, "2"]}}, [],
      "'dataset.input_shape' must be a JSON list with each element an int"),
     ({"optimizer": 5}, [], "'optimizer' must be a JSON map to hold 'optimizer."),
+    # DETR's matching weights: one that overflows the float32 cost, both 0
+    ({"model": {"name": "detr_detection", "lambda_box": 1e308}}, [],
+     "'model.lambda_box' must be in [0, 1e37], got 1e+308"),
+    ({"model": {"name": "detr_detection", "lambda_cls": 0.0, "lambda_box": 0.0}}, [],
+     "model.lambda_cls and model.lambda_box are both 0"),
 ])
 def test_config_error_anywhere_exits_3_before_the_workdir(tmp_path, capsys,
                                                            extra, overrides, key):

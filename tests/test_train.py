@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import os
@@ -202,38 +203,61 @@ def reference_update(params, g, opt_state, opt, step):
     return new_params, new_slots
 
 
+def flat_update(params, grads, slots, opt, step):
+    """``_apply_update`` on arrays: the params and slots flattened as the
+    trainer does, the gradients gathered as ``train_step`` does; returns
+    (params, slots) of arrays, and checks that the flat inputs are left
+    as they were."""
+    params, slots = TR._flat_state({k: Tensor(v) for k, v in params.items()},
+                                   {k: Tensor(v) for k, v in slots.items()},
+                                   TR._SLOTS[opt.kind])
+    g = params.layout.gather({k: Tensor(v) for k, v in grads.items()})
+    bufs = params.bufs + g + slots.bufs
+    before = [b.copy() for b in bufs]
+    new_params, new_slots = TR._apply_update(params, g, slots, opt, step)
+    for b, old in zip(bufs, before):
+        assert b.tobytes() == old.tobytes()
+    return ({k: t.data for k, t in new_params.items()},
+            {k: t.data for k, t in new_slots.items()})
+
+
 class TestUpdateInParameterDtype:
     """``_apply_update`` against ``reference_update``, for every optimizer
     kind, dtype, clipping and schedule."""
 
     SHAPES = {"w": (5, 3), "b": (3,), "scale": ()}  # a 0-d parameter too
+    # "mixed" keeps each parameter in a dtype of its own, so each dtype's
+    # buffer holds a part of the parameters
+    DTYPES = {"f32": np.float32, "f64": np.float64,
+              "mixed": {"w": np.float32, "b": np.float64, "scale": np.float32}}
 
-    def inputs(self, kind, dtype):
+    def inputs(self, kind, dtypes):
         rs = np.random.default_rng(7)
-        params = {k: rs.standard_normal(s).astype(dtype)
+        params = {k: rs.standard_normal(s).astype(dtypes[k])
                   for k, s in self.SHAPES.items()}
-        grads = {k: rs.standard_normal(s).astype(dtype)
+        grads = {k: rs.standard_normal(s).astype(dtypes[k])
                  for k, s in self.SHAPES.items()}
         slots = {}
         for k, s in self.SHAPES.items():
             for slot in TR._SLOTS[kind]:
                 x = rs.standard_normal(s) * 0.1
-                slots[f"{k}/{slot}"] = (x * x if slot == "v" else x).astype(dtype)
+                slots[f"{k}/{slot}"] = (x * x if slot == "v" else x).astype(dtypes[k])
         return params, grads, slots
 
     @pytest.mark.parametrize("cosine", [False, True], ids=["constant", "cosine"])
     @pytest.mark.parametrize("clip", [None, 0.5], ids=["noclip", "clip"])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("dtype", sorted(DTYPES))
     @pytest.mark.parametrize("kind", sorted(TR._SLOTS))
     def test_update(self, kind, dtype, clip, cosine):
-        params, grads, slots = self.inputs(kind, dtype)
+        dtypes = self.DTYPES[dtype]
+        if not isinstance(dtypes, dict):
+            dtypes = dict.fromkeys(self.SHAPES, dtypes)
+        params, grads, slots = self.inputs(kind, dtypes)
         opt = TR.OptimizerSpec(kind=kind, grad_clip=clip,
                                lr=TR.cosine_decay(0.1, 10) if cosine else 0.1)
         inputs = (params, grads, slots)
         before = [{k: v.copy() for k, v in group.items()} for group in inputs]
-        new_params, new_slots = TR._apply_update(
-            {k: Tensor(v) for k, v in params.items()}, grads,
-            {k: Tensor(v) for k, v in slots.items()}, opt, 3)
+        new_params, new_slots = flat_update(params, grads, slots, opt, 3)
         ref_params, ref_slots = reference_update(params, grads, slots, opt, 3)
 
         for group, old in zip(inputs, before):  # the inputs are left as they were
@@ -243,13 +267,135 @@ class TestUpdateInParameterDtype:
         assert new_slots.keys() == slots.keys()
         for new, ref in ((new_params, ref_params), (new_slots, ref_slots)):
             for name in ref:
-                a, b = new[name].data, ref[name]
-                assert a.dtype == dtype and a.shape == b.shape, name
-                if dtype == np.float64:
+                a, b = new[name], ref[name]
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                if a.dtype == np.float64:
                     assert a.tobytes() == b.tobytes(), name
                 else:
                     np.testing.assert_allclose(
                         a, b, rtol=4e-6, atol=4e-6 * np.abs(b).max(), err_msg=name)
+
+
+def assert_flat(tensors: dict):
+    """Every array in ``tensors`` is a view into one contiguous 1-D buffer
+    per dtype, and the views of a dtype tile their buffer exactly."""
+    by_dtype = {}
+    for t in tensors.values():
+        by_dtype.setdefault(t.data.dtype, []).append(t.data)
+    for dtype, arrays in by_dtype.items():
+        buf = arrays[0].base
+        assert buf is not None and all(a.base is buf for a in arrays), dtype
+        assert buf.ndim == 1 and buf.flags.c_contiguous, dtype
+        start = buf.__array_interface__["data"][0]
+        at = 0
+        for offset, nbytes in sorted((a.__array_interface__["data"][0] - start,
+                                      a.nbytes) for a in arrays):
+            assert offset == at, dtype
+            at += nbytes
+        assert at == buf.nbytes, dtype
+
+
+def copies(tensors: dict) -> dict:
+    """The same arrays as separate copies in a plain dict."""
+    return {k: Tensor(t.data.copy()) for k, t in tensors.items()}
+
+
+class TestFlatState:
+    """The params and slots are views into one buffer per dtype, and a
+    state whose entries are not (built or edited by hand) is gathered
+    into new buffers before its step, never updated from a stale one."""
+
+    def stepped(self, kind, steps=1):
+        contract = build_mlp(Config(), mlp_meta())
+        opt = TR.OptimizerSpec(kind=kind, lr=0.1)
+        state = fresh_state(contract, opt)
+        for _ in range(steps):
+            state, _ = TR.train_step(state, [toy_batch()], TR.Topology(1, 1),
+                                     contract, opt)
+        return state, contract, opt
+
+    @pytest.mark.parametrize("kind", sorted(TR._SLOTS))
+    def test_views_after_init_step_and_load(self, kind, tmp_path):
+        state, contract, opt = self.stepped(kind, steps=0)
+        states = {"init": state}
+        states["step"], _ = TR.train_step(state, [toy_batch()], TR.Topology(1, 1),
+                                          contract, opt)
+        path = str(tmp_path / "ckpt_1.bin")
+        CK.save_checkpoint(states["step"], path)
+        states["load"] = CK.load_checkpoint(path)
+        for when, st in states.items():
+            assert len(st.opt_state) == len(st.params) * len(TR._SLOTS[kind]), when
+            for group in (st.params, st.opt_state):
+                assert_flat(group)
+
+    @pytest.mark.parametrize("edit", ["param", "slot", "data", "hand_built",
+                                      "deepcopy"])
+    def test_edited_state_updates_like_a_fresh_flat_state(self, edit):
+        state, contract, opt = self.stepped("adam")
+        name = sorted(state.params)[0]
+        new = np.random.default_rng(0).standard_normal(
+            state.params[name].shape).astype(np.float32)
+        if edit == "param":  # the buffer still holds the old values
+            state.params[name] = Tensor(new)
+        elif edit == "slot":
+            state.opt_state[f"{name}/v"] = Tensor(new * new)
+        elif edit == "data":
+            state.params[name].data = new
+        elif edit == "deepcopy":  # then written in place
+            state = copy.deepcopy(state)
+            state.params[name].data[...] = new
+        else:
+            state = dataclasses.replace(state, params=copies(state.params),
+                                        opt_state=copies(state.opt_state))
+        params, slots = TR._flat_state(copies(state.params),
+                                       copies(state.opt_state), TR._SLOTS["adam"])
+        fresh = dataclasses.replace(state, params=params, opt_state=slots)
+        outs = [TR.train_step(st, [toy_batch(seed=1)], TR.Topology(1, 1),
+                              contract, opt)[0] for st in (state, fresh)]
+        for group in ("params", "opt_state"):
+            a, b = (getattr(o, group) for o in outs)
+            assert a.keys() == b.keys()
+            for k in a:
+                assert a[k].data.tobytes() == b[k].data.tobytes(), (group, k)
+            assert_flat(a)
+
+    def test_checkpoint_bytes_equal_those_of_separate_copies(self, tmp_path):
+        state, _, _ = self.stepped("adam", steps=2)
+        paths = [str(tmp_path / "flat.bin"), str(tmp_path / "copies.bin")]
+        CK.save_checkpoint(state, paths[0])
+        CK.save_checkpoint(dataclasses.replace(
+            state, params=copies(state.params),
+            opt_state=copies(state.opt_state)), paths[1])
+        flat, separate = (open(p, "rb").read() for p in paths)
+        assert flat == separate
+
+    def test_slots_of_another_kind_refused(self):
+        state, contract, _ = self.stepped("sgd_momentum")
+        opt = TR.OptimizerSpec(kind="adam", lr=0.1)
+        with pytest.raises(TR.TrainError, match="does not hold the slots"):
+            TR.train_step(state, [toy_batch()], TR.Topology(1, 1), contract, opt)
+
+
+def nan_gradient(x):
+    """The identity, with a backward rule that gives NaN."""
+    return T._make(x.data.copy(), (x,), lambda g: (np.full_like(g, np.nan),))
+
+
+def test_non_finite_gradient_refused_under_a_finite_loss():
+    def init(key):
+        return {name: Tensor(np.ones(4, np.float32)) for name in ("a", "w", "z")}, {}
+
+    def apply(params, model_state, inputs, train=False, rng=None):
+        out = params["a"] + nan_gradient(params["w"]) + nan_gradient(params["z"])
+        return out, model_state
+
+    contract = dataclasses.replace(
+        quadratic_contract(), build_model=lambda: ArchitectureHandle(init, apply))
+    opt = TR.OptimizerSpec(kind="sgd", lr=0.1)
+    # the first parameter, in params order, whose gradient is not finite
+    with pytest.raises(TR.TrainError, match="non-finite gradient for 'w' at step 0"):
+        TR.train_step(fresh_state(contract, opt), [toy_batch()],
+                      TR.Topology(1, 1), contract, opt)
 
 
 class TestDataParallel:

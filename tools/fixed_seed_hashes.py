@@ -1,6 +1,6 @@
 """Fixed-seed byte-identity oracle for refactors that must not change results.
 
-Trains ten short runs and prints the sha256 prefix of every file each
+Trains twelve short runs and prints the sha256 prefix of every file each
 run writes (``metrics.jsonl`` and each ``ckpt_<step>.bin``):
 
 - the six registered baselines at seed 3: 32 train and 20 eval examples,
@@ -10,6 +10,8 @@ run writes (``metrics.jsonl`` and each ``ckpt_<step>.bin``):
 - the same 2 x 2 ViT run with Adam;
 - that Adam run again with ``"model": {"dtype": "f64"}``, whose lines a
   change to float32 arithmetic alone leaves as they are;
+- the same 2 x 2 ViT run with plain ``sgd``, and with ``sgd_momentum``,
+  both without ``grad_clip``;
 - DETR on 2 hosts x 2 devices with ``model.num_slots`` 10 and
   ``dataset.max_objects`` 9, batch 4, 32 train and 28 eval examples
   (padded eval), 4 steps, eval every 2, Adam at lr 1e-3: images with 8
@@ -76,16 +78,20 @@ def runs() -> list[tuple[str, str, dict]]:
             "optimizer": {"kind": "adam", "lr": 1e-3},
         }))
     vit = {"name": "vit_classification", "dropout": 0.1}
-    for label, opt, model in (("vit_2x2_sgd_momentum", "sgd_momentum", vit),
-                              ("vit_2x2_adam", "adam", vit),
-                              ("vit_2x2_adam_f64", "adam", {**vit, "dtype": "f64"})):
+    clip = {"grad_clip": 0.5}  # key order is kept: the checkpoints record it
+    for label, kind, model, rest in (
+            ("vit_2x2_sgd_momentum", "sgd_momentum", vit, clip),
+            ("vit_2x2_adam", "adam", vit, clip),
+            ("vit_2x2_adam_f64", "adam", {**vit, "dtype": "f64"}, clip),
+            ("vit_2x2_sgd", "sgd", vit, {}),
+            ("vit_2x2_sgd_momentum_noclip", "sgd_momentum", vit, {})):
         out.append((label, "classification", {
             "model": model,
             "dataset": {"name": "blobs_classification", "input_shape": [8, 8, 1],
                         "num_train_examples": 32, "num_eval_examples": 28},
             "topology": {"host_count": 2, "devices_per_host": 2},
             "batch_size": 4, "eval_every": 2, "total_steps": 4,
-            "optimizer": {"kind": opt, "lr": 1e-2, "grad_clip": 0.5},
+            "optimizer": {"kind": kind, "lr": 1e-2, **rest},
         }))
     out.append(("detr_2x2_max9", "detection", {
         "model": {"name": "detr_detection", "num_slots": 10},
