@@ -223,12 +223,13 @@ def available_datasets() -> list[str]:
 
 
 def build_dataset(name: str, shard: ShardSpec, seed: R.RngKey,
-                  config: Config | None = None) -> Dataset:
+                  config: Config | None = None, start_step: int = 0) -> Dataset:
     """Materialize a synthetic task and wrap it in sharded iterators.
 
     The train stream is an infinite per-epoch reshuffle of this host's
-    shard; the eval iterator covers the host's eval shard exactly once
-    per call, padding the final batch. A ``dataset.*`` value of the
+    shard, starting at its ``start_step``-th batch without drawing the
+    ones before; the eval iterator covers the host's eval shard exactly
+    once per call, padding the final batch. A ``dataset.*`` value of the
     wrong kind or outside its range is refused by ``Config.get`` with a
     ``ConfigError``; an unknown name or a shard the examples cannot fill
     raises a ``DatasetError``.
@@ -272,13 +273,14 @@ def build_dataset(name: str, shard: ShardSpec, seed: R.RngKey,
 
     def train_gen():
         n = len(train_idx)
-        epoch = 0
+        per_epoch = n // hb  # the incomplete last batch is dropped
+        epoch, offset = divmod(start_step, per_epoch)
         while True:
             perm = R.permutation(R.fold_in(k_shuffle, epoch), n)
-            for start in range(0, n - hb + 1, hb):
+            for start in range(offset * hb, per_epoch * hb, hb):
                 sel = perm[start:start + hb]
                 yield {k: Tensor(v[sel]) for k, v in train_shard.items()}
-            epoch += 1
+            epoch, offset = epoch + 1, 0
 
     def eval_epoch():
         n = len(eval_idx)

@@ -15,9 +15,9 @@ slots of a dtype share one, ``[m | v]`` under Adam). A step gathers the
 gradients into the same layout, so the update is about a dozen numpy
 calls over the buffers, not a dozen per array, and it is elementwise,
 so its results are the per-array ones bit for bit. Checkpoints store
-the same named arrays as before, byte for byte. A state whose dicts
-are not views of such buffers (built, loaded or edited by hand, or with
-an entry replaced) is gathered into new ones once, before its step.
+the same named arrays as before, byte for byte. Only ``train_step``
+builds the buffers: it gathers a state whose dicts are not views of
+them (plain arrays, from init, a checkpoint or a hand edit) once.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ class OptimizerSpec:
         # read with no default, so Config's kind rule leaves it to this check
         if clip is not None and (isinstance(clip, bool) or not isinstance(clip, (int, float))):
             raise TrainError(f"optimizer.grad_clip must be a number, got {clip!r}")
-        if clip is not None and not clip > 0:
-            raise TrainError(f"optimizer.grad_clip must be > 0, got {clip}")
+        if clip is not None and not 0 < clip < np.inf:  # null clips nothing
+            raise TrainError(f"optimizer.grad_clip must be > 0 and finite, got {clip}")
         self.lr_at(0)  # lr_at checks a schedule again at every step
         if self.kind == "sgd_momentum" and not 0 <= self.momentum < 1:
             raise TrainError(
@@ -92,6 +92,8 @@ class OptimizerSpec:
         lr = self.lr(step) if callable(self.lr) else self.lr
         if not lr >= 0:
             raise TrainError(f"negative or NaN learning rate {lr} at step {step}")
+        if lr == np.inf:
+            raise TrainError(f"infinite learning rate at step {step}")
         # a Python float, which numpy does not let widen a float32 update
         return float(lr)
 
@@ -117,11 +119,6 @@ class TrainState:
     # the run's seed and config (see ``_run_fingerprint``), saved with
     # each checkpoint so a resume under another config is refused
     fingerprint: dict | None = None
-
-
-def _init_opt_state(params: dict, opt: OptimizerSpec) -> dict:
-    return {f"{name}/{slot}": Tensor(np.zeros_like(p.data))
-            for name, p in params.items() for slot in _SLOTS[opt.kind]}
 
 
 class _Layout:
@@ -193,46 +190,26 @@ class _Flat(dict):
                 and all(t.data is v for t, v in zip(self.values(), self._views)))
 
 
-def _fits(params: dict, opt_state: dict, slots) -> bool:
-    """Whether ``opt_state`` holds exactly the ``slots`` of each
-    parameter, each of its parameter's shape and dtype."""
-    if len(opt_state) != len(params) * len(slots):
-        return False
-    for name, p in params.items():
-        for slot in slots:
-            t = opt_state.get(f"{name}/{slot}")
-            if t is None or (t.data.shape, t.data.dtype) != (p.data.shape, p.data.dtype):
-                return False
-    return True
-
-
 def _flat_state(params: dict, opt_state: dict, slots) -> tuple:
     """``params`` and their optimizer ``slots`` as ``_Flat`` dicts of one
     layout: as they are when they already are, else gathered once into
-    new buffers (a state built by ``init_train_state``, loaded, or built
-    or edited by hand)."""
+    new buffers (a state from ``init_train_state`` or ``load_checkpoint``,
+    or one built or edited by hand). The slots must be exactly ``slots``
+    of each parameter, each in its parameter's shape and dtype."""
     suffixes = tuple(f"/{s}" for s in slots)
     if (isinstance(params, _Flat) and isinstance(opt_state, _Flat)
             and opt_state.layout is params.layout
             and opt_state.suffixes == suffixes
             and params.intact() and opt_state.intact()):
         return params, opt_state
-    if not _fits(params, opt_state, slots):
+    want = {name + s: (p.data.shape, p.data.dtype)
+            for name, p in params.items() for s in suffixes}
+    if {k: (t.data.shape, t.data.dtype) for k, t in opt_state.items()} != want:
         raise TrainError(f"the optimizer state does not hold the slots {slots} "
                          "of every parameter, in its shape and dtype")
     layout = _Layout(params)
     return (_Flat(layout, layout.gather(params)),
             _Flat(layout, layout.gather(opt_state, suffixes), suffixes))
-
-
-def _flat_loaded(params: dict, opt_state: dict) -> tuple:
-    """A loaded state's params and slots as ``_Flat`` dicts when the slots
-    are those of an optimizer kind; else as they are, for the trainer's
-    layout check to refuse."""
-    for slots in _SLOTS.values():
-        if _fits(params, opt_state, slots):
-            return _flat_state(params, opt_state, slots)
-    return params, opt_state
 
 
 def _fresh(c: float, a) -> np.ndarray:
@@ -299,13 +276,12 @@ def init_train_state(contract: ModelContract, opt: OptimizerSpec,
     arch = contract.build_model()
     k_init, k_state = R.split(rng, 2)
     params, model_state = arch.init(k_init)
-    params, opt_state = _flat_state(params, _init_opt_state(params, opt),
-                                    _SLOTS[opt.kind])
     return TrainState(
         step=0,
         params=params,
         model_state=model_state,
-        opt_state=opt_state,
+        opt_state={f"{name}/{slot}": Tensor(np.zeros_like(p.data))
+                   for name, p in params.items() for slot in _SLOTS[opt.kind]},
         rng=k_state,
     )
 
@@ -316,6 +292,14 @@ def _concat_batches(host_batches: list) -> dict:
         return host_batches[0]
     return {k: Tensor(np.concatenate([b[k].data for b in host_batches]))
             for k in host_batches[0]}
+
+
+def _refuse_non_finite(what: str, layout: _Layout, bufs: list, step: int, suffixes=("",)):
+    """Name the first entry of ``bufs``, in ``layout.cuts`` order, that is not all finite."""
+    if not all(np.isfinite(b).all() for b in bufs):
+        cuts, views = layout.cuts(suffixes), layout.views(bufs, suffixes)
+        name = next(c[0] for c, v in zip(cuts, views) if not np.isfinite(v).all())
+        raise TrainError(f"non-finite {what} {name!r} at step {step}")
 
 
 def _batch_metrics(metric_fn, outputs, batch: dict) -> dict:
@@ -333,8 +317,6 @@ def train_step(state: TrainState, host_batches: list, topology: Topology,
     arch = contract.build_model()
     batch = _concat_batches(host_batches)
     key, new_rng = R.split(state.rng, 2)
-    params, opt_state = _flat_state(state.params, state.opt_state,
-                                    _SLOTS[opt.kind])
     stash = {}
 
     def objective(p):
@@ -342,19 +324,22 @@ def train_step(state: TrainState, host_batches: list, topology: Topology,
             p, state.model_state, batch["inputs"], train=True, rng=key)
         return contract.loss_fn(stash["outputs"], batch)
 
-    loss, grads = value_and_grad(objective, params)
+    loss, grads = value_and_grad(objective, state.params)
     if not np.isfinite(loss.item()):
         raise TrainError(f"non-finite loss at step {state.step}")
     # the outputs hold the whole tape, and the per-name gradients are
-    # copied into g: drop both before the update runs
+    # copied into g: drop both before the update runs. A state that is
+    # not flat yet is gathered after the tape is gone, not beside it
     table = _batch_metrics(contract.get_metrics_fn(), stash.pop("outputs"), batch)
+    params, opt_state = _flat_state(state.params, state.opt_state,
+                                    _SLOTS[opt.kind])
     g = params.layout.gather(grads)
     del grads
-    if not all(np.isfinite(b).all() for b in g):
-        name = next(k for k, t in _Flat(params.layout, g).items()
-                    if not np.isfinite(t.data).all())
-        raise TrainError(f"non-finite gradient for {name!r} at step {state.step}")
+    _refuse_non_finite("gradient for", params.layout, g, state.step)
     new_params, new_opt = _apply_update(params, g, opt_state, opt, state.step)
+    # a finite gradient can still overflow a slot (Adam's v squares it)
+    _refuse_non_finite("optimizer slot", new_opt.layout, new_opt.bufs, state.step,
+                       new_opt.suffixes)
     new_state = replace(
         state,
         step=state.step + 1,
@@ -487,6 +472,21 @@ def _keep_freed_memory() -> bool:
             and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1)
 
 
+def _newest_checkpoint(workdir: str):
+    """(path, state) of the newest ``ckpt_<digits>.bin`` that loads, or
+    None. Only reads: a workdir that is no directory holds none."""
+    if not os.path.isdir(workdir):
+        return None
+    names = (re.fullmatch(r"ckpt_([0-9]+)\.bin", f) for f in os.listdir(workdir))
+    for _, fname in sorted(((int(m[1]), m[0]) for m in names if m), reverse=True):
+        path = os.path.join(workdir, fname)
+        try:
+            return path, load_checkpoint(path)
+        except CheckpointError:
+            continue
+    return None
+
+
 _TRAINER_KINDS = ("classification", "segmentation", "detection")
 
 
@@ -499,9 +499,10 @@ def run_trainer(kind: str, config: Config, workdir: str,
     so identical runs are byte-identical) and ``ckpt_<step>.bin`` at
     every eval and at the end. On a workdir that already holds
     checkpoints (files named ``ckpt_<digits>.bin``; any other name is
-    left alone) it resumes from the newest one that loads, truncating
-    ``metrics.jsonl`` to that step, so the finished files equal those of
-    an uninterrupted run; when that checkpoint is at ``total_steps`` the
+    left alone) it resumes from the newest one that loads: the train
+    streams start at its step, nothing is replayed, and ``metrics.jsonl``
+    is truncated to that step, so the finished files equal those of an
+    uninterrupted run; when that checkpoint is at ``total_steps`` the
     run is finished, and its final eval is recomputed and returned with
     nothing trained or written. Config is checked before the workdir is
     made: ``Config.get`` refuses a value of the wrong kind or outside its
@@ -528,6 +529,8 @@ def run_trainer(kind: str, config: Config, workdir: str,
         total_steps = config.get("total_steps", 200, within="[0, inf)")
         eval_every = config.get("eval_every", max(total_steps // 4, 1), within="[1, inf)")
 
+        found = _newest_checkpoint(workdir)  # checked once the workdir is made
+        resume_step = found[1].step if found else 0
         root = R.RngKey.from_seed(seed)
         k_data, k_init = R.split(root, 2)
         datasets = [
@@ -535,7 +538,7 @@ def run_trainer(kind: str, config: Config, workdir: str,
                 config.require("dataset.name"),
                 ShardSpec(h, topology.host_count, topology.devices_per_host,
                           per_device_batch),
-                k_data, config)
+                k_data, config, start_step=resume_step)
             for h in range(topology.host_count)
         ]
         meta = datasets[0].meta_data
@@ -565,17 +568,10 @@ def run_trainer(kind: str, config: Config, workdir: str,
         base = next(b for b in _REFUSED if isinstance(e, b))
         raise _REFUSED[base](*e.args) from e
 
-    # resume from the newest readable checkpoint in the workdir, if any
     os.makedirs(workdir, exist_ok=True)
     resumed_at = -1
-    names = (re.fullmatch(r"ckpt_([0-9]+)\.bin", f) for f in os.listdir(workdir))
-    ckpts = sorted(((int(m[1]), m[0]) for m in names if m), reverse=True)
-    for _, fname in ckpts:
-        path = os.path.join(workdir, fname)
-        try:
-            loaded = load_checkpoint(path)
-        except CheckpointError:
-            continue  # torn or corrupt: fall back to an older one
+    if found:
+        path, loaded = found
         _check_same_layout(state, loaded, path)
         _check_same_run(state, loaded, path)
         if loaded.step > total_steps:
@@ -583,7 +579,6 @@ def run_trainer(kind: str, config: Config, workdir: str,
                              f"past total_steps {total_steps}")
         state = loaded
         resumed_at = state.step
-        break
 
     def run_eval(st: TrainState) -> dict:
         tables = []
@@ -594,9 +589,6 @@ def run_trainer(kind: str, config: Config, workdir: str,
 
     if resumed_at == total_steps:  # a finished run: its final eval again
         return run_eval(state)
-    for ds in datasets:  # replay the consumed prefix of the stream
-        for _ in range(state.step):
-            next(ds.train_iter)
 
     # keep the records up to the resumed step (none on a fresh start); the
     # writer numbers records on from there, so a resumed file continues

@@ -180,6 +180,10 @@ def test_malformed_list_override_is_config_error(tmp_path, capsys, value):
      "'model.lambda_box' must be in [0, 1e37], got 1e+308"),
     ({"model": {"name": "detr_detection", "lambda_cls": 0.0, "lambda_box": 0.0}}, [],
      "model.lambda_cls and model.lambda_box are both 0"),
+    # 1e999 reads as inf: an infinite lr, and a clip that clips nothing
+    ({}, ["optimizer.lr=1e999"], "infinite learning rate at step 0"),
+    ({}, ["+optimizer.grad_clip=1e999"],
+     "optimizer.grad_clip must be > 0 and finite, got inf"),
 ])
 def test_config_error_anywhere_exits_3_before_the_workdir(tmp_path, capsys,
                                                            extra, overrides, key):

@@ -94,6 +94,19 @@ class TestBuildDataset:
         assert sorted(e0.tolist()) == sorted(e1.tolist())  # same examples
         assert not np.array_equal(e0, e1)  # different order
 
+    @pytest.mark.parametrize("n, batch", [(11, 4), (12, 4), (8, 8), (9, 1)])
+    def test_stream_started_at_a_step_is_the_tail_of_the_whole_stream(self, n, batch):
+        cfg = Config({"dataset": {"num_train_examples": n}})
+
+        def labels(start_step, count):
+            ds = D.build_dataset("blobs_classification", spec(batch=batch),
+                                 R.RngKey.from_seed(5), cfg, start_step=start_step)
+            return [next(ds.train_iter)["label"].data.tolist() for _ in range(count)]
+
+        whole = labels(0, 3 * n)  # three epochs and more
+        for k in range(2 * n):
+            assert labels(k, 3) == whole[k:k + 3], k
+
     def test_eval_epoch_covers_shard_exactly_once(self):
         cfg = Config({"dataset": {"num_eval_examples": 10}})
         ds = D.build_dataset("blobs_classification", spec(batch=4),

@@ -315,14 +315,14 @@ class TestFlatState:
         return state, contract, opt
 
     @pytest.mark.parametrize("kind", sorted(TR._SLOTS))
-    def test_views_after_init_step_and_load(self, kind, tmp_path):
-        state, contract, opt = self.stepped(kind, steps=0)
-        states = {"init": state}
-        states["step"], _ = TR.train_step(state, [toy_batch()], TR.Topology(1, 1),
-                                          contract, opt)
+    def test_flat_after_a_step_from_init_and_from_a_load(self, kind, tmp_path):
+        # init and load hold plain arrays; the step alone builds the buffers
+        state, contract, opt = self.stepped(kind, steps=1)
         path = str(tmp_path / "ckpt_1.bin")
-        CK.save_checkpoint(states["step"], path)
-        states["load"] = CK.load_checkpoint(path)
+        CK.save_checkpoint(state, path)
+        states = {"init": state}
+        states["load"], _ = TR.train_step(CK.load_checkpoint(path), [toy_batch()],
+                                          TR.Topology(1, 1), contract, opt)
         for when, st in states.items():
             assert len(st.opt_state) == len(st.params) * len(TR._SLOTS[kind]), when
             for group in (st.params, st.opt_state):
@@ -396,6 +396,21 @@ def test_non_finite_gradient_refused_under_a_finite_loss():
     with pytest.raises(TR.TrainError, match="non-finite gradient for 'w' at step 0"):
         TR.train_step(fresh_state(contract, opt), [toy_batch()],
                       TR.Topology(1, 1), contract, opt)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_optimizer_slot_refused(tmp_path):
+    # the matching weights are in bounds and every gradient is finite, but
+    # gradients near 1e37 square past float32's range in Adam's v
+    cfg = Config({
+        "model": {"name": "detr_detection", "lambda_cls": 1e37, "lambda_box": 1e37},
+        "dataset": {"name": "boxes_detection", "num_train_examples": 32,
+                    "num_eval_examples": 16},
+        "batch_size": 16, "total_steps": 2, "eval_every": 2})
+    # the first slot in params order that is not finite
+    with pytest.raises(TR.TrainError,
+                       match="non-finite optimizer slot 'conv1/w/v' at step 0"):
+        TR.run_trainer("detection", cfg, str(tmp_path / "run"), seed=0)
 
 
 class TestDataParallel:
@@ -1049,6 +1064,73 @@ class TestResume:
         TR.run_trainer("classification", self.cosine_config(10), split, seed=3)
         self.assert_same_files(full, split, ["metrics.jsonl", "ckpt_5.bin",
                                              "ckpt_10.bin"])
+
+
+def record_train_draws(monkeypatch) -> list:
+    """Wrap each dataset's ``train_iter.__next__`` after ``build_dataset``
+    returns it, as the benchmark's tracer does; returns the list that
+    each drawn batch is appended to, as (host id, batch)."""
+    drawn, build = [], TR.build_dataset
+
+    class Recorded:
+        def __init__(self, host, draw):
+            self.host, self.draw = host, draw
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            batch = self.draw()
+            drawn.append((self.host, batch))
+            return batch
+
+    def recorded_build_dataset(name, shard, *args, **kwargs):
+        ds = build(name, shard, *args, **kwargs)
+        ds.train_iter = Recorded(shard.host_id, ds.train_iter.__next__)
+        return ds
+
+    monkeypatch.setattr(TR, "build_dataset", recorded_build_dataset)
+    return drawn
+
+
+class TestSeek:
+    """A resumed run starts each host's train stream at the checkpoint's
+    step instead of drawing and discarding the batches before it."""
+
+    # 23 examples on 2 hosts with host batch 4: host 0 holds 11 examples,
+    # 2 batches an epoch, and host 1 holds 12, 3 batches an epoch
+    def config(self, total_steps=8):
+        return trainer_config(
+            total_steps=total_steps, eval_every=1,
+            topology={"host_count": 2, "devices_per_host": 2}, batch_size=2,
+            dataset={"name": "blobs_classification", "num_train_examples": 23,
+                     "num_eval_examples": 8})
+
+    def test_resume_at_step_k_draws_no_batch_before_k(self, tmp_path, monkeypatch):
+        wd = str(tmp_path / "run")
+        TR.run_trainer("classification", self.config(total_steps=5), wd, seed=3)
+        drawn = record_train_draws(monkeypatch)
+        TR.run_trainer("classification", self.config(), wd, seed=3)
+        resumed = [(h, b["inputs"].data) for h, b in drawn]
+        drawn.clear()
+        TR.run_trainer("classification", self.config(), str(tmp_path / "full"),
+                       seed=3)
+        # three steps, two hosts: the full run's draws from step 5 on
+        assert len(resumed) == 6
+        full = [(h, b["inputs"].data) for h, b in drawn]
+        for (h, a), (g, b) in zip(resumed, full[2 * 5:], strict=True):
+            assert h == g and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_resume_mid_epoch_on_uneven_hosts_is_byte_identical(self, tmp_path, k):
+        full, split = str(tmp_path / "full"), str(tmp_path / "split")
+        TR.run_trainer("classification", self.config(), full, seed=3)
+        TR.run_trainer("classification", self.config(total_steps=k), split, seed=3)
+        TR.run_trainer("classification", self.config(), split, seed=3)
+        assert sorted(os.listdir(split)) == sorted(os.listdir(full))
+        for name in os.listdir(full):
+            assert read_bytes(os.path.join(split, name)) == \
+                read_bytes(os.path.join(full, name)), name
 
 
 class Interrupt(Exception):

@@ -23,6 +23,9 @@ so a copy placed in another checkout's ``tools/`` hashes that checkout:
 
     python tools/fixed_seed_hashes.py [--workdir DIR [--compare PARENT_DIR]]
 
+``tools/fixed_seed_hashes.txt`` pins the lines, under the environment
+they were taken in, and Tier-1 checks them (``tests/test_pinned_hashes.py``).
+
 A change that moves results reports by how much: with ``--compare``,
 given the ``--workdir`` of a run of the parent checkout, it then prints
 one drift line per run, the largest relative difference of any
