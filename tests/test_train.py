@@ -301,9 +301,10 @@ def copies(tensors: dict) -> dict:
 
 
 class TestFlatState:
-    """The params and slots are views into one buffer per dtype, and a
-    state whose entries are not (built or edited by hand) is gathered
-    into new buffers before its step, never updated from a stale one."""
+    """After a step the params and slots are views into one buffer per
+    dtype, and a state whose entries are not (from init, a checkpoint, or
+    built or edited by hand) is gathered into new buffers in its step,
+    never updated from a stale one."""
 
     def stepped(self, kind, steps=1):
         contract = build_mlp(Config(), mlp_meta())
