@@ -125,11 +125,11 @@ def build_vit(config: Config, meta: DatasetMetaData) -> ModelContract:
         cls = params["cls_token"] + T.zeros((b, 1, dim), dtype=dtype)
         x = T.concat([cls, x], axis=1)
         x = L.add_positional_embedding(x, s["pos"])
-        # one dropout key per block, and none to split without blocks
-        keys = R.split(rng, depth) if rng is not None and depth else [None] * depth
+        # every block's two masks from one draw of the step key
+        masks = (L.dropout_mask(rng, drop, (depth, 2) + x.shape, x.data.dtype)
+                 if train and drop > 0.0 and depth else [None] * depth)
         for i in range(depth):
-            x = L.transformer_block(x, s[f"block{i}"], heads,
-                                    train=train, drop_rate=drop, key=keys[i])
+            x = L.transformer_block(x, s[f"block{i}"], heads, masks[i])
         x = L.layer_norm(x, s["ln"])
         logits = L.dense(x[:, 0], s["head"])
         return logits, model_state
@@ -325,7 +325,7 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
         x = x.reshape((b, tokens, dim))
         x = L.add_positional_embedding(x, s["pos"])
         for e in range(enc_depth):
-            x = L.transformer_block(x, s[f"enc{e}"], heads, train=train)
+            x = L.transformer_block(x, s[f"enc{e}"], heads)
         q = params["queries"] + T.zeros((b, num_slots, dim), dtype=dtype)
         for d in range(dec_depth):
             q = L.decoder_block(q, x, s[f"dec{d}"], heads)

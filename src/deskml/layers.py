@@ -113,13 +113,23 @@ def batch_norm(x: Tensor, p: dict, state: dict, train: bool,
     return y, state
 
 
-def dropout(x: Tensor, rate: float, train: bool, key: R.RngKey | None) -> Tensor:
-    if not train or rate <= 0.0:
-        return x
+def dropout_mask(key: R.RngKey | None, rate: float, shape, dtype) -> np.ndarray:
+    """Dropout masks of ``shape`` in ``dtype``, from one ``R.bernoulli``
+    draw of ``key``: a unit is kept with probability ``1 - rate`` and
+    then holds ``1 / (1 - rate)``, so a masked input keeps its
+    expectation; a dropped unit holds 0."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if key is None:
         raise ValueError("dropout with rate > 0 in train mode needs an rng key")
-    keep = (R.uniform(key, x.shape) >= rate).astype(x.data.dtype)
-    return x * Tensor(keep / (1.0 - rate))
+    mask = (~R.bernoulli(key, rate, shape)).astype(dtype)
+    mask *= 1.0 / (1.0 - rate)
+    return mask
+
+
+def dropout(x: Tensor, mask: np.ndarray | None) -> Tensor:
+    """``x`` times a ``dropout_mask``; ``None`` (eval, no dropout) is the identity."""
+    return x if mask is None else x * mask
 
 
 # ---------------------------------------------------------------------------
@@ -168,19 +178,15 @@ def init_transformer_block(key, dim: int, mlp_dim: int) -> dict:
             | prefixed("mlp", init_mlp(km, dim, mlp_dim)))
 
 
-def transformer_block(x: Tensor, p: dict, heads: int,
-                      train: bool = False, drop_rate: float = 0.0,
-                      key: R.RngKey | None = None) -> Tensor:
-    """Pre-LayerNorm encoder block: x + MHA(LN(x)), then x + MLP(LN(x))."""
-    k1 = k2 = None
-    if train and drop_rate > 0.0:
-        k1, k2 = R.split(key, 2)
+def transformer_block(x: Tensor, p: dict, heads: int, masks=None) -> Tensor:
+    """Pre-LayerNorm encoder block: x + MHA(LN(x)), then x + MLP(LN(x)),
+    each branch times its ``dropout_mask`` in ``masks``, when given."""
+    m1, m2 = (None, None) if masks is None else masks
     s = scopes(p)
     h = layer_norm(x, s["ln1"])
-    x = x + dropout(multi_head_attention(h, h, h, heads, s["attn"]),
-                    drop_rate, train, k1)
+    x = x + dropout(multi_head_attention(h, h, h, heads, s["attn"]), m1)
     h = layer_norm(x, s["ln2"])
-    return x + dropout(mlp(h, s["mlp"]), drop_rate, train, k2)
+    return x + dropout(mlp(h, s["mlp"]), m2)
 
 
 def init_decoder_block(key, dim: int, mlp_dim: int) -> dict:

@@ -8,6 +8,8 @@ of the order in which the tree is walked.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _C240 = 0x1BD11BDAA9FC1A22
@@ -172,6 +174,24 @@ def uniform(key: RngKey, shape) -> np.ndarray:
     n = int(np.prod(shape)) if len(tuple(shape)) else 1
     u = _unit(_random_bits(key, max(n, 1)))
     return u[:n].reshape(shape)
+
+
+def _random_bits32(key: RngKey, n: int) -> np.ndarray:
+    """n words of 32 random bits: the ``_random_bits`` of ``ceil(n/4)``
+    blocks, each 64-bit word split into its low and then its high half
+    (a little-endian view, whatever the machine's byte order)."""
+    words = _random_bits(key, 2 * -(-n // 4)).astype("<u8", copy=False)
+    return words.view("<u4")[:n]
+
+
+def bernoulli(key: RngKey, p: float, shape) -> np.ndarray:
+    """Booleans of the given shape, each True with probability ``p``: an
+    element is True iff its 32-bit word is below ``ceil(p * 2**32)``, so
+    any ``p`` above ``1 - 2**-32`` gives all."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"bernoulli needs 0 <= p <= 1, got {p}")
+    words = _random_bits32(key, math.prod(shape))
+    return (words < math.ceil(p * 2 ** 32)).reshape(shape)
 
 
 def normal(key: RngKey, shape) -> np.ndarray:

@@ -487,8 +487,18 @@ def test_every_baseline_trains_one_step(tmp_path):
         assert "loss" in out
 
 
+def test_vit_dropout_without_a_key_refused():
+    contract = B.build_vit(Config({"model": {"dropout": 0.1}}), image_meta())
+    arch = contract.build_model()
+    params, state = arch.init(R.RngKey.from_seed(0))
+    x = Tensor(np.zeros((2, 8, 8, 1), np.float32))
+    with pytest.raises(ValueError, match="needs an rng key"):
+        arch.apply(params, state, x, train=True, rng=None)
+    arch.apply(params, state, x, train=False, rng=None)  # eval draws no mask
+
+
 def test_vit_without_blocks_trains_one_step(tmp_path):
-    # as Mixer and DETR do at depth 0: no block, so no dropout key to split
+    # as Mixer and DETR do at depth 0: no block, so no dropout mask to draw
     cfg = Config({"model": {"name": "vit_classification", "depth": 0,
                             "dropout": 0.1},
                   "batch_size": 4, "total_steps": 1, "eval_every": 1,

@@ -154,18 +154,49 @@ class TestNorms:
 class TestDropout:
     def test_off_in_eval(self):
         x = rand(key(7), (4, 4), "f32")
-        assert L.dropout(x, 0.5, train=False, key=None) is x
+        assert L.dropout(x, None) is x
 
     def test_preserves_expectation(self):
         x = Tensor(np.ones((100, 100), np.float32))
-        out = L.dropout(x, 0.25, train=True, key=key(8))
+        out = L.dropout(x, L.dropout_mask(key(8), 0.25, x.shape, np.float32))
         kept = out.data != 0
         assert abs(kept.mean() - 0.75) < 0.02
         assert np.allclose(out.data[kept], 1.0 / 0.75)
 
     def test_requires_key(self):
         with pytest.raises(ValueError, match="rng key"):
-            L.dropout(Tensor(np.ones(3, np.float32)), 0.5, train=True, key=None)
+            L.dropout_mask(None, 0.5, (3,), np.float32)
+
+    def test_float32_and_float64_masks_share_their_zeros(self):
+        m32 = L.dropout_mask(key(9), 0.3, (6, 7, 8), np.float32)
+        m64 = L.dropout_mask(key(9), 0.3, (6, 7, 8), np.float64)
+        assert m32.dtype == np.float32 and m64.dtype == np.float64
+        assert np.array_equal(m32 == 0, m64 == 0)
+        assert np.all(m32[m32 != 0] == np.float32(1 / 0.7))
+        assert np.all(m64[m64 != 0] == 1 / 0.7)
+
+    def test_stacked_slice_is_its_run_of_the_word_stream(self):
+        shape, rate = (3, 2, 4, 5, 6), 0.4
+        mask = L.dropout_mask(key(10), rate, shape, np.float32)
+        m = 4 * 5 * 6
+        words = R._random_bits32(key(10), 3 * 2 * m)
+        for i in range(3):
+            for j in range(2):
+                run = words[(2 * i + j) * m:(2 * i + j + 1) * m]
+                want = (run >= np.ceil(rate * 2 ** 32)).reshape(shape[2:])
+                assert np.array_equal(mask[i, j] != 0, want), (i, j)
+
+    @pytest.mark.parametrize("rate", [float("nan"), 1.0, -0.5, 1.5, float("inf")])
+    def test_rate_outside_zero_to_one_refused(self, rate):
+        with pytest.raises(ValueError, match=f"got {rate}"):
+            L.dropout_mask(key(11), rate, (4,), np.float32)
+
+    def test_rate_just_below_one_drops_every_unit(self):
+        # ceil(rate * 2^32) is 2^32: every word is below it, none wraps to 0
+        rate = 1.0 - 2.0 ** -33
+        assert np.ceil(rate * 2 ** 32) == 2 ** 32
+        mask = L.dropout_mask(key(12), rate, (50, 40), np.float32)
+        assert not mask.any()
 
 
 class TestAttention:

@@ -221,3 +221,42 @@ def test_lanes_match_the_per_key_draws(lanes, n):
         assert np.array_equal(u, R.uniform(key, (n,)))
         assert np.array_equal((2 + np.floor(u * 7)).astype(np.int64),
                               R.randint(key, (n,), 2, 9))
+
+
+# The 32-bit draw: one word per element, the low then the high half of
+# each 64-bit word, for small (Python-int) and large (array) draws alike.
+@pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 4 * R._SCALAR_MAX,
+                               4 * R._SCALAR_MAX + 1, 1001])
+def test_32_bit_words_are_the_halves_of_the_64_bit_words(n):
+    k = R.RngKey.from_seed(13)
+    wide = R._random_bits(k, 2 * -(-n // 4)).tolist()
+    want = [half for w in wide for half in (w & 0xFFFFFFFF, w >> 32)][:n]
+    words = R._random_bits32(k, n)
+    assert words.dtype == np.uint32
+    assert words.tolist() == want
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5])
+def test_bernoulli_rate_within_5_sigma(p):
+    n = 10 ** 6
+    drawn = R.bernoulli(R.RngKey.from_seed(14), p, (1000, 1000))
+    keep = 1.0 - drawn.mean()
+    assert abs(keep - (1.0 - p)) < 5 * np.sqrt(p * (1 - p) / n)
+
+
+def test_bernoulli_compares_each_word_with_its_threshold():
+    k, p = R.RngKey.from_seed(15), 0.3
+    words = R._random_bits32(k, 60)
+    assert np.array_equal(R.bernoulli(k, p, (3, 4, 5)),
+                          (words < np.ceil(p * 2 ** 32)).reshape(3, 4, 5))
+
+
+def test_bernoulli_ends():
+    k = R.RngKey.from_seed(16)
+    assert not R.bernoulli(k, 0.0, (500,)).any()
+    assert R.bernoulli(k, 1.0, (500,)).all()
+    assert R.bernoulli(k, 1.0 - 2.0 ** -33, (500,)).all()
+    assert R.bernoulli(k, 0.5, ()).shape == ()
+    for p in (float("nan"), -0.1, 1.5):
+        with pytest.raises(ValueError, match="0 <= p <= 1"):
+            R.bernoulli(k, p, (3,))

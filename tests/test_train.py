@@ -522,6 +522,27 @@ class TestOneBatchPerStep:
                     assert np.array_equal(a[name].data, b[name].data), \
                         (hosts, devices, group, name)
 
+    @pytest.mark.parametrize("depth", [2, 4])
+    def test_vit_draws_a_steps_dropout_masks_in_one_cipher_call(
+            self, monkeypatch, depth):
+        meta = DatasetMetaData(num_classes=4, input_shape=(-1, 8, 8, 1),
+                               num_train_examples=96, num_eval_examples=16)
+        contract = build_vit(Config({"model": {"depth": depth, "dropout": 0.1}}), meta)
+        opt = TR.OptimizerSpec(kind="adam", lr=1e-2)
+        state = TR.init_train_state(contract, opt, R.RngKey.from_seed(1))
+        parts = host_batches(image_batch(32, 0), 2)
+        blocks = []
+        threefry = R._threefry_numpy
+
+        def counted(k0, k1, x0, x1):
+            blocks.append(x0.size)
+            return threefry(k0, k1, x0, x1)
+
+        monkeypatch.setattr(R, "_threefry_numpy", counted)
+        TR.train_step(state, parts, TR.Topology(2, 2), contract, opt)
+        # (depth, 2) masks of [32, 5 tokens, 64], a 32-bit word per unit
+        assert blocks == [depth * 2 * 32 * 5 * 64 // 4]
+
     def test_one_value_and_grad_per_train_step_one_apply_per_eval_step(
             self, monkeypatch):
         calls = []
