@@ -8,6 +8,8 @@ immutable values: ops always allocate fresh arrays.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _DTYPES = {
@@ -381,7 +383,8 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
 
 def tmean(a, axis=None, keepdims=False) -> Tensor:
     a = _as_tensor(a)
-    n = a.size if axis is None else a.shape[axis]
+    axes = axis if isinstance(axis, tuple) else (axis,)
+    n = a.size if axis is None else math.prod(a.shape[ax] for ax in axes)
     return tsum(a, axis, keepdims) * (1.0 / n)
 
 
@@ -516,8 +519,9 @@ def transpose(a, axes=None) -> Tensor:
     a = _as_tensor(a)
     if axes is None:
         axes = tuple(reversed(range(a.ndim)))
-    inv = np.argsort(axes)
-    return _make(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
+    out = a.data.transpose(axes)  # numpy refuses axes out of range
+    inv = np.argsort([ax % a.ndim for ax in axes])
+    return _make(out, (a,), lambda g: (g.transpose(inv),))
 
 
 def concat(tensors, axis=0) -> Tensor:

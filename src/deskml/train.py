@@ -10,14 +10,15 @@ gradients. Batch norm takes its statistics over the whole step batch
 topology. Metric tables are sums, normalized after aggregation.
 
 A state's ``params`` and ``opt_state`` stay name -> Tensor dicts, but
-each array in them is a view into one contiguous buffer per dtype (the
-slots of a dtype share one, ``[m | v]`` under Adam). A step gathers the
-gradients into the same layout, so the update is about a dozen numpy
-calls over the buffers, not a dozen per array, and it is elementwise,
-so its results are the per-array ones bit for bit. Checkpoints store
-the same named arrays as before, byte for byte. Only ``train_step``
-builds the buffers: it gathers a state whose dicts are not views of
-them (plain arrays, from init, a checkpoint or a hand edit) once.
+each array in them is a view into one buffer in the model's one dtype:
+a row for the params and one per optimizer slot, a parameter in the
+same columns of each. A step gathers the gradients alike, so the update
+is about a dozen numpy calls over the buffers, not a dozen per array,
+and it is elementwise, so its results are the per-array ones bit for
+bit. Checkpoints store the same named arrays as before, byte for byte.
+Only ``train_step`` builds the buffers: it gathers a state whose dicts
+are not views of them (plain arrays, from init, a checkpoint or a hand
+edit) once, and refuses params that mix dtypes.
 """
 
 from __future__ import annotations
@@ -121,61 +122,19 @@ class TrainState:
     fingerprint: dict | None = None
 
 
-class _Layout:
-    """Where each array of a name -> Tensor dict lies in the flat buffer
-    of its dtype: ``dtypes`` and ``sizes`` give the buffers, ``spans``
-    each name's (name, buffer index, start, stop, shape), in dict order.
-
-    A buffer holds one segment per key suffix, each laid out alike: the
-    params have the one suffix ``""``, the slots of Adam ``("/m", "/v")``.
-    """
-
-    def __init__(self, params: dict):
-        index, self.sizes, self.spans = {}, [], []
-        for name, t in params.items():
-            i = index.setdefault(t.data.dtype, len(index))
-            if i == len(self.sizes):
-                self.sizes.append(0)
-            start = self.sizes[i]
-            self.sizes[i] += t.data.size
-            self.spans.append((name, i, start, self.sizes[i], t.data.shape))
-        self.dtypes = list(index)
-        self._cuts = {}
-
-    def cuts(self, suffixes=("",)) -> list:
-        """(name + suffix, buffer index, start, stop, shape) for each name
-        and suffix, in dict order; worked out once per suffixes."""
-        if suffixes not in self._cuts:
-            self._cuts[suffixes] = [
-                (name + s, i, k * self.sizes[i] + start, k * self.sizes[i] + stop, shape)
-                for name, i, start, stop, shape in self.spans
-                for k, s in enumerate(suffixes)]
-        return self._cuts[suffixes]
-
-    def views(self, bufs: list, suffixes=("",)) -> list:
-        """Each entry's view into ``bufs``, in ``cuts`` order."""
-        return [bufs[i][a:b].reshape(shape) for _, i, a, b, shape in self.cuts(suffixes)]
-
-    def gather(self, tensors: dict, suffixes=("",)) -> list:
-        """A copy of ``tensors[name + suffix]`` for each suffix and name,
-        in that order, as one flat buffer per dtype."""
-        return [np.concatenate(
-            # the empty head lets a kind without slots (sgd) gather nothing
-            [np.empty(0, dtype)] + [tensors[name + s].data for s in suffixes
-                                    for name, j, *_ in self.spans if j == i],
-            axis=None, dtype=dtype) for i, dtype in enumerate(self.dtypes)]
-
-
 class _Flat(dict):
-    """A name -> Tensor dict whose arrays are views into ``bufs``, one
-    contiguous buffer per dtype of ``layout``."""
+    """A name -> Tensor dict whose arrays are views into ``buf``, a
+    ``(rows, size)`` array: the params' one row (the key suffix ``""``),
+    or a row per optimizer slot (``"/m"``, ``"/v"``). ``spans`` holds
+    each parameter's (name, start, stop, shape), in params order."""
 
-    __slots__ = ("layout", "bufs", "suffixes", "_views")
+    __slots__ = ("spans", "buf", "suffixes", "_views")
 
-    def __init__(self, layout: _Layout, bufs: list, suffixes=("",)):
-        self.layout, self.bufs, self.suffixes = layout, bufs, suffixes
-        self._views = layout.views(bufs, suffixes)
-        super().__init__(zip([c[0] for c in layout.cuts(suffixes)],
+    def __init__(self, spans: list, buf: np.ndarray, suffixes=("",)):
+        self.spans, self.buf, self.suffixes = spans, buf, suffixes
+        rows = list(buf)
+        self._views = [row[a:b].reshape(shape) for _, a, b, shape in spans for row in rows]
+        super().__init__(zip([name + s for name, _, _, _ in spans for s in suffixes],
                              map(Tensor, self._views)))
 
     def __reduce__(self):
@@ -190,83 +149,88 @@ class _Flat(dict):
                 and all(t.data is v for t, v in zip(self.values(), self._views)))
 
 
-def _flat_state(params: dict, opt_state: dict, slots) -> tuple:
+def _gather(spans: list, tensors: dict, dtype, suffixes=("",)) -> _Flat:
+    """A copy of ``tensors`` as a ``_Flat`` of ``spans`` and ``suffixes``, in ``dtype``."""
+    arrays = [tensors[name + s].data for s in suffixes for name, _, _, _ in spans]
+    # the empty head lets a kind without slots (sgd) gather nothing
+    buf = np.concatenate([np.empty(0, dtype)] + arrays, axis=None, dtype=dtype)
+    return _Flat(spans, buf.reshape(len(suffixes), spans[-1][2] if spans else 0), suffixes)
+
+
+def _flat_state(params: dict, opt_state: dict, slots: tuple) -> tuple:
     """``params`` and their optimizer ``slots`` as ``_Flat`` dicts of one
-    layout: as they are when they already are, else gathered once into
+    ``spans``: as they are when they already are, else gathered once into
     new buffers (a state from ``init_train_state`` or ``load_checkpoint``,
-    or one built or edited by hand). The slots must be exactly ``slots``
-    of each parameter, each in its parameter's shape and dtype."""
+    or one built or edited by hand). The params must share one dtype, and
+    the slots must be exactly ``slots`` of each parameter, each in its
+    parameter's shape and dtype."""
     suffixes = tuple(f"/{s}" for s in slots)
     if (isinstance(params, _Flat) and isinstance(opt_state, _Flat)
-            and opt_state.layout is params.layout
-            and opt_state.suffixes == suffixes
+            and opt_state.spans is params.spans and opt_state.suffixes == suffixes
             and params.intact() and opt_state.intact()):
         return params, opt_state
+    dtypes = sorted({str(p.data.dtype) for p in params.values()})
+    if len(dtypes) > 1:
+        raise TrainError(f"the params mix the dtypes {dtypes}; a model keeps "
+                         "every parameter in its one dtype")
     want = {name + s: (p.data.shape, p.data.dtype)
             for name, p in params.items() for s in suffixes}
     if {k: (t.data.shape, t.data.dtype) for k, t in opt_state.items()} != want:
         raise TrainError(f"the optimizer state does not hold the slots {slots} "
                          "of every parameter, in its shape and dtype")
-    layout = _Layout(params)
-    return (_Flat(layout, layout.gather(params)),
-            _Flat(layout, layout.gather(opt_state, suffixes), suffixes))
+    spans, size = [], 0
+    for name, p in params.items():
+        spans.append((name, size, size + p.data.size, p.data.shape))
+        size += p.data.size
+    dtype = dtypes[0] if dtypes else None
+    return _gather(spans, params, dtype), _gather(spans, opt_state, dtype, suffixes)
 
 
-def _fresh(c: float, a) -> np.ndarray:
-    """``c * a`` in ``a``'s dtype, as a new array even when ``a`` is 0-d."""
-    return np.multiply(c, a, out=np.empty_like(a))
-
-
-def _apply_update(params: _Flat, g: list, opt_state: _Flat,
+def _apply_update(params: _Flat, g: _Flat, opt_state: _Flat,
                   opt: OptimizerSpec, step: int):
-    """Apply the mean gradients ``g``, one flat buffer per dtype of
-    ``params.layout`` (``_Layout.gather``); returns the new params and
-    optimizer slots as ``_Flat`` dicts of new buffers, in the same
-    dtypes. The arithmetic runs once over each dtype's buffer. Each
-    result (the slots, Adam's denominator, the update, which then
-    becomes the new parameters) is one new buffer and the rest runs in
-    place on those, so the params, slots and gradients passed in are
-    never written."""
+    """Apply the mean gradients ``g``, a ``_Flat`` of ``params.spans``;
+    returns the new params and optimizer slots as ``_Flat`` dicts of new
+    buffers, in the same dtype. The arithmetic runs once over the
+    buffers. Each result (the slots, Adam's denominator, the update,
+    which then becomes the new parameters) is one new buffer and the rest
+    runs in place on those, so the params, slots and gradients passed in
+    are never written."""
     lr = opt.lr_at(step)
-    layout = params.layout
+    gi = g.buf
     if opt.grad_clip is not None:
         # the norm alone accumulates in float64, whatever the dtype, one
         # sum per parameter in params order
-        norm = np.sqrt(sum(float(np.square(v, dtype=np.float64).sum())
-                           for v in layout.views(g)))
+        norm = np.sqrt(sum(float(np.square(t.data, dtype=np.float64).sum())
+                           for t in g.values()))
         if norm > opt.grad_clip:
-            scale = float(opt.grad_clip / norm)
-            g = [b * scale for b in g]
-    new_params, new_slots = [], []
-    for p, old, gi, n in zip(params.bufs, opt_state.bufs, g, layout.sizes):
-        s = np.empty_like(old)  # the new slots: [m] or [m | v]
-        if opt.kind == "sgd":
-            upd = _fresh(lr, gi)
-        elif opt.kind == "sgd_momentum":
-            np.multiply(opt.momentum, old, out=s)
-            s += gi
-            upd = _fresh(lr, s)
-        else:  # adam
-            t = step + 1
-            m, v = s[:n], s[n:]
-            upd = _fresh(1 - _BETA1, gi)  # scratch until the update proper
-            np.multiply(_BETA1, old[:n], out=m)
-            m += upd
-            d = _fresh(1 - _BETA2, gi)
-            d *= gi
-            np.multiply(_BETA2, old[n:], out=v)
-            v += d
-            # upd = lr * (m / (1 - B1^t)) / (sqrt(v / (1 - B2^t)) + eps)
-            np.divide(v, 1 - _BETA2 ** t, out=d)
-            np.sqrt(d, out=d)
-            d += _EPS
-            np.divide(m, 1 - _BETA1 ** t, out=upd)
-            upd *= lr
-            upd /= d
-        new_params.append(np.subtract(p, upd, out=upd))
-        new_slots.append(s)
-    return (_Flat(layout, new_params),
-            _Flat(layout, new_slots, opt_state.suffixes))
+            gi = gi * float(opt.grad_clip / norm)
+    old = opt_state.buf
+    s = np.empty_like(old)  # the new slots, one row each
+    if opt.kind == "sgd":
+        upd = lr * gi
+    elif opt.kind == "sgd_momentum":
+        np.multiply(opt.momentum, old, out=s)
+        s += gi
+        upd = lr * s
+    else:  # adam; m and v are the slot rows
+        t = step + 1
+        m, v = s[:1], s[1:]
+        upd = (1 - _BETA1) * gi  # scratch until the update proper
+        np.multiply(_BETA1, old[:1], out=m)
+        m += upd
+        d = (1 - _BETA2) * gi
+        d *= gi
+        np.multiply(_BETA2, old[1:], out=v)
+        v += d
+        # upd = lr * (m / (1 - B1^t)) / (sqrt(v / (1 - B2^t)) + eps)
+        np.divide(v, 1 - _BETA2 ** t, out=d)
+        np.sqrt(d, out=d)
+        d += _EPS
+        np.divide(m, 1 - _BETA1 ** t, out=upd)
+        upd *= lr
+        upd /= d
+    np.subtract(params.buf, upd, out=upd)
+    return _Flat(params.spans, upd), _Flat(params.spans, s, opt_state.suffixes)
 
 
 def init_train_state(contract: ModelContract, opt: OptimizerSpec,
@@ -294,11 +258,10 @@ def _concat_batches(host_batches: list) -> dict:
             for k in host_batches[0]}
 
 
-def _refuse_non_finite(what: str, layout: _Layout, bufs: list, step: int, suffixes=("",)):
-    """Name the first entry of ``bufs``, in ``layout.cuts`` order, that is not all finite."""
-    if not all(np.isfinite(b).all() for b in bufs):
-        cuts, views = layout.cuts(suffixes), layout.views(bufs, suffixes)
-        name = next(c[0] for c, v in zip(cuts, views) if not np.isfinite(v).all())
+def _refuse_non_finite(what: str, flat: _Flat, step: int):
+    """Name the first entry of ``flat``, in its order, that is not all finite."""
+    if not np.isfinite(flat.buf).all():
+        name = next(k for k, t in flat.items() if not np.isfinite(t.data).all())
         raise TrainError(f"non-finite {what} {name!r} at step {step}")
 
 
@@ -333,13 +296,12 @@ def train_step(state: TrainState, host_batches: list, topology: Topology,
     table = _batch_metrics(contract.get_metrics_fn(), stash.pop("outputs"), batch)
     params, opt_state = _flat_state(state.params, state.opt_state,
                                     _SLOTS[opt.kind])
-    g = params.layout.gather(grads)
+    g = _gather(params.spans, grads, params.buf.dtype)
     del grads
-    _refuse_non_finite("gradient for", params.layout, g, state.step)
+    _refuse_non_finite("gradient for", g, state.step)
     new_params, new_opt = _apply_update(params, g, opt_state, opt, state.step)
     # a finite gradient can still overflow a slot (Adam's v squares it)
-    _refuse_non_finite("optimizer slot", new_opt.layout, new_opt.bufs, state.step,
-                       new_opt.suffixes)
+    _refuse_non_finite("optimizer slot", new_opt, state.step)
     new_state = replace(
         state,
         step=state.step + 1,
@@ -362,7 +324,8 @@ def eval_step(state: TrainState, host_batches: list,
 
 
 def aggregate_metrics(tables: list) -> dict:
-    """Componentwise-sum the tables, then normalize each metric."""
+    """Componentwise-sum the tables, then normalize each metric; one that
+    sums to exactly (0, 0) had no examples, and is left out."""
     if not tables:
         raise TrainError("no metric tables to aggregate")
     keys = set(tables[0])
@@ -374,6 +337,8 @@ def aggregate_metrics(tables: list) -> dict:
     for name in sorted(keys):
         value = sum(t[name][0] for t in tables)
         norm = sum(t[name][1] for t in tables)
+        if value == 0 and norm == 0:
+            continue
         if norm <= 0:
             raise TrainError(f"metric {name!r} has zero total normalizer")
         out[name] = value / norm

@@ -463,6 +463,14 @@ class TestShapeOps:
         check_grads(lambda p: T.tsum(p["x"].reshape((6, 4)).transpose() ** 2.0),
                     {"x": x})
 
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 3, 4)], ids=["2x2x2", "2x3x4"])
+    @pytest.mark.parametrize("axes", [(0, -1, 1), (-1, 0, 1)], ids=["0,-1,1", "-1,0,1"])
+    def test_transpose_grad_with_negative_axes(self, axes, shape):
+        keys = R.split(R.RngKey.from_seed(63), 2)
+        w = T.Tensor(R.normal(keys[1], np.transpose(np.empty(shape), axes).shape))
+        check_grads(lambda p: T.tsum(T.transpose(p["x"], axes) * w),
+                    {"x": rand(keys[0], shape)})
+
     def test_concat_and_slice(self):
         a = rand(R.RngKey.from_seed(12), (2, 3))
         b = rand(R.RngKey.from_seed(13), (4, 3))
@@ -509,6 +517,14 @@ class TestShapeOps:
         assert np.allclose(T.tsum(x, axis=0).data, x.data.sum(0))
         assert np.allclose(T.tmean(x, axis=1, keepdims=True).data,
                            x.data.mean(1, keepdims=True))
+
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_mean_over_a_tuple_of_axes(self, keepdims):
+        x = rand(R.RngKey.from_seed(64), (2, 3, 4))
+        out = T.tmean(x, axis=(1, 2), keepdims=keepdims)
+        np.testing.assert_allclose(out.data, x.data.mean((1, 2), keepdims=keepdims),
+                                   rtol=1e-12)
+        check_grads(lambda p: T.tsum(T.tmean(p["x"], axis=(0, 2)) ** 2.0), {"x": x})
 
 
 class TestSpatialOps:

@@ -211,8 +211,9 @@ def flat_update(params, grads, slots, opt, step):
     params, slots = TR._flat_state({k: Tensor(v) for k, v in params.items()},
                                    {k: Tensor(v) for k, v in slots.items()},
                                    TR._SLOTS[opt.kind])
-    g = params.layout.gather({k: Tensor(v) for k, v in grads.items()})
-    bufs = params.bufs + g + slots.bufs
+    g = TR._gather(params.spans, {k: Tensor(v) for k, v in grads.items()},
+                   params.buf.dtype)
+    bufs = (params.buf, g.buf, slots.buf)
     before = [b.copy() for b in bufs]
     new_params, new_slots = TR._apply_update(params, g, slots, opt, step)
     for b, old in zip(bufs, before):
@@ -223,11 +224,12 @@ def flat_update(params, grads, slots, opt, step):
 
 class TestUpdateInParameterDtype:
     """``_apply_update`` against ``reference_update``, for every optimizer
-    kind, dtype, clipping and schedule."""
+    kind, dtype, clipping and schedule; params that mix dtypes are
+    refused before any update runs."""
 
     SHAPES = {"w": (5, 3), "b": (3,), "scale": ()}  # a 0-d parameter too
-    # "mixed" keeps each parameter in a dtype of its own, so each dtype's
-    # buffer holds a part of the parameters
+    # "mixed" keeps each parameter in a dtype of its own, which a model,
+    # with its one dtype, never does
     DTYPES = {"f32": np.float32, "f64": np.float64,
               "mixed": {"w": np.float32, "b": np.float64, "scale": np.float32}}
 
@@ -255,6 +257,11 @@ class TestUpdateInParameterDtype:
         params, grads, slots = self.inputs(kind, dtypes)
         opt = TR.OptimizerSpec(kind=kind, grad_clip=clip,
                                lr=TR.cosine_decay(0.1, 10) if cosine else 0.1)
+        if dtype == "mixed":
+            with pytest.raises(TR.TrainError, match=r"the params mix the dtypes "
+                               r"\['float32', 'float64'\]"):
+                flat_update(params, grads, slots, opt, 3)
+            return
         inputs = (params, grads, slots)
         before = [{k: v.copy() for k, v in group.items()} for group in inputs]
         new_params, new_slots = flat_update(params, grads, slots, opt, 3)
@@ -277,22 +284,21 @@ class TestUpdateInParameterDtype:
 
 
 def assert_flat(tensors: dict):
-    """Every array in ``tensors`` is a view into one contiguous 1-D buffer
-    per dtype, and the views of a dtype tile their buffer exactly."""
-    by_dtype = {}
-    for t in tensors.values():
-        by_dtype.setdefault(t.data.dtype, []).append(t.data)
-    for dtype, arrays in by_dtype.items():
-        buf = arrays[0].base
-        assert buf is not None and all(a.base is buf for a in arrays), dtype
-        assert buf.ndim == 1 and buf.flags.c_contiguous, dtype
-        start = buf.__array_interface__["data"][0]
-        at = 0
-        for offset, nbytes in sorted((a.__array_interface__["data"][0] - start,
-                                      a.nbytes) for a in arrays):
-            assert offset == at, dtype
-            at += nbytes
-        assert at == buf.nbytes, dtype
+    """Every array in ``tensors`` is a view into one contiguous buffer,
+    and the views tile it exactly (an optimizer without slots has none)."""
+    arrays = [t.data for t in tensors.values()]
+    if not arrays:
+        return
+    buf = arrays[0].base
+    assert buf is not None and all(a.base is buf for a in arrays)
+    assert buf.flags.c_contiguous
+    start = buf.__array_interface__["data"][0]
+    at = 0
+    for offset, nbytes in sorted((a.__array_interface__["data"][0] - start,
+                                  a.nbytes) for a in arrays):
+        assert offset == at
+        at += nbytes
+    assert at == buf.nbytes
 
 
 def copies(tensors: dict) -> dict:
@@ -369,6 +375,46 @@ class TestFlatState:
             opt_state=copies(state.opt_state)), paths[1])
         flat, separate = (open(p, "rb").read() for p in paths)
         assert flat == separate
+
+    @pytest.mark.parametrize("kind", sorted(TR._SLOTS))
+    def test_a_flat_state_gathers_only_its_gradients(self, kind, monkeypatch):
+        # the step updates the buffers the last step made, not copies
+        state, contract, opt = self.stepped(kind)
+        gathered, updated = [], []
+        gather, apply_update = TR._gather, TR._apply_update
+
+        def counted(spans, tensors, *args):
+            gathered.append(tensors)
+            return gather(spans, tensors, *args)
+
+        def watched(params, g, opt_state, *args):
+            updated.append((params, opt_state))
+            return apply_update(params, g, opt_state, *args)
+
+        monkeypatch.setattr(TR, "_gather", counted)
+        monkeypatch.setattr(TR, "_apply_update", watched)
+        TR.train_step(state, [toy_batch()], TR.Topology(1, 1), contract, opt)
+        assert len(gathered) == 1 and gathered[0].keys() == state.params.keys()
+        assert gathered[0] is not state.params
+        [(params, opt_state)] = updated
+        assert params is state.params and opt_state is state.opt_state
+
+    def test_params_of_mixed_dtypes_refused(self):
+        # a registered model casts its params to its one dtype; this one does not
+        def init(key):
+            return {"w": Tensor(np.ones(4, np.float32)),
+                    "u": Tensor(np.ones(4, np.float64))}, {}
+
+        def apply(params, model_state, inputs, train=False, rng=None):
+            return params["w"] + params["u"].astype(np.float32), model_state
+
+        contract = dataclasses.replace(
+            quadratic_contract(), build_model=lambda: ArchitectureHandle(init, apply))
+        opt = TR.OptimizerSpec(kind="adam", lr=0.1)
+        with pytest.raises(TR.TrainError,
+                           match=r"params mix the dtypes \['float32', 'float64'\]"):
+            TR.train_step(fresh_state(contract, opt), [toy_batch()],
+                          TR.Topology(1, 1), contract, opt)
 
     def test_slots_of_another_kind_refused(self):
         state, contract, _ = self.stepped("sgd_momentum")
@@ -599,6 +645,33 @@ class TestEval:
         # 9/10 on one device and 0/2 on another is 9/12, not 0.45
         tables = [{"acc": (9.0, 10.0)}, {"acc": (0.0, 2.0)}]
         assert TR.aggregate_metrics(tables)["acc"] == pytest.approx(0.75)
+
+    def test_aggregate_leaves_out_a_metric_without_examples(self):
+        tables = [{"box_l1": (0.0, 0.0), "loss": (1.0, 2.0)},
+                  {"box_l1": (0.0, 0.0), "loss": (3.0, 2.0)}]
+        assert TR.aggregate_metrics(tables) == {"loss": 1.0}
+        # an empty table beside a full one: only the full one counts
+        tables = [{"box_l1": (0.0, 0.0)}, {"box_l1": (3.0, 4.0)}]
+        assert TR.aggregate_metrics(tables) == {"box_l1": 0.75}
+
+    @pytest.mark.parametrize("max_objects", [0, 1])
+    def test_detr_run_through_windows_without_objects(self, tmp_path, max_objects):
+        # with batch 1 and one record per step, a train window (from
+        # max_objects 1) or every window (from 0) holds no object
+        cfg = Config({
+            "model": {"name": "detr_detection"},
+            "dataset": {"name": "boxes_detection", "max_objects": max_objects,
+                        "num_train_examples": 16, "num_eval_examples": 8},
+            "batch_size": 1, "total_steps": 8, "eval_every": 1})
+        workdir = tmp_path / "run"
+        metrics = TR.run_trainer("detection", cfg, str(workdir), seed=0)
+        with open(workdir / "metrics.jsonl") as f:
+            records = [json.loads(line) for line in f]
+        assert {r["step"] for r in records} == set(range(1, 9))
+        assert (workdir / "ckpt_8.bin").exists()
+        assert "loss" in metrics
+        if max_objects == 0:
+            assert {r["name"] for r in records} == {"train_loss", "eval_loss"}
 
     def test_aggregate_errors(self):
         with pytest.raises(TR.TrainError, match="no metric"):
