@@ -11,7 +11,9 @@ record the environment the pinned lines were taken in, as
 extensions numpy found on the CPU). Float results may differ under
 another of any of these, so the comparison with the file is skipped,
 naming what differs, when the running environment is not the recorded
-one. The two runs must still agree with each other there.
+one. A key may be recorded more than once, one line per value the same
+lines were taken under (the other keys as recorded); any of them
+matches. The two runs must still agree with each other there.
 
 A change that moves lines on purpose pins them again (the script's
 output under one ``# <key> <value>`` line per entry of ``environment()``)
@@ -44,13 +46,14 @@ def environment() -> dict:
 
 
 def read_pinned(path: str) -> tuple[dict, list]:
-    """The recorded environment and the pinned lines of ``path``."""
+    """The recorded environment, each key's list of values, and the
+    pinned lines of ``path``."""
     env, lines = {}, []
     with open(path) as f:
         for line in f.read().splitlines():
             if line.startswith("# "):
                 key, _, value = line[2:].partition(" ")
-                env[key] = value
+                env.setdefault(key, []).append(value)
             else:
                 lines.append(line)
     return env, lines
@@ -88,8 +91,8 @@ def test_same_lines_under_one_and_two_blas_threads(runs):
 def test_lines_equal_the_pinned_file(runs):
     recorded, pinned = read_pinned(PINNED)
     here = environment()
-    differ = [f"{k} {here.get(k)!r}, recorded {v!r}"
-              for k, v in recorded.items() if here.get(k) != v]
+    differ = [f"{k} {here.get(k)!r}, recorded {' or '.join(map(repr, v))}"
+              for k, v in recorded.items() if here.get(k) not in v]
     if differ:
         pytest.skip(f"not the environment {PINNED} was taken in: {differ[0]}")
     for run, lines in runs.items():
