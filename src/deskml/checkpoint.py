@@ -76,6 +76,8 @@ def load_checkpoint(path: str):
             raw = f.read()
     except FileNotFoundError:
         raise CheckpointError(f"checkpoint not found: {path}") from None
+    except OSError as e:  # a directory, an unreadable file
+        raise CheckpointError(f"{path}: cannot be read ({e.strerror})") from None
     try:
         if raw[:4] != _MAGIC:
             raise CheckpointError(f"{path}: bad magic, not a checkpoint")

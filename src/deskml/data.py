@@ -132,13 +132,14 @@ def _image_keys(key: R.RngKey, n: int):
     (the noise key), then the (hi, lo) word arrays of the other ``n``, one
     per image. Every image's stream depends only on its key, so drawing
     all of them in one array call gives each the bits it would get alone."""
-    h, l = R._split_lanes([key.hi], [key.lo], n + 1)
+    lane = np.array([key.hi], np.uint64), np.array([key.lo], np.uint64)
+    h, l = R._threefry2x64(*lane, range(n + 1), 1)  # tag 1: split's blocks
     return R.RngKey(h[0, 0], l[0, 0]), h[0, 1:], l[0, 1:]
 
 
 def _uniform_lanes(k0, k1, n: int) -> np.ndarray:
     """(lanes, n) array: row i is ``uniform(RngKey(k0[i], k1[i]), (n,))``."""
-    return R._unit(R._random_bits_lanes(k0, k1, n))
+    return R._unit(R._random_bits(k0, k1, n))
 
 
 def _rect(v: np.ndarray, size: int) -> tuple:
@@ -189,7 +190,7 @@ def _gen_boxes_detection(task_key, key, n, config: Config):
     k_noise, k0, k1 = _image_keys(key, n)
     noise = R.normal(k_noise, (n, size, size)) * 0.05
     # each image's key splits into its count, class and geometry keys
-    kh, kl = R._split_lanes(k0, k1, 3)
+    kh, kl = R._threefry2x64(k0, k1, range(3), 1)  # split(key, 3) per lane
     count = np.floor(_uniform_lanes(kh[:, 0], kl[:, 0], 1)[:, 0]
                      * (max_objects + 1)).astype(np.int64)
     cls = np.floor(_uniform_lanes(kh[:, 1], kl[:, 1], max_objects) * k).astype(np.int64)

@@ -4,6 +4,9 @@ Keys are immutable 2x64-bit values. Splitting a key yields
 deterministically-derived child keys, so any tree of hosts / devices /
 epochs gets reproducible, statistically independent streams regardless
 of the order in which the tree is walked.
+
+One block function, ``_threefry2x64``, serves one key or a lane of keys
+(a row of blocks per key, each row bit for bit that key's own blocks).
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ _ROT_GROUPS = (_ROT[:4], _ROT[4:], _ROT[:4], _ROT[4:], _ROT[:4])
 # The same groups as uint64 (left, right) shift pairs for the array body.
 _SHIFT_GROUPS = tuple(tuple((np.uint64(r), np.uint64(64 - r)) for r in rots)
                       for rots in _ROT_GROUPS)
-# Up to this many counters the cipher runs on Python ints. The in-place
-# numpy body's fixed cost per call (~70 us) exceeds the int rounds'
-# ~6.5 us per counter up to a crossover measured at 10-12 counters
-# (2-vCPU VM, numpy 2.4); 8 stays below it.
+# Up to this many counters of one key the cipher runs on Python ints.
+# The in-place numpy body's fixed cost per call (~70 us) exceeds the int
+# rounds' ~6.5 us per counter up to a crossover measured at 10-12
+# counters (2-vCPU VM, numpy 2.4); 8 stays below it.
 _SCALAR_MAX = 8
 
 
@@ -80,15 +83,19 @@ def _threefry_numpy(k0, k1, x0, x1):
 def _threefry2x64(k0, k1, counters: range, tag: int):
     """Encrypt the blocks (c, tag), c in ``counters``, under key (k0, k1).
 
-    Returns the two output words per block: lists of ints for at most
-    ``_SCALAR_MAX`` blocks, else uint64 arrays. Both give the same bits.
+    Int key words are one key: its two output words per block, lists of
+    ints for at most ``_SCALAR_MAX`` blocks, else uint64 arrays, with the
+    same bits. uint64 word arrays of shape ``(lanes,)`` are a key per
+    lane: two ``(lanes, n)`` arrays, row i under key (k0[i], k1[i]).
     """
-    n = len(counters)
-    if n <= _SCALAR_MAX:
-        return _threefry_ints(k0, k1, counters, [tag] * n)
-    return _threefry_numpy(k0, k1,
-                           np.arange(counters.start, counters.stop, dtype=np.uint64),
-                           np.full(n, tag, np.uint64))
+    lanes = isinstance(k0, np.ndarray)
+    if not lanes and len(counters) <= _SCALAR_MAX:
+        return _threefry_ints(k0, k1, counters, [tag] * len(counters))
+    x0 = np.arange(counters.start, counters.stop, dtype=np.uint64)
+    if lanes:  # a row of counters per lane, its key broadcast along it
+        x0 = np.tile(x0, (len(k0), 1))
+        k0, k1 = k0[:, None], k1[:, None]
+    return _threefry_numpy(k0, k1, x0, np.full(x0.shape, tag, np.uint64))
 
 
 class RngKey:
@@ -102,6 +109,9 @@ class RngKey:
 
     @classmethod
     def from_seed(cls, seed: int) -> "RngKey":
+        """The key of an int seed in [0, 2**64); others would alias one if masked."""
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK:
+            raise ValueError(f"a seed must be an int in [0, 2**64), got {seed!r}")
         return cls(0, seed)
 
     def __repr__(self):
@@ -134,34 +144,12 @@ def fold_in(key: RngKey, data: int) -> RngKey:
     return RngKey(h, l)
 
 
-def _random_bits(key: RngKey, n: int) -> np.ndarray:
-    """n words of 64 random bits from the key's counter stream."""
-    half = (n + 1) // 2
-    h, l = _threefry2x64(key.hi, key.lo, range(half), 0)
-    return np.concatenate([np.asarray(h, np.uint64), np.asarray(l, np.uint64)])[:n]
-
-
-def _threefry_lanes(k0, k1, n: int, tag: int):
-    """Encrypt the blocks (c, tag), c in range(n), under every key
-    (k0[i], k1[i]) in one array pass: two (lanes, n) uint64 word arrays."""
-    k0 = np.asarray(k0, np.uint64)[:, None]
-    k1 = np.asarray(k1, np.uint64)[:, None]
-    counters = np.tile(np.arange(n, dtype=np.uint64), (len(k0), 1))
-    return _threefry_numpy(k0, k1, counters, np.full(counters.shape, tag, np.uint64))
-
-
-def _split_lanes(k0, k1, n: int):
-    """``split`` over a sequence of keys, given as their word arrays: row
-    i of the two (lanes, n) arrays holds the (hi, lo) words of
-    ``split(RngKey(k0[i], k1[i]), n)``."""
-    return _threefry_lanes(k0, k1, n, 1)
-
-
-def _random_bits_lanes(k0, k1, n: int) -> np.ndarray:
-    """``_random_bits`` over a sequence of keys: row i of the (lanes, n)
-    result is ``_random_bits(RngKey(k0[i], k1[i]), n)``."""
-    h, l = _threefry_lanes(k0, k1, (n + 1) // 2, 0)
-    return np.concatenate([h, l], axis=1)[:, :n]
+def _random_bits(k0, k1, n: int) -> np.ndarray:
+    """n words of 64 random bits from the counter stream of key (k0, k1):
+    ``(n,)`` words for one key, ``(lanes, n)`` for a lane of keys."""
+    h, l = _threefry2x64(k0, k1, range((n + 1) // 2), 0)
+    return np.concatenate([np.asarray(h, np.uint64), np.asarray(l, np.uint64)],
+                          axis=-1)[..., :n]
 
 
 def _unit(bits: np.ndarray) -> np.ndarray:
@@ -171,16 +159,14 @@ def _unit(bits: np.ndarray) -> np.ndarray:
 
 def uniform(key: RngKey, shape) -> np.ndarray:
     """Float64 uniform samples in [0, 1) with the given shape."""
-    n = int(np.prod(shape)) if len(tuple(shape)) else 1
-    u = _unit(_random_bits(key, max(n, 1)))
-    return u[:n].reshape(shape)
+    return _unit(_random_bits(key.hi, key.lo, math.prod(shape))).reshape(shape)
 
 
 def _random_bits32(key: RngKey, n: int) -> np.ndarray:
     """n words of 32 random bits: the ``_random_bits`` of ``ceil(n/4)``
     blocks, each 64-bit word split into its low and then its high half
     (a little-endian view, whatever the machine's byte order)."""
-    words = _random_bits(key, 2 * -(-n // 4)).astype("<u8", copy=False)
+    words = _random_bits(key.hi, key.lo, 2 * -(-n // 4)).astype("<u8", copy=False)
     return words.view("<u4")[:n]
 
 
@@ -196,13 +182,10 @@ def bernoulli(key: RngKey, p: float, shape) -> np.ndarray:
 
 def normal(key: RngKey, shape) -> np.ndarray:
     """Float64 standard normal samples via Box-Muller."""
-    n = int(np.prod(shape)) if len(tuple(shape)) else 1
-    m = max(n, 1)
-    u = _unit(_random_bits(key, 2 * m))
-    u1, u2 = u[:m], u[m:]
-    r = np.sqrt(-2.0 * np.log1p(-u1))  # log1p avoids log(0)
-    z = r * np.cos(2.0 * np.pi * u2)
-    return z[:n].reshape(shape)
+    n = math.prod(shape)
+    u = _unit(_random_bits(key.hi, key.lo, 2 * n))
+    r = np.sqrt(-2.0 * np.log1p(-u[:n]))  # log1p avoids log(0)
+    return (r * np.cos(2.0 * np.pi * u[n:])).reshape(shape)
 
 
 def randint(key: RngKey, shape, low: int, high: int) -> np.ndarray:

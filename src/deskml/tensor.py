@@ -526,6 +526,7 @@ def transpose(a, axes=None) -> Tensor:
 
 def concat(tensors, axis=0) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
+    _same_dtype("concat", *tensors)
     sizes = [t.shape[axis] for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=axis)
     offsets = np.cumsum([0] + sizes)

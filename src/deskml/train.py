@@ -471,15 +471,16 @@ def run_trainer(kind: str, config: Config, workdir: str,
     run is finished, and its final eval is recomputed and returned with
     nothing trained or written. Config is checked before the workdir is
     made: ``Config.get`` refuses a value of the wrong kind or outside its
-    range with a ``ConfigError``, and a check across values (a shape, a
-    name, keys nothing reads) raises its module's error as one. A
-    checkpoint written under another seed, or a config differing in more
-    than ``total_steps`` (in that too under ``optimizer.cosine_decay``),
-    or at a step past ``total_steps``, is refused later with a plain
-    ``TrainError``. ``stop_when`` is checked against eval metrics to
-    allow stopping as soon as a target is reached. On glibc, just before
-    the first step, it tells malloc to keep freed memory mapped for the
-    rest of the process (see ``_keep_freed_memory``).
+    range with a ``ConfigError``, and so is a seed outside [0, 2**64); a
+    check across values (a shape, a name, keys nothing reads) raises its
+    module's error as one. A checkpoint written under another seed, or a
+    config differing in more than ``total_steps`` (in that too under
+    ``optimizer.cosine_decay``), or at a step past ``total_steps``, is
+    refused later with a plain ``TrainError``. ``stop_when`` is checked
+    against eval metrics to allow stopping as soon as a target is
+    reached. On glibc, just before the first step, it tells malloc to
+    keep freed memory mapped for the rest of the process (see
+    ``_keep_freed_memory``).
     """
     try:
         if kind not in _TRAINER_KINDS:
@@ -496,7 +497,10 @@ def run_trainer(kind: str, config: Config, workdir: str,
 
         found = _newest_checkpoint(workdir)  # checked once the workdir is made
         resume_step = found[1].step if found else 0
-        root = R.RngKey.from_seed(seed)
+        try:
+            root = R.RngKey.from_seed(seed)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
         k_data, k_init = R.split(root, 2)
         datasets = [
             build_dataset(

@@ -198,6 +198,18 @@ def test_config_error_anywhere_exits_3_before_the_workdir(tmp_path, capsys,
     assert not os.path.exists(wd)
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_seed_outside_64_bits_exits_3_before_the_workdir(tmp_path, capsys, seed):
+    # masked to 64 bits, these would train seed 2**64 - 1's and seed 0's run
+    wd = str(tmp_path / "x")
+    code = cli_main(["run", "--config", write_config(tmp_path),
+                     "--workdir", wd, "--seed", seed])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: ") and f"[0, 2**64), got {seed}" in err
+    assert not os.path.exists(wd)
+
+
 def test_unknown_model_is_config_error(tmp_path, capsys):
     wd = str(tmp_path / "x")
     code = cli_main(["run", "--config",

@@ -19,6 +19,18 @@ def test_split_zero_rejected():
         R.split(R.RngKey.from_seed(0), 0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, True, "1", None])
+def test_from_seed_refuses_what_is_not_a_64_bit_int(seed):
+    # masking would alias -1 to 2**64 - 1, 2**64 to 0, and 1.5 or True to 1
+    with pytest.raises(ValueError, match=r"int in \[0, 2\*\*64\)"):
+        R.RngKey.from_seed(seed)
+
+
+def test_from_seed_takes_every_64_bit_word():
+    assert R.RngKey.from_seed(0) == R.RngKey(0, 0)
+    assert R.RngKey.from_seed(2 ** 64 - 1) == R.RngKey(0, 2 ** 64 - 1)
+
+
 def test_same_key_same_stream():
     k = R.RngKey.from_seed(3)
     assert np.array_equal(R.uniform(k, (100,)), R.uniform(k, (100,)))
@@ -131,6 +143,37 @@ def test_samples_known_answer(fn, shape, digest, first, last):
     assert sha(x) == digest
 
 
+# 0-d and zero-size shapes: a () draw is element 0 of the (1,) draw, and
+# a zero-size draw is an empty array of its shape and dtype.
+@pytest.mark.parametrize("fn, first", [("uniform", 0.41449980205239156),
+                                       ("normal", -0.4698163781009684)])
+def test_0d_draw_is_element_0_of_the_one_element_draw(fn, first):
+    k = R.RngKey.from_seed(7)
+    x = getattr(R, fn)(k, ())
+    assert x.shape == () and x.dtype == np.float64
+    assert x == getattr(R, fn)(k, (1,))[0] == first
+
+
+def test_0d_bernoulli_is_element_0_of_the_one_element_draw():
+    k = R.RngKey.from_seed(7)
+    for p in (0.1, 0.5, 0.9):
+        x = R.bernoulli(k, p, ())
+        assert x.shape == () and x.dtype == np.bool_
+        assert x == R.bernoulli(k, p, (1,))[0]
+    word = R._random_bits32(k, 1)[0]
+    assert R.bernoulli(k, 0.5, ()) == (word < 2 ** 31)
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 5)])
+@pytest.mark.parametrize("fn, dtype", [("uniform", np.float64),
+                                       ("normal", np.float64),
+                                       ("bernoulli", np.bool_)])
+def test_zero_size_draw_is_empty(fn, dtype, shape):
+    k = R.RngKey.from_seed(7)
+    x = R.bernoulli(k, 0.5, shape) if fn == "bernoulli" else getattr(R, fn)(k, shape)
+    assert x.shape == shape and x.dtype == dtype and x.size == 0
+
+
 def test_cipher_paths_agree():
     import random
     rnd = random.Random(0)
@@ -210,13 +253,13 @@ def test_lanes_match_the_per_key_draws(lanes, n):
     keys = _lane_keys(lanes, seed=lanes * 1000 + n)
     k0 = np.array([k.hi for k in keys], np.uint64)
     k1 = np.array([k.lo for k in keys], np.uint64)
-    h, l = R._split_lanes(k0, k1, n)
-    bits = R._random_bits_lanes(k0, k1, n)
+    h, l = R._threefry2x64(k0, k1, range(n), 1)
+    bits = R._random_bits(k0, k1, n)
     assert h.shape == l.shape == bits.shape == (lanes, n)
     assert h.dtype == l.dtype == bits.dtype == np.uint64
     for i, key in enumerate(keys):
         assert [R.RngKey(a, b) for a, b in zip(h[i].tolist(), l[i].tolist())] == R.split(key, n)
-        assert np.array_equal(bits[i], R._random_bits(key, n))
+        assert np.array_equal(bits[i], R._random_bits(key.hi, key.lo, n))
         u = R._unit(bits[i])
         assert np.array_equal(u, R.uniform(key, (n,)))
         assert np.array_equal((2 + np.floor(u * 7)).astype(np.int64),
@@ -229,7 +272,7 @@ def test_lanes_match_the_per_key_draws(lanes, n):
                                4 * R._SCALAR_MAX + 1, 1001])
 def test_32_bit_words_are_the_halves_of_the_64_bit_words(n):
     k = R.RngKey.from_seed(13)
-    wide = R._random_bits(k, 2 * -(-n // 4)).tolist()
+    wide = R._random_bits(k.hi, k.lo, 2 * -(-n // 4)).tolist()
     want = [half for w in wide for half in (w & 0xFFFFFFFF, w >> 32)][:n]
     words = R._random_bits32(k, n)
     assert words.dtype == np.uint32

@@ -480,6 +480,14 @@ class TestShapeOps:
         check_grads(lambda p: T.tsum(T.concat([p["a"], p["b"]], axis=0)[1:4] ** 2.0),
                     {"a": a, "b": b})
 
+    def test_concat_dtype_mismatch(self):
+        a = T.Tensor(np.ones((2, 3)), dtype="f32")
+        b = T.Tensor(np.ones((1, 3)), dtype="f64")
+        with pytest.raises(TypeError, match="concat: dtype mismatch"):
+            T.concat([a, b])
+        with pytest.raises(TypeError, match="concat: dtype mismatch"):
+            T.concat([b, a, a])
+
     @pytest.mark.parametrize("axis", [0, 1, 3, -1])
     def test_concat_grad_is_the_gathered_slice(self, axis):
         keys = R.split(R.RngKey.from_seed(61), 4)

@@ -1053,6 +1053,18 @@ class TestResume:
         TR.run_trainer("classification", self.config(), split, seed=3)
         self.assert_same_files(full, split, ["metrics.jsonl", "ckpt_10.bin"])
 
+    def test_newest_checkpoint_name_on_a_directory_falls_back_to_older(
+            self, tmp_path):
+        full = self.full_run(tmp_path)
+        split = str(tmp_path / "split")
+        TR.run_trainer("classification", self.config(total_steps=5), split,
+                       seed=3)
+        os.mkdir(os.path.join(split, "ckpt_9.bin"))
+        with pytest.raises(CK.CheckpointError, match="cannot be read"):
+            CK.load_checkpoint(os.path.join(split, "ckpt_9.bin"))
+        TR.run_trainer("classification", self.config(), split, seed=3)
+        self.assert_same_files(full, split, ["metrics.jsonl", "ckpt_10.bin"])
+
     @pytest.mark.parametrize("name", ["ckpt_best.bin", "ckpt_.bin"])
     def test_foreign_checkpoint_name_is_left_alone(self, tmp_path, name):
         full = self.full_run(tmp_path)
