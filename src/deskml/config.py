@@ -116,12 +116,27 @@ def load_config(path: str) -> Config:
     if not text.strip():
         return Config({})
     try:
-        values = json.loads(text)
+        values = _loads(text, path)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
     if not isinstance(values, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return Config(values)
+
+
+def _loads(text: str, where: str):
+    """``text`` parsed as JSON, refusing a map that repeats a key (which
+    ``json.loads`` would let the last value win) with a ``ConfigError``
+    naming the key and ``where`` the text came from."""
+    def unique(pairs):
+        out = {}
+        for key, value in pairs:
+            if key in out:
+                raise ConfigError(f"{where}: duplicate key {key!r}")
+            out[key] = value
+        return out
+
+    return json.loads(text, object_pairs_hook=unique)
 
 
 def dumps(config: Config) -> str:
@@ -133,10 +148,11 @@ _BOOLS = {"true": True, "1": True, "false": False, "0": False}
 # leaf: each kind's name and how an override's text is read for it. A
 # value must be of its default's kind, but an int also fits a float
 # default; a bool fits only a bool, and a null nothing. A list's
-# elements must be of the kind of the default's first.
+# elements must be of the kind of the default's first. A parser of None
+# reads JSON (``_loads``).
 _KINDS = {bool: ("a bool", lambda t: _BOOLS.get(t.lower(), t)), int: ("an int", int),
           float: ("a number", float), str: ("a string", str),
-          list: ("a JSON list", json.loads), dict: ("a JSON map", json.loads)}
+          list: ("a JSON list", None), dict: ("a JSON map", None)}
 
 
 def _misfit(value, default) -> str | None:
@@ -159,12 +175,14 @@ def _outside(value, within: str) -> bool:
                 and (value <= hi if within[-1] == "]" else value < hi))
 
 
-def _parse_value(text: str, existing):
+def _parse_value(text: str, existing, where: str):
     """Read an override's text as ``_KINDS`` says for the existing leaf, as
     JSON for a new key or a null; text that does not parse stays text,
-    which ``override`` then refuses unless it fits the leaf's kind."""
+    which ``override`` then refuses unless it fits the leaf's kind. JSON
+    that repeats a key is refused, naming ``where``."""
+    parse = _KINDS.get(type(existing), (None, None))[1]
     try:
-        return _KINDS.get(type(existing), (None, json.loads))[1](text)
+        return parse(text) if parse else _loads(text, where)
     except ValueError:
         return text
 
@@ -199,7 +217,7 @@ def override(config: Config, assignments: list[str]) -> Config:
         if leaf not in node and not create:
             raise ConfigError(f"unknown config key {key!r} (use +{key}= to create)")
         existing = node.get(leaf)
-        value = _parse_value(text, existing)
+        value = _parse_value(text, existing, f"override {item!r}")
         kind = None if isinstance(existing, dict) else _misfit(value, existing)
         if kind:
             raise ConfigError(f"config key {key!r}: cannot parse {text!r} as {kind}")

@@ -11,14 +11,16 @@ topology. Metric tables are sums, normalized after aggregation.
 
 A state's ``params`` and ``opt_state`` stay name -> Tensor dicts, but
 each array in them is a view into one buffer in the model's one dtype:
-a row for the params and one per optimizer slot, a parameter in the
-same columns of each. A step gathers the gradients alike, so the update
-is about a dozen numpy calls over the buffers, not a dozen per array,
-and it is elementwise, so its results are the per-array ones bit for
-bit. Checkpoints store the same named arrays as before, byte for byte.
-Only ``train_step`` builds the buffers: it gathers a state whose dicts
-are not views of them (plain arrays, from init, a checkpoint or a hand
-edit) once, and refuses params that mix dtypes.
+a row for the params and one per optimizer slot, the parameters in
+name order (as checkpoints store them) in the same columns of each. A
+step gathers the gradients into a bare buffer alike, so the update is
+about a dozen numpy calls over the buffers, and it is elementwise, so
+its results are the per-array ones bit for bit; the clip norm is one
+float64 reduction over the gradient buffer. Only ``train_step`` builds
+the buffers: it gathers a state whose dicts are not views of them
+(from init, a checkpoint or a hand edit, in any key order) once, and
+refuses params that mix dtypes. ``eval_every`` defaults to a quarter
+of ``total_steps``; a run leaving it out records that in its fingerprint.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ class _Flat(dict):
     """A name -> Tensor dict whose arrays are views into ``buf``, a
     ``(rows, size)`` array: the params' one row (the key suffix ``""``),
     or a row per optimizer slot (``"/m"``, ``"/v"``). ``spans`` holds
-    each parameter's (name, start, stop, shape), in params order."""
+    each parameter's (name, start, stop, shape), in name order."""
 
     __slots__ = ("spans", "buf", "suffixes", "_views")
 
@@ -149,21 +151,21 @@ class _Flat(dict):
                 and all(t.data is v for t, v in zip(self.values(), self._views)))
 
 
-def _gather(spans: list, tensors: dict, dtype, suffixes=("",)) -> _Flat:
-    """A copy of ``tensors`` as a ``_Flat`` of ``spans`` and ``suffixes``, in ``dtype``."""
+def _gather(spans: list, tensors: dict, dtype, suffixes=("",)) -> np.ndarray:
+    """``tensors`` copied into a ``dtype`` buffer of ``spans``, a row per suffix."""
     arrays = [tensors[name + s].data for s in suffixes for name, _, _, _ in spans]
     # the empty head lets a kind without slots (sgd) gather nothing
     buf = np.concatenate([np.empty(0, dtype)] + arrays, axis=None, dtype=dtype)
-    return _Flat(spans, buf.reshape(len(suffixes), spans[-1][2] if spans else 0), suffixes)
+    return buf.reshape(len(suffixes), spans[-1][2] if spans else 0)
 
 
 def _flat_state(params: dict, opt_state: dict, slots: tuple) -> tuple:
     """``params`` and their optimizer ``slots`` as ``_Flat`` dicts of one
     ``spans``: as they are when they already are, else gathered once into
-    new buffers (a state from ``init_train_state`` or ``load_checkpoint``,
-    or one built or edited by hand). The params must share one dtype, and
-    the slots must be exactly ``slots`` of each parameter, each in its
-    parameter's shape and dtype."""
+    new buffers in name order (a state from ``init_train_state`` or
+    ``load_checkpoint``, or one built or edited by hand, in any key order).
+    The params must share one dtype, and the slots must be exactly
+    ``slots`` of each parameter, each in its parameter's shape and dtype."""
     suffixes = tuple(f"/{s}" for s in slots)
     if (isinstance(params, _Flat) and isinstance(opt_state, _Flat)
             and opt_state.spans is params.spans and opt_state.suffixes == suffixes
@@ -179,47 +181,43 @@ def _flat_state(params: dict, opt_state: dict, slots: tuple) -> tuple:
         raise TrainError(f"the optimizer state does not hold the slots {slots} "
                          "of every parameter, in its shape and dtype")
     spans, size = [], 0
-    for name, p in params.items():
+    for name, p in sorted(params.items()):
         spans.append((name, size, size + p.data.size, p.data.shape))
         size += p.data.size
     dtype = dtypes[0] if dtypes else None
-    return _gather(spans, params, dtype), _gather(spans, opt_state, dtype, suffixes)
+    return (_Flat(spans, _gather(spans, params, dtype)),
+            _Flat(spans, _gather(spans, opt_state, dtype, suffixes), suffixes))
 
 
-def _apply_update(params: _Flat, g: _Flat, opt_state: _Flat,
+def _apply_update(params: _Flat, g: np.ndarray, opt_state: _Flat,
                   opt: OptimizerSpec, step: int):
-    """Apply the mean gradients ``g``, a ``_Flat`` of ``params.spans``;
-    returns the new params and optimizer slots as ``_Flat`` dicts of new
-    buffers, in the same dtype. The arithmetic runs once over the
-    buffers. Each result (the slots, Adam's denominator, the update,
-    which then becomes the new parameters) is one new buffer and the rest
-    runs in place on those, so the params, slots and gradients passed in
-    are never written."""
+    """Apply the mean gradients ``g``, a buffer of ``params.spans``;
+    returns the new params and slots as ``_Flat`` dicts of new buffers in
+    the same dtype. Each result (the slots, Adam's denominator, the
+    update, which becomes the new params) is one new buffer and the rest
+    runs in place on those, so no buffer passed in is written."""
     lr = opt.lr_at(step)
-    gi = g.buf
     if opt.grad_clip is not None:
-        # the norm alone accumulates in float64, whatever the dtype, one
-        # sum per parameter in params order
-        norm = np.sqrt(sum(float(np.square(t.data, dtype=np.float64).sum())
-                           for t in g.values()))
+        # one float64 sum in any dtype; a BLAS dot's order can follow its threads
+        norm = np.sqrt(np.square(g, dtype=np.float64).sum())
         if norm > opt.grad_clip:
-            gi = gi * float(opt.grad_clip / norm)
+            g = g * float(opt.grad_clip / norm)
     old = opt_state.buf
     s = np.empty_like(old)  # the new slots, one row each
     if opt.kind == "sgd":
-        upd = lr * gi
+        upd = lr * g
     elif opt.kind == "sgd_momentum":
         np.multiply(opt.momentum, old, out=s)
-        s += gi
+        s += g
         upd = lr * s
     else:  # adam; m and v are the slot rows
         t = step + 1
         m, v = s[:1], s[1:]
-        upd = (1 - _BETA1) * gi  # scratch until the update proper
+        upd = (1 - _BETA1) * g  # scratch until the update proper
         np.multiply(_BETA1, old[:1], out=m)
         m += upd
-        d = (1 - _BETA2) * gi
-        d *= gi
+        d = (1 - _BETA2) * g
+        d *= g
         np.multiply(_BETA2, old[1:], out=v)
         v += d
         # upd = lr * (m / (1 - B1^t)) / (sqrt(v / (1 - B2^t)) + eps)
@@ -258,10 +256,11 @@ def _concat_batches(host_batches: list) -> dict:
             for k in host_batches[0]}
 
 
-def _refuse_non_finite(what: str, flat: _Flat, step: int):
-    """Name the first entry of ``flat``, in its order, that is not all finite."""
-    if not np.isfinite(flat.buf).all():
-        name = next(k for k, t in flat.items() if not np.isfinite(t.data).all())
+def _refuse_non_finite(what: str, buf, spans: list, suffixes, step: int):
+    """Name the first entry of ``buf``, in spans order, that is not all finite."""
+    if not np.isfinite(buf).all():
+        name = next(name + s for name, a, b, _ in spans
+                    for s, row in zip(suffixes, buf) if not np.isfinite(row[a:b]).all())
         raise TrainError(f"non-finite {what} {name!r} at step {step}")
 
 
@@ -298,10 +297,11 @@ def train_step(state: TrainState, host_batches: list, topology: Topology,
                                     _SLOTS[opt.kind])
     g = _gather(params.spans, grads, params.buf.dtype)
     del grads
-    _refuse_non_finite("gradient for", g, state.step)
+    _refuse_non_finite("gradient for", g, params.spans, ("",), state.step)
     new_params, new_opt = _apply_update(params, g, opt_state, opt, state.step)
     # a finite gradient can still overflow a slot (Adam's v squares it)
-    _refuse_non_finite("optimizer slot", new_opt, state.step)
+    _refuse_non_finite("optimizer slot", new_opt.buf, new_opt.spans,
+                       new_opt.suffixes, state.step)
     new_state = replace(
         state,
         step=state.step + 1,
@@ -475,7 +475,8 @@ def run_trainer(kind: str, config: Config, workdir: str,
     check across values (a shape, a name, keys nothing reads) raises its
     module's error as one. A checkpoint written under another seed, or a
     config differing in more than ``total_steps`` (in that too under
-    ``optimizer.cosine_decay``), or at a step past ``total_steps``, is
+    ``optimizer.cosine_decay``; an ``eval_every`` left out counts as its
+    default, a quarter of ``total_steps``), or at a step past ``total_steps``, is
     refused later with a plain ``TrainError``. ``stop_when`` is checked
     against eval metrics to allow stopping as soon as a target is
     reached. On glibc, just before the first step, it tells malloc to
@@ -532,7 +533,9 @@ def run_trainer(kind: str, config: Config, workdir: str,
         unread = config.unread()
         if unread:
             raise TrainError(f"unknown config key {unread[0]!r}: nothing reads it")
-        state = replace(state, fingerprint=_run_fingerprint(config, seed))
+        # the default eval_every follows total_steps: an extension must not move it
+        state = replace(state, fingerprint=_run_fingerprint(
+            config.with_defaults({"eval_every": eval_every}), seed))
     except tuple(_REFUSED) as e:
         base = next(b for b in _REFUSED if isinstance(e, b))
         raise _REFUSED[base](*e.args) from e

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from deskml import checkpoint as CK
-from deskml.cli import EXIT_CONFIG, EXIT_USAGE, cli_main
+from deskml.cli import EXIT_CONFIG, EXIT_RUNTIME, EXIT_USAGE, cli_main
 from deskml.config import Config
 from deskml.train import run_trainer
 
@@ -68,6 +68,40 @@ def test_bad_config_file_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert "config error" in err
+
+
+@pytest.mark.parametrize("optimizer, overrides", [
+    ('{"lr": 0.5, "lr": 0.001}', []),
+    ('{"lr": 0.5}', ["--override", 'optimizer={"lr": 0.5, "lr": 0.001}']),
+], ids=["file", "override"])
+def test_duplicate_config_key_exits_3_before_the_workdir(tmp_path, capsys,
+                                                         optimizer, overrides):
+    # json.loads keeps the last value, so the file trained at lr 0.001
+    path, wd = tmp_path / "dup.json", str(tmp_path / "x")
+    path.write_text('{"model": {"name": "fully_connected_classification"}, '
+                    f'"optimizer": {optimizer}}}')
+    code = cli_main(["run", "--config", str(path), "--workdir", wd] + overrides)
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: ") and "duplicate key 'lr'" in err
+    assert not os.path.exists(wd)
+
+
+def test_extending_a_run_with_the_default_eval_every_exits_4(tmp_path, capsys):
+    # eval_every defaults to total_steps // 4: extended from 8 steps to 16,
+    # the run evaluated at steps 2, 4, 6, 8, 12 and 16
+    with open(write_config(tmp_path)) as f:
+        cfg = json.load(f)
+    del cfg["eval_every"]
+    path, wd = tmp_path / "default_eval.json", str(tmp_path / "x")
+    path.write_text(json.dumps({**cfg, "total_steps": 8}))
+    argv = ["run", "--config", str(path), "--workdir", wd]
+    assert cli_main(argv) == 0
+    before = sorted(os.listdir(wd))
+    assert cli_main(argv + ["--override", "total_steps=16"]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "config key 'eval_every' is 2 in the checkpoint but 4 in this run" in err
+    assert sorted(os.listdir(wd)) == before
 
 
 @pytest.mark.parametrize("make", ["directory", "not_utf8"])

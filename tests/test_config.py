@@ -31,6 +31,16 @@ def test_parse_error_names_location(tmp_path):
         C.load_config(path)
 
 
+@pytest.mark.parametrize("text", ['{"optimizer": {"lr": 0.5, "lr": 0.001}}',
+                                  '{"lr": 0.5, "model": {}, "lr": 0.5}'],
+                         ids=["nested", "top_level"])
+def test_duplicate_key_names_the_key_and_file(tmp_path, text):
+    # json.loads keeps the last value, so the first was silently dropped
+    path = write(tmp_path, text)
+    with pytest.raises(C.ConfigError, match=f"^{re.escape(path)}: duplicate key 'lr'$"):
+        C.load_config(path)
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(C.ConfigError, match="not found"):
         C.load_config(str(tmp_path / "nope.json"))
@@ -202,6 +212,19 @@ def test_override_reads_its_text_for_the_leaf(leaf, text, value):
 def test_override_refuses_text_unlike_its_leaf(leaf, text, kind):
     with pytest.raises(C.ConfigError, match=f"'k': cannot parse '{text}' as {kind}$"):
         C.override(C.Config({"k": leaf}), [f"k={text}"])
+
+
+@pytest.mark.parametrize("values, item", [
+    ({"optimizer": {"lr": 0.5}}, 'optimizer={"lr": 0.5, "lr": 0.001}'),  # a map leaf
+    ({"k": None}, 'k={"a": [{"lr": 1, "lr": 2}]}'),  # a null leaf reads JSON
+    ({}, '+k={"lr": 1, "lr": 2}'),  # a new key
+    ({"k": [{}]}, 'k=[{"lr": 1, "lr": 2}]'),  # a list leaf
+], ids=["map_leaf", "null_leaf", "new_key", "list_leaf"])
+def test_override_refuses_a_duplicate_key(values, item):
+    # the refusal is a ConfigError, not text that does not parse
+    with pytest.raises(C.ConfigError,
+                       match=f"^override {re.escape(repr(item))}: duplicate key 'lr'$"):
+        C.override(C.Config(values), [item])
 
 
 def test_override_bool_leaf():

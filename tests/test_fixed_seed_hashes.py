@@ -96,6 +96,16 @@ def test_a_changed_run_drifts_and_a_missing_file_is_infinite(parent, tmp_path):
     assert line.startswith("drift mlp metrics.jsonl ") and "inf" in line
 
 
+@pytest.mark.parametrize("made", [False, True], ids=["missing", "empty"])
+def test_a_run_absent_in_the_parent_is_infinite(parent, tmp_path, made):
+    # a run added since the parent: its workdir lacks the run's directory
+    absent = tmp_path / "parent" / "vit_2x2_new"
+    if made:
+        absent.mkdir(parents=True)
+    assert FSH.drift_line("vit_2x2_new", parent, str(absent)) == \
+        "drift vit_2x2_new inf (the run is absent in the parent)"
+
+
 def test_arrays_one_side_holds_are_counted_not_scored(parent, tmp_path):
     wd = copy_of(parent, tmp_path)
     path = os.path.join(wd, "ckpt_2.bin")

@@ -174,11 +174,13 @@ class TestOptimizer:
 def reference_update(params, g, opt_state, opt, step):
     """The update as it was computed before it ran in the parameters'
     dtype: the gradients cast to float64, and each result cast back to
-    its parameter's dtype. Returns (params, slots) of arrays."""
+    its parameter's dtype; the clip norm is one sum over the gradients
+    concatenated in name order. Returns (params, slots) of arrays."""
     g = {k: v.astype(np.float64) for k, v in g.items()}
     lr = opt.lr(step) if callable(opt.lr) else opt.lr
     if opt.grad_clip is not None:
-        norm = np.sqrt(sum(float((x * x).sum()) for x in g.values()))
+        flat = np.concatenate([g[k].ravel() for k in sorted(g)])
+        norm = np.sqrt((flat * flat).sum())
         if norm > opt.grad_clip:
             g = {k: v * (opt.grad_clip / norm) for k, v in g.items()}
     new_params, new_slots = {}, {}
@@ -213,7 +215,7 @@ def flat_update(params, grads, slots, opt, step):
                                    TR._SLOTS[opt.kind])
     g = TR._gather(params.spans, {k: Tensor(v) for k, v in grads.items()},
                    params.buf.dtype)
-    bufs = (params.buf, g.buf, slots.buf)
+    bufs = (params.buf, g, slots.buf)
     before = [b.copy() for b in bufs]
     new_params, new_slots = TR._apply_update(params, g, slots, opt, step)
     for b, old in zip(bufs, before):
@@ -399,6 +401,30 @@ class TestFlatState:
         [(params, opt_state)] = updated
         assert params is state.params and opt_state is state.opt_state
 
+    @pytest.mark.parametrize("kind", sorted(TR._SLOTS))
+    def test_one_layout_whatever_the_key_order(self, kind):
+        # init gives model order and a checkpoint name order; both are laid
+        # out in name order, so the update, clip norm included, is the same
+        contract = build_mlp(Config({"model": {"dtype": "f64"}}), mlp_meta())
+        opt = TR.OptimizerSpec(kind=kind, lr=0.1, grad_clip=1e-3)
+        state = fresh_state(contract, opt)
+        rs = np.random.default_rng(0)
+        grads = {k: Tensor(rs.standard_normal(t.shape)) for k, t in state.params.items()}
+        model_order = list(state.params)
+        assert model_order != sorted(model_order)
+        outs = []
+        for order in (model_order, sorted(model_order), sorted(model_order)[::-1]):
+            params, slots = TR._flat_state(
+                {k: state.params[k] for k in order},
+                {f"{k}/{s}": state.opt_state[f"{k}/{s}"]
+                 for k in order for s in TR._SLOTS[kind]}, TR._SLOTS[kind])
+            g = TR._gather(params.spans, grads, params.buf.dtype)
+            new_params, new_slots = TR._apply_update(params, g, slots, opt, 0)
+            outs.append((params.spans, new_params.buf.tobytes(),
+                         new_slots.buf.tobytes()))
+        assert [name for name, _, _, _ in outs[0][0]] == sorted(model_order)
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
     def test_params_of_mixed_dtypes_refused(self):
         # a registered model casts its params to its one dtype; this one does not
         def init(key):
@@ -454,9 +480,9 @@ def test_non_finite_optimizer_slot_refused(tmp_path):
         "dataset": {"name": "boxes_detection", "num_train_examples": 32,
                     "num_eval_examples": 16},
         "batch_size": 16, "total_steps": 2, "eval_every": 2})
-    # the first slot in params order that is not finite
+    # the first slot in name order that is not finite
     with pytest.raises(TR.TrainError,
-                       match="non-finite optimizer slot 'conv1/w/v' at step 0"):
+                       match="non-finite optimizer slot 'box_head/b/v' at step 0"):
         TR.run_trainer("detection", cfg, str(tmp_path / "run"), seed=0)
 
 
@@ -977,10 +1003,12 @@ class TestRunTrainer:
         wd = str(tmp_path / "vit")
         assert "accuracy" in TR.run_trainer("classification", cfg, wd)
         fingerprint = CK.load_checkpoint(os.path.join(wd, "ckpt_1.bin")).fingerprint
-        # the caller's keys keep their order; defaults come after them
+        # the caller's keys keep their order; defaults come after them, and
+        # the eval_every the config left out, resolved, after those
         assert list(fingerprint["config"]) == [
             "model.name", "batch_size", "dataset.num_train_examples",
-            "dataset.num_eval_examples", "dataset.name", "dataset.input_shape"]
+            "dataset.num_eval_examples", "dataset.name", "dataset.input_shape",
+            "eval_every"]
 
     @pytest.mark.parametrize("model, dataset, kind", [
         ("fully_connected_classification", "blobs_classification",
@@ -1145,6 +1173,39 @@ class TestResume:
         assert again == first
         assert snapshot(wd) == before
 
+    def default_eval_config(self, total_steps):
+        values = self.config(total_steps=total_steps).to_dict()
+        del values["eval_every"]
+        return Config(values)
+
+    def test_extending_a_run_with_the_default_eval_every_refused(self, tmp_path):
+        # eval_every defaults to total_steps // 4: extended to 20 steps, the
+        # 8-step run that evaluated every 2 steps would go on every 5
+        wd = str(tmp_path / "run")
+        TR.run_trainer("classification", self.default_eval_config(8), wd, seed=3)
+        before = snapshot(wd)
+        with pytest.raises(TR.TrainError, match="config key 'eval_every' is 2 in the "
+                                                "checkpoint but 5 in this run"):
+            TR.run_trainer("classification", self.default_eval_config(20), wd, seed=3)
+        assert snapshot(wd) == before
+        # stating the value it defaulted to extends the run
+        longer = Config({**self.default_eval_config(20).to_dict(), "eval_every": 2})
+        TR.run_trainer("classification", longer, wd, seed=3)
+        assert "ckpt_20.bin" in os.listdir(wd)
+
+    def test_checkpoint_without_the_default_eval_every_refused(self, tmp_path):
+        # a checkpoint written before the default was recorded
+        wd = str(tmp_path / "run")
+        TR.run_trainer("classification", self.default_eval_config(8), wd, seed=3)
+        path = os.path.join(wd, "ckpt_8.bin")
+        state = CK.load_checkpoint(path)
+        fingerprint = copy.deepcopy(state.fingerprint)
+        assert fingerprint["config"].pop("eval_every") == 2
+        CK.save_checkpoint(dataclasses.replace(state, fingerprint=fingerprint), path)
+        with pytest.raises(TR.TrainError, match="config key 'eval_every' is absent in "
+                                                "the checkpoint but 2 in this run"):
+            TR.run_trainer("classification", self.default_eval_config(8), wd, seed=3)
+
     def cosine_config(self, total_steps):
         return trainer_config(
             total_steps=total_steps, eval_every=5,
@@ -1244,36 +1305,52 @@ class Interrupt(Exception):
     pass
 
 
-def vit_2x2_config():
+def vit_2x2_config(f64_clip=False):
+    """The 2x2 ViT run; with ``f64_clip``, in float64 and with
+    ``grad_clip`` 0.5, as the oracle's ``vit_2x2_adam_f64`` run, whose
+    clip norm rounds differently if the summation order changes."""
+    model = {"name": "vit_classification", "dropout": 0.1}
+    optimizer = {"kind": "adam", "lr": 1e-2}
+    if f64_clip:
+        model["dtype"] = "f64"
+        optimizer["grad_clip"] = 0.5
     return Config({
-        "model": {"name": "vit_classification", "dropout": 0.1},
+        "model": model,
         "dataset": {"name": "blobs_classification", "input_shape": [8, 8, 1],
                     "num_train_examples": 32, "num_eval_examples": 28},
         "topology": {"host_count": 2, "devices_per_host": 2},
         "batch_size": 4, "eval_every": 2, "total_steps": 6,
-        "optimizer": {"kind": "adam", "lr": 1e-2},
+        "optimizer": optimizer,
     })
 
 
 @pytest.fixture(scope="module")
 def vit_2x2_files(tmp_path_factory):
-    """Every file of the uninterrupted run, by name."""
-    wd = str(tmp_path_factory.mktemp("vit_2x2_full"))
-    TR.run_trainer("classification", vit_2x2_config(), wd, seed=3)
-    return {name: read_bytes(os.path.join(wd, name)) for name in os.listdir(wd)}
+    """Every file of the uninterrupted run, by name, for each ``f64_clip``."""
+    files = {}
+    for f64_clip in (False, True):
+        wd = str(tmp_path_factory.mktemp("vit_2x2_full"))
+        TR.run_trainer("classification", vit_2x2_config(f64_clip), wd, seed=3)
+        files[f64_clip] = {name: read_bytes(os.path.join(wd, name))
+                           for name in os.listdir(wd)}
+    return files
 
 
-# (function in deskml.train, which call of it, raise before or after it runs):
-# every train step, and both sides of each of the three checkpoint saves
-INTERRUPTS = [(fn, call, when)
+# (float64 with a clip, function in deskml.train, which call of it, raise
+# before or after it runs): every train step, and both sides of each of the
+# three checkpoint saves, for both runs
+INTERRUPTS = [(f64_clip, fn, call, when) for f64_clip in (False, True)
               for fn, calls in (("train_step", 6), ("save_checkpoint", 3))
               for call in range(1, calls + 1) for when in ("before", "after")]
 
 
-@pytest.mark.parametrize("fn, call, when", INTERRUPTS,
-                         ids=[f"{fn}-{call}-{when}" for fn, call, when in INTERRUPTS])
+@pytest.mark.parametrize(
+    "f64_clip, fn, call, when", INTERRUPTS,
+    ids=[("f64-clip-" if f64_clip else "") + f"{fn}-{call}-{when}"
+         for f64_clip, fn, call, when in INTERRUPTS])
 def test_interrupted_anywhere_resumes_byte_identical(tmp_path, monkeypatch,
-                                                     vit_2x2_files, fn, call, when):
+                                                     vit_2x2_files, f64_clip,
+                                                     fn, call, when):
     real = getattr(TR, fn)
     calls = []
 
@@ -1290,12 +1367,13 @@ def test_interrupted_anywhere_resumes_byte_identical(tmp_path, monkeypatch,
     with monkeypatch.context() as m:
         m.setattr(TR, fn, interrupting)
         with pytest.raises(Interrupt):
-            TR.run_trainer("classification", vit_2x2_config(), wd, seed=3)
-    TR.run_trainer("classification", vit_2x2_config(), wd, seed=3)
+            TR.run_trainer("classification", vit_2x2_config(f64_clip), wd, seed=3)
+    TR.run_trainer("classification", vit_2x2_config(f64_clip), wd, seed=3)
     files = {name: read_bytes(os.path.join(wd, name)) for name in os.listdir(wd)}
-    assert sorted(files) == sorted(vit_2x2_files)
+    full = vit_2x2_files[f64_clip]
+    assert sorted(files) == sorted(full)
     for name in files:
-        assert files[name] == vit_2x2_files[name], name
+        assert files[name] == full[name], name
 
 
 class TestKeepFreedMemory:

@@ -34,7 +34,8 @@ from the parent's, each with where it is. The difference of a record is
 ``|new - old| / |old|``; that of an array is ``max |new - old| / max
 |old|``, so it is measured against the array's own magnitude. The line
 then counts the checkpoint arrays that only one side holds (a parameter
-added or dropped) and names the first.
+added or dropped) and names the first. A run that the parent's workdir
+lacks (one added since) reads ``inf``, absent in the parent.
 
 While each run trains, every ``deskml.matchers.match`` call is recorded,
 and a run that makes any (DETR) leaves its assignments in
@@ -223,6 +224,8 @@ def assignment_flips(wd: str, parent_wd: str) -> tuple[int, int, str]:
 
 
 def drift_line(label: str, wd: str, parent_wd: str) -> str:
+    if not os.path.exists(os.path.join(parent_wd, "metrics.jsonl")):
+        return f"drift {label} inf (the run is absent in the parent)"
     m, m_at = metrics_drift(wd, parent_wd)
     c, c_at, one_sided = checkpoint_drift(wd, parent_wd)
     line = (f"drift {label} metrics.jsonl {m:.2e} ({m_at}) "
