@@ -322,7 +322,10 @@ def matmul(a, b) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b)
     _same_dtype("matmul", a, b)
-    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
+    # the backward swaps the last two axes of each operand
+    if a.ndim < 2 or b.ndim < 2:
+        raise ValueError(f"matmul: operands need 2 or more dims, {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     out = np.matmul(a.data, b.data)
 
@@ -428,6 +431,8 @@ def layer_norm(x, scale, bias, eps: float) -> Tensor:
     dx = (gx - mean(gx) - xhat * mean(gx * xhat)) / s.
     """
     x = _as_tensor(x)
+    if not x.is_float():
+        raise TypeError("layer_norm requires a float tensor")
     scale, bias = _as_tensor(scale), _as_tensor(bias)
     _same_dtype("layer_norm", x, scale, bias)
     inv_n = np.asarray(1.0 / x.shape[-1], x.data.dtype)

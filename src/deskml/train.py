@@ -31,6 +31,7 @@ import os
 import platform
 import re
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 from typing import Callable
 
 import numpy as np
@@ -459,6 +460,9 @@ def run_trainer(kind: str, config: Config, workdir: str,
                 seed: int = 0, stop_when: Callable | None = None) -> dict:
     """Full training loop; returns the final aggregated eval metrics.
 
+    An eval step, like a train step, runs every host's next batch as one
+    batch, in host order.
+
     The model's registered defaults fill in the keys ``config`` leaves
     out. Writes ``<workdir>/metrics.jsonl`` (records numbered in order,
     so identical runs are byte-identical) and ``ckpt_<step>.bin`` at
@@ -553,11 +557,11 @@ def run_trainer(kind: str, config: Config, workdir: str,
         resumed_at = state.step
 
     def run_eval(st: TrainState) -> dict:
-        tables = []
-        for ds in datasets:
-            for host_batch in ds.eval_iter():
-                tables.append(eval_step(st, [host_batch], contract))
-        return aggregate_metrics(tables)
+        # a host whose eval shard ran out drops out of the later steps
+        steps = zip_longest(*(ds.eval_iter() for ds in datasets))
+        return aggregate_metrics([
+            eval_step(st, [b for b in bs if b is not None], contract)
+            for bs in steps])
 
     if resumed_at == total_steps:  # a finished run: its final eval again
         return run_eval(state)

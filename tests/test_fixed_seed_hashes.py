@@ -141,6 +141,23 @@ def test_assignment_flips_count_and_name_the_first(parent, tmp_path):
     assert "assignments" not in FSH.drift_line("mlp", parent, parent)
 
 
+def test_same_calls_in_another_order_are_named_reordered(parent, tmp_path):
+    old = shutil.copytree(parent, tmp_path / "old")
+    new = shutil.copytree(parent, tmp_path / "new")
+    write_assignments(old, [[0, 3], [1], [2, 0, 5], [4]])
+    write_assignments(new, [[0, 3], [2, 0, 5], [1], [4]])
+    # the positional count stays as it is
+    assert FSH.assignment_flips(str(new), str(old)) == (2, 4, "call 2")
+    assert FSH.same_calls_reordered(str(new), str(old))
+    assert FSH.drift_line("detr", str(new), str(old)).endswith(
+        "assignments 2 of 4 differ (call 2), same calls, reordered")
+    # equal lists, or a call only one side made, are not a reordering
+    assert not FSH.same_calls_reordered(str(old), str(old))
+    write_assignments(new, [[0, 3], [2, 0, 5], [1], [4], [6]])
+    assert not FSH.same_calls_reordered(str(new), str(old))
+    assert "reordered" not in FSH.drift_line("detr", str(new), str(old))
+
+
 def test_match_calls_are_recorded_beside_the_run(tmp_path):
     path = FSH.assignments_path(str(tmp_path / "run"))
     assert path == str(tmp_path / "run.assignments.json")

@@ -109,6 +109,16 @@ class TestMatmul:
         with pytest.raises(ValueError, match="inner dims"):
             T.matmul(T.zeros((2, 3)), T.zeros((4, 2)))
 
+    @pytest.mark.parametrize("a_shape, b_shape", [((3,), (3, 4)), ((2, 3), (3,)),
+                                                  ((3,), (3,))],
+                             ids=["vec@mat", "mat@vec", "vec@vec"])
+    def test_one_dim_operand_refused(self, a_shape, b_shape):
+        # its backward would swap the last two axes of a 1-D array
+        a = T.Tensor(np.ones(a_shape), requires_grad=True)
+        b = T.Tensor(np.ones(b_shape), requires_grad=True)
+        with pytest.raises(ValueError, match="matmul: operands need 2 or more dims"):
+            T.matmul(a, b)
+
     def test_dtype_mismatch(self):
         a, b = T.zeros((16, 2)), T.zeros((2, 3))
         with pytest.raises(TypeError, match="matmul: dtype mismatch"):

@@ -910,7 +910,31 @@ class TestRunTrainer:
                              batch_size=4, total_steps=2, eval_every=2)
         TR.run_trainer("classification", cfg, str(tmp_path / "x"))
         assert seen["train"] == [[8, 8], [8, 8]]
-        assert seen["eval"] == [[8], [8]]  # one call per host batch
+        assert seen["eval"] == [[8, 8]]  # one call gets both hosts' batches
+
+    def test_host_whose_eval_shard_runs_out_first_drops_out(self, tmp_path,
+                                                            monkeypatch):
+        # 17 eval examples: host 0 holds 8 (one batch), host 1 holds 9 (two)
+        calls, eval_step = [], TR.eval_step
+
+        def recorded(state, batches, contract):
+            calls.append((state, batches, contract))
+            return eval_step(state, batches, contract)
+
+        monkeypatch.setattr(TR, "eval_step", recorded)
+        cfg = trainer_config(
+            topology={"host_count": 2, "devices_per_host": 2}, batch_size=4,
+            total_steps=2, eval_every=2,
+            dataset={"name": "blobs_classification",
+                     "num_train_examples": 64, "num_eval_examples": 17})
+        out = TR.run_trainer("classification", cfg, str(tmp_path / "x"))
+        assert [[b["inputs"].shape[0] for b in bs] for _, bs, _ in calls] == [[8, 8], [8]]
+        assert sum(b["batch_mask"].data.sum() for _, bs, _ in calls for b in bs) == 17
+        # one step per host batch, host by host, as a reference
+        ref = TR.aggregate_metrics([eval_step(st, [b], contract)
+                                    for st, bs, contract in calls for b in bs])
+        assert out["accuracy"] == ref["accuracy"]
+        assert out["loss"] == pytest.approx(ref["loss"], rel=1e-12)
 
     def test_unread_optimizer_key_refused(self, tmp_path):
         cfg = trainer_config(optimizer={"kind": "adam", "lr": 1e-2, "beta2": 0.5})

@@ -42,7 +42,9 @@ and a run that makes any (DETR) leaves its assignments in
 ``<label>.assignments.json`` beside its run directory. Its drift line
 then also counts the calls whose assignment differs from the parent's
 and names the first, since one flipped assignment changes a DETR run by
-more than any rounding does.
+more than any rounding does. Calls are compared by position, so when
+both sides made the same calls in another order (the hosts' eval
+batches interleaved, say), the line adds "same calls, reordered".
 """
 
 from __future__ import annotations
@@ -223,6 +225,13 @@ def assignment_flips(wd: str, parent_wd: str) -> tuple[int, int, str]:
     return len(differ), len(new), f"call {differ[0] + 1}" if differ else "-"
 
 
+def same_calls_reordered(wd: str, parent_wd: str) -> bool:
+    """Whether the run made the parent's recorded calls, each with the same
+    assignment, but in another order."""
+    new, old = _assignments(wd), _assignments(parent_wd)
+    return new != old and sorted(new) == sorted(old)
+
+
 def drift_line(label: str, wd: str, parent_wd: str) -> str:
     if not os.path.exists(os.path.join(parent_wd, "metrics.jsonl")):
         return f"drift {label} inf (the run is absent in the parent)"
@@ -234,6 +243,8 @@ def drift_line(label: str, wd: str, parent_wd: str) -> str:
     flips, calls, first = assignment_flips(wd, parent_wd)
     if calls or flips:
         line += f" assignments {flips} of {calls} differ ({first})"
+        if same_calls_reordered(wd, parent_wd):
+            line += ", same calls, reordered"
     return line
 
 
