@@ -4,6 +4,9 @@ A Tensor wraps a numpy array. Every differentiable op records its
 parents and a backward rule on the result, forming an implicit tape;
 ``backward`` replays it in reverse topological order. Tensors are
 immutable values: ops always allocate fresh arrays.
+
+Every op takes operands of one dtype (a Python scalar takes a float first
+operand's dtype), and the ops whose math needs floats refuse other dtypes.
 """
 
 from __future__ import annotations
@@ -122,10 +125,11 @@ class Tensor:
 
 
 def _as_tensor(x, like: Tensor | None = None) -> Tensor:
+    """``x`` as a Tensor; a Python scalar takes a float ``like``'s dtype."""
     if isinstance(x, Tensor):
         return x
-    dtype = like.data.dtype if like is not None and like.is_float() else None
-    return Tensor(np.asarray(x, dtype=dtype))
+    scalar = isinstance(x, (int, float)) and like is not None and like.is_float()
+    return Tensor(x, like.data.dtype if scalar else None)
 
 
 def tensor(data, dtype=None) -> Tensor:
@@ -157,20 +161,29 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _same_dtype(op: str, *tensors: Tensor) -> None:
-    """Refuse operands of different dtypes: numpy would widen them."""
-    if len({t.data.dtype for t in tensors}) > 1:
-        raise TypeError(f"{op}: dtype mismatch "
-                        + ", ".join(t.dtype for t in tensors))
+def _operands(op: str, a, *rest) -> tuple:
+    """Op ``op``'s operands as Tensors of one dtype, a ``None`` (an absent
+    optional operand) passed through. A Python scalar after ``a`` takes a
+    float ``a``'s dtype; any other mix is refused, where numpy would widen."""
+    if not isinstance(a, Tensor):
+        a = _as_tensor(a)
+    out = (a,)
+    for x in rest:
+        if x is not None:
+            if not isinstance(x, Tensor):
+                x = _as_tensor(x, like=a)
+            if x.data.dtype != a.data.dtype:
+                raise TypeError(f"{op}: dtype mismatch {a.dtype}, {x.dtype}")
+        out += (x,)
+    return out
 
 
-def _operands(a, b, op: str) -> tuple[Tensor, Tensor]:
-    """Both operands of a binary op as Tensors of one dtype (a python
-    scalar ``b`` takes a float ``a``'s dtype)."""
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
-    _same_dtype(op, a, b)
-    return a, b
+def _floats(op: str, a, *rest) -> tuple:
+    """``_operands`` for an op whose math needs floats: it refuses other dtypes."""
+    out = (a,) if isinstance(a, Tensor) and not rest else _operands(op, a, *rest)
+    if out[0].data.dtype.kind != "f":
+        raise TypeError(f"{op} requires a float tensor, got {out[0].dtype}")
+    return out
 
 
 def _fold(ufunc, slices) -> np.ndarray:
@@ -224,28 +237,28 @@ def _make(data, parents, backward):
 
 
 def add(a, b) -> Tensor:
-    a, b = _operands(a, b, "add")
+    a, b = _operands("add", a, b)
     return _make(a.data + b.data, (a, b),
                  lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
                             _unbroadcast(g, b.shape) if b.requires_grad else None))
 
 
 def sub(a, b) -> Tensor:
-    a, b = _operands(a, b, "sub")
+    a, b = _operands("sub", a, b)
     return _make(a.data - b.data, (a, b),
                  lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
                             _unbroadcast(-g, b.shape) if b.requires_grad else None))
 
 
 def mul(a, b) -> Tensor:
-    a, b = _operands(a, b, "mul")
+    a, b = _operands("mul", a, b)
     return _make(a.data * b.data, (a, b),
                  lambda g: (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
                             _unbroadcast(g * a.data, b.shape) if b.requires_grad else None))
 
 
 def div(a, b) -> Tensor:
-    a, b = _operands(a, b, "div")
+    a, b = _floats("div", a, b)
     return _make(a.data / b.data, (a, b),
                  lambda g: (_unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
                             _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
@@ -253,36 +266,36 @@ def div(a, b) -> Tensor:
 
 
 def neg(a) -> Tensor:
-    a = _as_tensor(a)
+    (a,) = _operands("neg", a)
     return _make(-a.data, (a,), lambda g: (-g,))
 
 
 def power(a, p: float) -> Tensor:
-    a = _as_tensor(a)
+    (a,) = _floats("power", a)
     p = float(p)
     out = a.data ** p
     return _make(out, (a,), lambda g: (g * p * a.data ** (p - 1.0),))
 
 
 def exp(a) -> Tensor:
-    a = _as_tensor(a)
+    (a,) = _floats("exp", a)
     out = np.exp(a.data)
     return _make(out, (a,), lambda g: (g * out,))
 
 
 def log(a) -> Tensor:
-    a = _as_tensor(a)
+    (a,) = _floats("log", a)
     return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def relu(a) -> Tensor:
     """max(x, 0), as ``jax.nn.relu``: a NaN input stays NaN."""
-    a = _as_tensor(a)
+    (a,) = _operands("relu", a)
     return _make(np.maximum(a.data, 0), (a,), lambda g: (g * (a.data > 0),))
 
 
 def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
+    (a,) = _floats("sigmoid", a)
     # stable: exp(-|x|) cannot overflow
     e = np.exp(-np.abs(a.data))
     out = np.where(a.data >= 0, 1.0, e) / (1.0 + e)
@@ -290,7 +303,7 @@ def sigmoid(a) -> Tensor:
 
 
 def tanh(a) -> Tensor:
-    a = _as_tensor(a)
+    (a,) = _floats("tanh", a)
     out = np.tanh(a.data)
     return _make(out, (a,), lambda g: (g * (1.0 - out * out),))
 
@@ -300,7 +313,7 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 def gelu(a) -> Tensor:
     """GELU, tanh approximation."""
-    a = _as_tensor(a)
+    (a,) = _floats("gelu", a)
     x = a.data
     inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
@@ -319,9 +332,7 @@ def gelu(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    _same_dtype("matmul", a, b)
+    a, b = _operands("matmul", a, b)
     # the backward swaps the last two axes of each operand
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(f"matmul: operands need 2 or more dims, {a.shape} @ {b.shape}")
@@ -346,12 +357,8 @@ def dense(x, w, b=None) -> Tensor:
     The forward is the chain matmul, add, bit for bit. The backward is
     two GEMMs over the flattened rows and a column sum for the bias.
     """
-    x, w = _as_tensor(x), _as_tensor(w)
-    parents = (x, w)
-    if b is not None:
-        b = _as_tensor(b)
-        parents += (b,)
-    _same_dtype("dense", *parents)
+    x, w, b = _operands("dense", x, w, b)
+    parents = (x, w) if b is None else (x, w, b)
     if w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ValueError(f"dense: inner dims differ, {x.shape} @ {w.shape}")
     if b is not None and b.shape != w.shape[1:]:
@@ -370,7 +377,7 @@ def dense(x, w, b=None) -> Tensor:
 
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
-    a = _as_tensor(a)
+    (a,) = _operands("tsum", a)
     out = _reduce(np.add, a.data, axis) if a.is_float() else a.data.sum(axis, keepdims=True)
     if not keepdims:
         out = out.squeeze(axis)
@@ -385,16 +392,18 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
 
 
 def tmean(a, axis=None, keepdims=False) -> Tensor:
-    a = _as_tensor(a)
+    (a,) = _floats("tmean", a)
     axes = axis if isinstance(axis, tuple) else (axis,)
     n = a.size if axis is None else math.prod(a.shape[ax] for ax in axes)
+    if n == 0:
+        raise ValueError(f"tmean: no entries to average over axis {axis} of shape {a.shape}")
     return tsum(a, axis, keepdims) * (1.0 / n)
 
 
 def softmax(a, axis=-1) -> Tensor:
-    a = _as_tensor(a)
-    if not a.is_float():
-        raise TypeError("softmax requires a float tensor")
+    (a,) = _floats("softmax", a)
+    if not a.data.size and a.shape[axis] == 0:
+        raise ValueError(f"softmax: axis {axis} of shape {a.shape} has length 0")
     out = _softmax(a.data, axis)
     return _make(out, (a,), lambda g: (_softmax_grad(out, g, axis),))
 
@@ -410,7 +419,9 @@ def _softmax_grad(out: np.ndarray, g: np.ndarray, axis) -> np.ndarray:
 
 
 def log_softmax(a, axis=-1) -> Tensor:
-    a = _as_tensor(a)
+    (a,) = _floats("log_softmax", a)
+    if not a.data.size and a.shape[axis] == 0:
+        raise ValueError(f"log_softmax: axis {axis} of shape {a.shape} has length 0")
     z = a.data - _reduce(np.maximum, a.data, axis)
     lse = np.log(_reduce(np.add, np.exp(z), axis))
     out = z - lse
@@ -430,11 +441,7 @@ def layer_norm(x, scale, bias, eps: float) -> Tensor:
     arXiv 1607.06450): with s = (var + eps) ** 0.5 and gx = g * scale,
     dx = (gx - mean(gx) - xhat * mean(gx * xhat)) / s.
     """
-    x = _as_tensor(x)
-    if not x.is_float():
-        raise TypeError("layer_norm requires a float tensor")
-    scale, bias = _as_tensor(scale), _as_tensor(bias)
-    _same_dtype("layer_norm", x, scale, bias)
+    x, scale, bias = _floats("layer_norm", x, scale, bias)
     inv_n = np.asarray(1.0 / x.shape[-1], x.data.dtype)
     xc = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
     var = (xc ** 2.0).sum(axis=-1, keepdims=True) * inv_n
@@ -465,7 +472,7 @@ def attention(q, k, v, heads: int, mask=None) -> Tensor:
     dK = scale · dSᵀ Q. ``mask`` is added to the logits and gets no
     gradient, so one that needs a gradient is refused.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    q, k, v, mask = _floats("attention", q, k, v, mask)
     if q.ndim != 3 or k.ndim != 3 or q.shape[::2] != k.shape[::2]:
         raise ValueError(f"attention: q {q.shape} and k {k.shape} are not "
                          "[b, n, d] of one b and d")
@@ -475,14 +482,8 @@ def attention(q, k, v, heads: int, mask=None) -> Tensor:
     nk = k.shape[1]
     if d % heads:
         raise ValueError(f"attention: model dim {d} not divisible by {heads} heads")
-    operands = (q, k, v)
-    if mask is not None:
-        mask = _as_tensor(mask)
-        if mask.requires_grad:
-            raise ValueError("attention: the mask gets no gradient, but this "
-                             "one requires one")
-        operands += (mask,)
-    _same_dtype("attention", *operands)
+    if mask is not None and mask.requires_grad:
+        raise ValueError("attention: the mask gets no gradient, but requires one")
     dh = d // heads
     scale = np.asarray(1.0 / np.sqrt(dh), q.data.dtype)
 
@@ -515,13 +516,13 @@ def attention(q, k, v, heads: int, mask=None) -> Tensor:
 
 
 def reshape(a, shape) -> Tensor:
-    a = _as_tensor(a)
+    (a,) = _operands("reshape", a)
     old = a.shape
     return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
 def transpose(a, axes=None) -> Tensor:
-    a = _as_tensor(a)
+    (a,) = _operands("transpose", a)
     if axes is None:
         axes = tuple(reversed(range(a.ndim)))
     out = a.data.transpose(axes)  # numpy refuses axes out of range
@@ -530,8 +531,9 @@ def transpose(a, axes=None) -> Tensor:
 
 
 def concat(tensors, axis=0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    _same_dtype("concat", *tensors)
+    if not tensors:
+        raise ValueError("concat needs at least one tensor")
+    tensors = _operands("concat", *tensors)
     sizes = [t.shape[axis] for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=axis)
     offsets = np.cumsum([0] + sizes)
@@ -541,13 +543,13 @@ def concat(tensors, axis=0) -> Tensor:
         return tuple(g[lead + (slice(offsets[i], offsets[i + 1]),)]
                      for i in range(len(tensors)))
 
-    return _make(out, tuple(tensors), backward)
+    return _make(out, tensors, backward)
 
 
 def take(a, idx) -> Tensor:
     """Basic/advanced indexing. The backward scatters ``g`` into zeros
     with ``np.add.at``, which adds an advanced index's repeats."""
-    a = _as_tensor(a)
+    (a,) = _operands("take", a)
     out = a.data[idx]
 
     def backward(g):
@@ -559,7 +561,7 @@ def take(a, idx) -> Tensor:
 
 
 def astype(a, dtype) -> Tensor:
-    a = _as_tensor(a)
+    (a,) = _operands("astype", a)
     out = a.data.astype(_DTYPES[dtype] if isinstance(dtype, str) else dtype)
     if out.dtype.kind != "f":
         return Tensor(out)
@@ -568,7 +570,7 @@ def astype(a, dtype) -> Tensor:
 
 def pad2d(a, pad: int) -> Tensor:
     """Zero-pad the two spatial axes of a [b, H, W, C] tensor."""
-    a = _as_tensor(a)
+    (a,) = _operands("pad2d", a)
     if pad == 0:
         return a
     width = ((0, 0), (pad, pad), (pad, pad), (0, 0))
@@ -607,12 +609,8 @@ def conv2d(a, kernel, stride: int = 1, padding: str = "same", bias=None) -> Tens
     """2-D cross-correlation (+ bias); kernel is [kh, kw, cin, cout]. One
     tape node: the bias is added in place and its gradient is g's column
     sum."""
-    a = _as_tensor(a)
-    kernel = _as_tensor(kernel)
-    parents = (a, kernel)
-    if bias is not None:
-        bias = _as_tensor(bias)
-        parents += (bias,)
+    a, kernel, bias = _operands("conv2d", a, kernel, bias)
+    parents = (a, kernel) if bias is None else (a, kernel, bias)
     if a.ndim != 4 or kernel.ndim != 4:
         raise ValueError("conv2d expects x[b,H,W,C] and kernel[kh,kw,cin,cout]")
     kh, kw, cin, cout = kernel.shape
@@ -620,7 +618,6 @@ def conv2d(a, kernel, stride: int = 1, padding: str = "same", bias=None) -> Tens
         raise ValueError(f"conv2d: input has {a.shape[3]} channels, kernel expects {cin}")
     if bias is not None and bias.shape != (cout,):
         raise ValueError(f"conv2d: bias shape {bias.shape}, expected {(cout,)}")
-    _same_dtype("conv2d", *parents)
     if stride < 1:
         raise ValueError(f"conv2d: stride must be at least 1, got {stride}")
     if padding == "same":
@@ -670,7 +667,7 @@ def max_pool2d(a, size: int = 2) -> Tensor:
     window's gradient goes to its maxima in equal shares (1 / their count
     times ``g``); a window holding a NaN gets NaN throughout.
     """
-    a = _as_tensor(a)
+    (a,) = _operands("max_pool2d", a)
     if size < 1:
         raise ValueError(f"max_pool2d: size must be at least 1, got {size}")
     b, h, w, c = a.shape
@@ -698,7 +695,7 @@ def upsample_nearest2d(a, factor: int = 2) -> Tensor:
     backward sums the factor² strided slices of ``g`` in row-major window
     order from +0.0, as ``g.reshape(b, h, f, w, f, c).sum(axis=(2, 4))``
     does, so a window of -0.0 sums to +0.0 there too."""
-    a = _as_tensor(a)
+    (a,) = _operands("upsample_nearest2d", a)
     if factor < 1:
         raise ValueError(f"upsample_nearest2d: factor must be at least 1, got {factor}")
     out = np.repeat(np.repeat(a.data, factor, axis=1), factor, axis=2)

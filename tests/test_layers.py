@@ -136,13 +136,6 @@ class TestNorms:
         assert out.dtype == ref.dtype == x.data.dtype
         assert np.array_equal(out, ref)
 
-    def test_layer_norm_op_refuses_int_input(self):
-        # 1 / n cast to int is 0: the output would be nan and inf
-        x = Tensor(np.arange(6, dtype=np.int64).reshape(2, 3))
-        one, zero = Tensor(np.ones(3, np.int64)), Tensor(np.zeros(3, np.int64))
-        with pytest.raises(TypeError, match="layer_norm requires a float tensor"):
-            T.layer_norm(x, one, zero, 1e-6)
-
     def test_layer_norm_records_one_tape_node(self):
         p = {k: Tensor(v.data, requires_grad=True)
              for k, v in L.init_layer_norm(8).items()}

@@ -1,4 +1,6 @@
+import inspect
 import weakref
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -63,11 +65,31 @@ class TestElementwise:
     def test_sigmoid_zero(self):
         assert T.sigmoid(T.tensor(0.0)).item() == pytest.approx(0.5)
 
-    def test_binary_dtype_mismatch(self):
-        a = T.tensor([1.0], dtype="f32")
-        b = T.tensor([1.0], dtype="f64")
-        with pytest.raises(TypeError, match="dtype mismatch"):
-            T.add(a, b)
+    @pytest.mark.parametrize("expr, want", [
+        (lambda t: t + 0.5, lambda x: x + np.float32(0.5)),
+        (lambda t: 0.5 + t, lambda x: np.float32(0.5) + x),
+        (lambda t: t - 0.5, lambda x: x - np.float32(0.5)),
+        (lambda t: 1 - t, lambda x: np.float32(1) - x),
+        (lambda t: t * 0.5, lambda x: x * np.float32(0.5)),
+        (lambda t: 0.5 * t, lambda x: np.float32(0.5) * x),
+        (lambda t: t / 2, lambda x: x / np.float32(2)),
+        (lambda t: 2 / t, lambda x: np.float32(2) / x),
+    ], ids=["t+0.5", "0.5+t", "t-0.5", "1-t", "t*0.5", "0.5*t", "t/2", "2/t"])
+    def test_python_scalar_takes_a_float_tensor_dtype(self, expr, want):
+        x = np.array([0.3, -1.7, 2.5], np.float32)
+        assert_same_bits(expr(T.Tensor(x)).data, want(x))
+
+    def test_int64_tensor_and_python_int_stay_int64(self):
+        t = T.Tensor(np.array([1, -2, 3], np.int64))
+        for out in (t + 2, 2 + t, t - 2, 2 - t, t * 2, 2 * t):
+            assert out.dtype == "i64"
+        assert (1 - t).data.tolist() == [0, 3, -2]
+
+    def test_int64_tensor_times_python_float_refused(self):
+        t = T.Tensor(np.array([1, 2], np.int64))
+        for expr in (lambda: t * 0.5, lambda: 0.5 * t):
+            with pytest.raises(TypeError, match=r"^mul: dtype mismatch"):
+                expr()
 
     def test_binary_shape_mismatch(self):
         with pytest.raises(ValueError, match="broadcast"):
@@ -290,9 +312,30 @@ class TestSoftmax:
         out = T.softmax(T.tensor([1000.0, 1000.0]))
         assert np.allclose(out.data, [0.5, 0.5])
 
-    def test_requires_float(self):
-        with pytest.raises(TypeError):
-            T.softmax(T.tensor(np.array([1, 2], np.int64)))
+
+
+class TestZeroLengthAxes:
+    def test_tmean_refused(self):
+        x = T.zeros((2, 0, 3))
+        for axis in (1, (0, 1), None):
+            with pytest.raises(ValueError, match=r"^tmean: "):
+                T.tmean(x, axis=axis)
+        # over the other axes the mean has no entries to fill
+        assert T.tmean(x, axis=(0, 2)).shape == (0,)
+
+    @pytest.mark.parametrize("op", [T.softmax, T.log_softmax])
+    def test_softmax_over_it_refused(self, op):
+        x = T.zeros((2, 0))
+        with pytest.raises(ValueError, match=rf"^{op.__name__}: "):
+            op(x)
+        with pytest.raises(ValueError, match=rf"^{op.__name__}: "):
+            op(x.transpose(), axis=0)
+        # along the other axis there are no rows to normalize
+        assert op(x, axis=0).shape == (2, 0)
+
+    def test_tsum_gives_zeros_as_numpy_does(self):
+        x = np.zeros((2, 0, 3), np.float32)
+        assert_same_bits(T.tsum(T.Tensor(x), axis=1).data, x.sum(1))
 
 
 _SPECIALS = [0.0, -0.0, 1.0, -2.5, np.inf, -np.inf, np.nan, 1e16, 3e-30]
@@ -767,61 +810,107 @@ class TestSpatialOps:
         check_grads(lambda p: T.tsum(T.upsample_nearest2d(p["x"]) ** 2.0), {"x": x})
 
 
-# every differentiable op, applied to float32 inputs a, b [2, 4, 4, 2]
-# and kernel k [3, 3, 2, 2]
+class _Op(NamedTuple):
+    call: object  # the op on inputs a, b [2, 4, 4, 2] and kernel k [3, 3, 2, 2]
+    operands: int  # the Tensors the call hands the op
+    int64: str | None  # the dtype int64 inputs give; None: refused
+
+
+# every public op of the tensor module, by name (a second call of one op
+# adds a suffix)
 _OPS = {
-    "add": lambda a, b, k: T.add(a, b),
-    "sub": lambda a, b, k: T.sub(a, b),
-    "mul": lambda a, b, k: T.mul(a, b),
-    "div": lambda a, b, k: T.div(a, b),
-    "neg": lambda a, b, k: T.neg(a),
-    "power": lambda a, b, k: T.power(a, 0.5),
-    "exp": lambda a, b, k: T.exp(a),
-    "log": lambda a, b, k: T.log(a),
-    "relu": lambda a, b, k: T.relu(a),
-    "sigmoid": lambda a, b, k: T.sigmoid(a),
-    "tanh": lambda a, b, k: T.tanh(a),
-    "gelu": lambda a, b, k: T.gelu(a),
-    "matmul": lambda a, b, k: T.matmul(a, T.transpose(b, (0, 1, 3, 2))),
-    "dense": lambda a, b, k: T.dense(a, k[0, 0], b[0, 0, 0]),
-    "attention": lambda a, b, k: T.attention(a.reshape((2, 8, 4)),
-                                             b[:, :2].reshape((2, 4, 4)),
-                                             b[:, 2:].reshape((2, 4, 4)), 2),
-    "tsum": lambda a, b, k: T.tsum(a, axis=1),
-    "tmean": lambda a, b, k: T.tmean(a, axis=1),
-    "softmax": lambda a, b, k: T.softmax(a) * b,
-    "log_softmax": lambda a, b, k: T.log_softmax(a) * b,
-    "layer_norm": lambda a, b, k: T.layer_norm(a, b[0, 0, 0], k[0, 0, 0], 1e-6),
-    "reshape": lambda a, b, k: T.reshape(a, (2, 32)),
-    "transpose": lambda a, b, k: T.transpose(a),
-    "concat": lambda a, b, k: T.concat([a, b], axis=3),
-    "take": lambda a, b, k: T.take(a, (slice(None), 1)),
-    "astype": lambda a, b, k: T.astype(a, "f64"),
-    "pad2d": lambda a, b, k: T.pad2d(a, 1),
-    "conv2d": lambda a, b, k: T.conv2d(a, k, stride=2),
-    "conv2d_bias": lambda a, b, k: T.conv2d(a, k, stride=2, bias=b[0, 0, 0]),
-    "max_pool2d": lambda a, b, k: T.max_pool2d(a),
-    "upsample_nearest2d": lambda a, b, k: T.upsample_nearest2d(a),
+    "add": _Op(lambda a, b, k: T.add(a, b), 2, "i64"),
+    "sub": _Op(lambda a, b, k: T.sub(a, b), 2, "i64"),
+    "mul": _Op(lambda a, b, k: T.mul(a, b), 2, "i64"),
+    "div": _Op(lambda a, b, k: T.div(a, b), 2, None),
+    "neg": _Op(lambda a, b, k: T.neg(a), 1, "i64"),
+    "power": _Op(lambda a, b, k: T.power(a, 0.5), 1, None),
+    "exp": _Op(lambda a, b, k: T.exp(a), 1, None),
+    "log": _Op(lambda a, b, k: T.log(a), 1, None),
+    "relu": _Op(lambda a, b, k: T.relu(a), 1, "i64"),
+    "sigmoid": _Op(lambda a, b, k: T.sigmoid(a), 1, None),
+    "tanh": _Op(lambda a, b, k: T.tanh(a), 1, None),
+    "gelu": _Op(lambda a, b, k: T.gelu(a), 1, None),
+    "matmul": _Op(lambda a, b, k: T.matmul(a, T.transpose(b, (0, 1, 3, 2))), 2, "i64"),
+    "dense": _Op(lambda a, b, k: T.dense(a, k[0, 0], b[0, 0, 0]), 3, "i64"),
+    "attention": _Op(lambda a, b, k: T.attention(a.reshape((2, 8, 4)),
+                                                 b[:, :2].reshape((2, 4, 4)),
+                                                 b[:, 2:].reshape((2, 4, 4)), 2), 3, None),
+    "tsum": _Op(lambda a, b, k: T.tsum(a, axis=1), 1, "i64"),
+    "tmean": _Op(lambda a, b, k: T.tmean(a, axis=1), 1, None),
+    "softmax": _Op(lambda a, b, k: T.softmax(a) * b, 1, None),
+    "log_softmax": _Op(lambda a, b, k: T.log_softmax(a) * b, 1, None),
+    "layer_norm": _Op(lambda a, b, k: T.layer_norm(a, b[0, 0, 0], k[0, 0, 0], 1e-6), 3, None),
+    "reshape": _Op(lambda a, b, k: T.reshape(a, (2, 32)), 1, "i64"),
+    "transpose": _Op(lambda a, b, k: T.transpose(a), 1, "i64"),
+    "concat": _Op(lambda a, b, k: T.concat([a, b], axis=3), 2, "i64"),
+    "take": _Op(lambda a, b, k: T.take(a, (slice(None), 1)), 1, "i64"),
+    "astype": _Op(lambda a, b, k: T.astype(a, "f64"), 1, "f64"),
+    "pad2d": _Op(lambda a, b, k: T.pad2d(a, 1), 1, "i64"),
+    "conv2d": _Op(lambda a, b, k: T.conv2d(a, k, stride=2), 2, "i64"),
+    "conv2d_bias": _Op(lambda a, b, k: T.conv2d(a, k, stride=2, bias=b[0, 0, 0]), 3, "i64"),
+    "max_pool2d": _Op(lambda a, b, k: T.max_pool2d(a), 1, "i64"),
+    "upsample_nearest2d": _Op(lambda a, b, k: T.upsample_nearest2d(a), 1, "i64"),
 }
+# public functions of the tensor module that are not ops: the
+# constructors and the autodiff drivers
+_NOT_OPS = {"tensor", "zeros", "ones", "zeros_like", "backward", "value_and_grad", "grad"}
+
+
+def _op_name(case):
+    return case if hasattr(T, case) else case.rpartition("_")[0]
+
+
+def _inputs(seed, dtype):
+    """a, b and k, uniform in [0.5, 1.5) (rounded down to 0 or 1 for an
+    int dtype)."""
+    keys = R.split(R.RngKey.from_seed(seed), 3)
+    return [T.Tensor(R.uniform(key, shape) + 0.5, dtype=dtype)
+            for key, shape in zip(keys, [(2, 4, 4, 2)] * 2 + [(3, 3, 2, 2)])]
+
+
+def test_every_public_op_is_in_the_table():
+    public = {name for name, f in vars(T).items()
+              if inspect.isfunction(f) and f.__module__ == T.__name__
+              and not name.startswith("_")}
+    assert _NOT_OPS <= public
+    assert public - _NOT_OPS == {_op_name(case) for case in _OPS}
+
+
+@pytest.mark.parametrize("op", sorted(case for case, row in _OPS.items() if row.operands > 1))
+def test_mixed_dtypes_refused(op):
+    a, b, k = _inputs(23, "f32")
+    for mixed in [(a.astype("f64"), b, k), (a, b.astype("f64"), k.astype("f64"))]:
+        with pytest.raises(TypeError, match=rf"^{_op_name(op)}: dtype mismatch f\d\d, f\d\d$"):
+            _OPS[op].call(*mixed)
+
+
+@pytest.mark.parametrize("op", sorted(case for case, row in _OPS.items() if row.int64 is None))
+def test_float_only_ops_refuse_int64(op):
+    with pytest.raises(TypeError, match=rf"^{_op_name(op)} requires a float tensor, got i64$"):
+        _OPS[op].call(*_inputs(24, "i64"))
+
+
+@pytest.mark.parametrize("op", sorted(case for case, row in _OPS.items() if row.int64))
+def test_other_ops_give_numpy_dtype_for_int64(op):
+    ints = _inputs(25, "i64")
+    out = _OPS[op].call(*ints)
+    assert out.dtype == _OPS[op].int64
+    # 0s and 1s: float64 computes the same values exactly
+    assert np.array_equal(out.data, _OPS[op].call(*(t.astype("f64") for t in ints)).data)
 
 
 @pytest.mark.parametrize("op", sorted(_OPS))
 def test_float32_inputs_get_float32_gradients(op):
-    keys = R.split(R.RngKey.from_seed(21), 3)
-    params = {name: T.Tensor(R.uniform(key, shape) + 0.5, dtype="f32")
-              for name, key, shape in zip("abk", keys, [(2, 4, 4, 2)] * 2
-                                          + [(3, 3, 2, 2)])}
-    grads = T.grad(lambda p: T.tsum(_OPS[op](p["a"], p["b"], p["k"])), params)
+    params = dict(zip("abk", _inputs(21, "f32")))
+    grads = T.grad(lambda p: T.tsum(_OPS[op].call(p["a"], p["b"], p["k"])), params)
     for name, g in grads.items():
         assert g.data.dtype == np.float32, name
 
 
 @pytest.mark.parametrize("op", sorted(_OPS))
 def test_no_tape_node_without_a_gradient(op):
-    keys = R.split(R.RngKey.from_seed(22), 3)
-    a, b, k = (T.Tensor(R.uniform(key, shape) + 0.5, dtype="f32")
-               for key, shape in zip(keys, [(2, 4, 4, 2)] * 2 + [(3, 3, 2, 2)]))
-    out = _OPS[op](a, b, k)
+    out = _OPS[op].call(*_inputs(22, "f32"))
     assert out._backward is None
     assert out._parents == ()
     assert not out.requires_grad
