@@ -355,7 +355,8 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
         return img, tgt, slot
 
     def set_loss(outputs, tcls, tbox, mask, pairs):
-        """Mean over unmasked images of slot CE plus lambda_box * L1."""
+        """Each image's slot CE plus lambda_box * L1, and their mean over
+        unmasked images."""
         logits = outputs["class_logits"]
         boxes = outputs["boxes"]
         b, s, _ = logits.shape
@@ -375,30 +376,30 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
         l1 = T.tsum(T.tsum(T.relu(diff) + T.relu(-diff), axis=-1), axis=-1)
         l1_per_image = l1 * Tensor((1.0 / np.maximum(n_obj, 1.0)).astype(boxes.data.dtype))
         per_image = ce_per_image + l1_per_image * lambda_box
-        return masked_mean(per_image, mask, mask.sum())
+        return per_image, masked_mean(per_image, mask, mask.sum())
 
     def criterion(outputs, label, boxes, batch_mask=None):
-        """The matched pairs and the set loss of ``outputs`` against the
-        targets, computed once: they stay on the outputs dict, and a later
-        call with the same label, boxes and mask Tensors (the metric
-        function after ``loss_fn``) reuses them."""
+        """The matched pairs, the per-image losses and the set loss of
+        ``outputs`` against the targets, computed once: they stay on the
+        outputs dict, and a later call with the same label, boxes and mask
+        Tensors (the metric function after ``loss_fn``) reuses them."""
         targets = (label, boxes, batch_mask)
         record = outputs.get(_MATCHED)
         if record is None or not all(a is b for a, b in zip(record[0], targets)):
             arrays = (label.data, boxes.data, example_mask(batch_mask, len(label.data)))
             pairs = match(outputs, *arrays)
-            record = outputs[_MATCHED] = (targets, pairs, set_loss(outputs, *arrays, pairs))
+            record = outputs[_MATCHED] = (targets, pairs, *set_loss(outputs, *arrays, pairs))
         return record[1:]
 
     def loss_fn(outputs, batch):
-        return criterion(outputs, batch["label"], batch["boxes"], batch.get("batch_mask"))[1]
+        return criterion(outputs, batch["label"], batch["boxes"], batch.get("batch_mask"))[2]
 
     def metric_fn(outputs, label, boxes, batch_mask=None):
         mask = example_mask(batch_mask, len(label.data))
         count = float(mask.sum())
         if count == 0:  # a batch that is all padding contributes nothing
             return dict.fromkeys(("matched_accuracy", "box_l1", "loss"), (0.0, 0.0))
-        (img, tgt, slot), loss = criterion(outputs, label, boxes, batch_mask)
+        (img, tgt, slot), per_image, _ = criterion(outputs, label, boxes, batch_mask)
         pred_cls = outputs["class_logits"].data[img, slot].argmax(-1)
         per = np.abs(outputs["boxes"].data[img, slot] - boxes.data[img, tgt]).mean(-1)
         # each image's L1 sum in the boxes' dtype, one reduction of its
@@ -414,7 +415,9 @@ def build_detr_mini(config: Config, meta: DatasetMetaData) -> ModelContract:
             "matched_accuracy": (float((pred_cls == label.data[img, tgt]).sum()),
                                  float(len(img))),
             "box_l1": (float(np.cumsum(sums)[-1]), float(len(img))),
-            "loss": (loss.item() * count, count),
+            # each image's loss in float64, summed in example order: the
+            # same rows give the same sum however eval batches them
+            "loss": (float(np.cumsum(per_image.data * mask)[-1]), count),
         }
 
     return ModelContract(

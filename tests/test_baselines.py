@@ -196,7 +196,9 @@ class TestDetrLoss:
         _, table = TR.train_step(state, parts, TR.Topology(2, 1), contract,
                                  TR.OptimizerSpec())
         assert len(calls) == 3  # one per image with objects
-        assert table["loss"] == (losses[0] * 4.0, 4.0)
+        # the metric sums the images' float32 losses in float64
+        assert table["loss"][0] == pytest.approx(losses[0] * 4.0, rel=1e-6)
+        assert table["loss"][1] == 4.0
 
     def test_eval_matches_each_real_image_once(self, monkeypatch):
         calls = self.count_hungarian(monkeypatch)
@@ -207,6 +209,16 @@ class TestDetrLoss:
         assert calls == [(2, 8), (1, 8)]
         assert table["matched_accuracy"][1] == 3.0
         assert np.isfinite(table["loss"][0]) and table["loss"][1] == 3.0
+
+    def test_eval_loss_does_not_depend_on_how_steps_group_the_rows(self):
+        contract, state = self.small_state()
+        batch = self.small_batch()
+        rows = {k: Tensor(np.concatenate([v.data] * 3)) for k, v in batch.items()}
+        whole = TR.eval_step(state, [rows], contract)
+        parts = [TR.eval_step(state, [{k: Tensor(v.data[i:j]) for k, v in rows.items()}],
+                              contract) for i, j in ((0, 5), (5, 12))]
+        assert TR.aggregate_metrics([whole])["loss"] == pytest.approx(
+            TR.aggregate_metrics(parts)["loss"], rel=1e-12)
 
     def test_unknown_matcher_rejected_at_build(self):
         with pytest.raises(ModelError, match="nope"):
@@ -278,10 +290,13 @@ class PerImageDetrCriterion:
         return out
 
     def set_loss(self, outputs, batch, matches):
+        mask = example_mask(batch.get("batch_mask"), len(outputs["boxes"].data))
+        return masked_mean(self.per_image(outputs, batch, matches), mask, mask.sum())
+
+    def per_image(self, outputs, batch, matches):
         logits, boxes = outputs["class_logits"], outputs["boxes"]
         b, s, _ = logits.shape
         tcls, tbox = batch["label"].data, batch["boxes"].data
-        mask = example_mask(batch.get("batch_mask"), b)
         slot_cls = np.full((b, s), self.no_object, np.int64)
         sel = np.zeros((b, self.max_objects, s))
         n_obj = np.zeros(b)
@@ -296,8 +311,7 @@ class PerImageDetrCriterion:
             sel.sum(-1, keepdims=True).astype(boxes.data.dtype))
         l1 = T.tsum(T.tsum(T.relu(diff) + T.relu(-diff), axis=-1), axis=-1)
         l1_per_image = l1 * Tensor((1.0 / np.maximum(n_obj, 1.0)).astype(boxes.data.dtype))
-        per_image = ce_per_image + l1_per_image * self.lambda_box
-        return masked_mean(per_image, mask, mask.sum())
+        return ce_per_image + l1_per_image * self.lambda_box
 
     def metrics(self, outputs, label, batch_mask=None, boxes=None):
         batch = {"label": label, "boxes": boxes}
@@ -308,6 +322,7 @@ class PerImageDetrCriterion:
         tcls, tbox = label.data, boxes.data
         mask = example_mask(batch_mask, logits.shape[0])
         correct = objects = l1_sum = loss_sum = 0.0
+        losses = self.per_image(outputs, batch, matches).data
         for i, (targets, slots) in enumerate(matches):
             if mask[i] == 0:
                 continue
@@ -316,8 +331,7 @@ class PerImageDetrCriterion:
             objects += float(len(targets))
             if len(targets):
                 l1_sum += float(np.abs(pboxes[i, slots] - tbox[i][targets]).mean(-1).sum())
-        if mask.sum() > 0:
-            loss_sum = self.set_loss(outputs, batch, matches).item() * float(mask.sum())
+            loss_sum += float(losses[i]) * mask[i]
         return {"matched_accuracy": (correct, objects), "box_l1": (l1_sum, objects),
                 "loss": (loss_sum, float(mask.sum()))}
 
