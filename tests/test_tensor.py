@@ -313,7 +313,6 @@ class TestSoftmax:
         assert np.allclose(out.data, [0.5, 0.5])
 
 
-
 class TestZeroLengthAxes:
     def test_tmean_refused(self):
         x = T.zeros((2, 0, 3))
@@ -540,6 +539,10 @@ class TestShapeOps:
             T.concat([a, b])
         with pytest.raises(TypeError, match="concat: dtype mismatch"):
             T.concat([b, a, a])
+
+    def test_concat_of_nothing_refused(self):
+        with pytest.raises(ValueError, match=r"^concat needs at least one tensor"):
+            T.concat([])
 
     @pytest.mark.parametrize("axis", [0, 1, 3, -1])
     def test_concat_grad_is_the_gathered_slice(self, axis):
