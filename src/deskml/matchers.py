@@ -16,6 +16,7 @@ prediction slots, n <= m):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,56 +53,78 @@ def _solve_jv(costs: np.ndarray):
     potentials, with ``costs - u[:, None] - v[None, :] >= 0``, equality
     on the assignment, ``v <= 0`` and ``v == 0`` on unassigned columns.
     """
-    n, m = costs.shape
-    rows = costs.tolist()
-    u = [0.0] * (n + 1)
-    v = [0.0] * (m + 1)
-    col_row = [0] * (m + 1)  # 1-based row matched to column
-    way = [0] * (m + 1)
-    for i in range(1, n + 1):
-        col_row[0] = i
-        j0 = 0
-        minv = [np.inf] * (m + 1)
-        used = [False] * (m + 1)
+    row_to_col, u, v = _jv(costs.tolist(), costs.shape[1])
+    return np.array(row_to_col, np.int64), np.array(u), np.array(v)
+
+
+def _jv(rows: list, m: int):
+    """``_solve_jv`` on ``rows = costs.tolist()`` with ``m`` columns,
+    returning Python lists."""
+    n = len(rows)
+    u = [0.0] * n
+    v = [0.0] * (m + 1)  # column m is a virtual one that each path starts from
+    col_row = [-1] * (m + 1)  # row matched to column, -1 if none
+    way = [0] * m
+    for i in range(n):
+        col_row[m] = i
+        j0 = m
+        minv = [math.inf] * m
+        free = list(range(m))
+        used = [m]
         while True:
-            used[j0] = True
             i0 = col_row[j0]
-            row, ui = rows[i0 - 1], u[i0]
+            row, ui = rows[i0], u[i0]
             # Relax the free columns and take the first minimum among
             # them in column order, as np.argmin does.
-            j1 = 0
-            for j in range(1, m + 1):
-                if not used[j]:
-                    cur = row[j - 1] - ui - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if j1 == 0 or minv[j] < minv[j1]:
-                        j1 = j
-            delta = minv[j1]
-            for j in range(m + 1):
-                if used[j]:
-                    u[col_row[j]] += delta
-                    v[j] -= delta
+            j1, delta = -1, math.inf
+            for j in free:
+                cur = row[j] - ui - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
                 else:
-                    minv[j] -= delta
+                    cur = minv[j]
+                if cur < delta:
+                    j1, delta = j, cur
+            for j in used:
+                u[col_row[j]] += delta
+                v[j] -= delta
+            for j in free:
+                minv[j] -= delta
             j0 = j1
-            if col_row[j0] == 0:
+            if col_row[j0] < 0:
                 break
-        while j0:
+            free.remove(j0)
+            used.append(j0)
+        while j0 != m:
             j1 = way[j0]
             col_row[j0] = col_row[j1]
             j0 = j1
-    row_to_col = np.zeros(n, dtype=np.int64)
-    for j in range(1, m + 1):
-        if col_row[j] > 0:
-            row_to_col[col_row[j] - 1] = j - 1
-    return row_to_col, np.array(u[1:]), np.array(v[1:])
+    row_to_col = [0] * n
+    for j in range(m):
+        if col_row[j] >= 0:
+            row_to_col[col_row[j]] = j
+    return row_to_col, u, v[:m]
 
 
-def _optimal_cost(costs: np.ndarray) -> float:
-    rc = _solve_jv(costs)[0]
-    return float(costs[np.arange(costs.shape[0]), rc].sum())
+def _cost(rows: list, cols: list) -> float:
+    """``float(costs[np.arange(n), cols].sum())`` for ``rows =
+    costs.tolist()``, bit for bit: below 8 terms numpy's float sum adds
+    left to right from 0.0, as ``sum`` does; from 8 on it adds pairwise."""
+    picked = [row[c] for row, c in zip(rows, cols)]
+    return sum(picked) if len(picked) < 8 else float(np.sum(picked))
+
+
+def _only_jv_tight(rows: list, u: list, v: list, jv: list, bound: float) -> bool:
+    """Whether each row's only edge of reduced cost ``c - u - v`` at most
+    ``bound`` is its JV column."""
+    for row, ui, c in zip(rows, u, jv):
+        j = 0
+        for x, vj in zip(row, v):
+            if x - ui - vj <= bound and j != c:
+                return False
+            j += 1
+    return True
 
 
 def hungarian(costs) -> Assignment:
@@ -113,37 +136,37 @@ def hungarian(costs) -> Assignment:
     """
     costs = _validate(costs)
     n, m = costs.shape
-    jv, u, v = _solve_jv(costs)
-    best = float(costs[np.arange(n), jv].sum())
-    scale = max(1.0, float(np.abs(costs).max()))
-    tol = 1e-9 * scale * max(n, 1)
+    rows = costs.tolist()
+    jv, u, v = _jv(rows, m)
+    tol = 1e-9 * max(1.0, max([abs(x) for row in rows for x in row])) * n
     # Any assignment costs the optimum plus at least the reduced costs
     # c - u - v of its edges (the duals are feasible, v <= 0, and v is 0
     # off the optimum), so an edge whose reduced cost exceeds the
     # tolerance lies on no optimal assignment. Twice the tolerance
-    # leaves room for rounding in u and v; a tight edge is solved below.
-    tight = costs - u[:, None] - v[None, :] <= 2 * tol
+    # leaves room for rounding in u and v; a tight edge is solved below,
+    # unless each row's only one is its JV column: then the JV optimum
+    # is the only one.
+    if _only_jv_tight(rows, u, v, jv, 2 * tol):
+        return Assignment(row_to_col=tuple(jv), total_cost=_cost(rows, jv))
 
     # Fix rows in order to the smallest column that still admits an
     # optimal completion of the remaining subproblem. While the prefix
     # fixed so far is the JV optimum's, JV's own column completes it.
     free_cols = list(range(m))
-    remaining = best
+    remaining = _cost(rows, jv)
     chosen = []
     on_jv = True
-    for i in range(n):
-        rest_rows = np.arange(i + 1, n)
+    for i, row in enumerate(rows):
         for c in free_cols:
-            sub_budget = remaining - costs[i, c]
-            if len(rest_rows) == 0:
+            sub_budget = remaining - row[c]
+            if i == n - 1:
                 if abs(sub_budget) > tol:
                     continue
             elif not (on_jv and c == jv[i]):
-                if not tight[i, c]:
+                if row[c] - u[i] - v[c] > 2 * tol:
                     continue
-                cols = [cc for cc in free_cols if cc != c]
-                sub = costs[np.ix_(rest_rows, cols)]
-                if abs(_optimal_cost(sub) - sub_budget) > tol:
+                sub = [[r[cc] for cc in free_cols if cc != c] for r in rows[i + 1:]]
+                if abs(_cost(sub, _jv(sub, len(free_cols) - 1)[0]) - sub_budget) > tol:
                     continue
             chosen.append(c)
             free_cols.remove(c)
@@ -152,9 +175,7 @@ def hungarian(costs) -> Assignment:
             break
         else:
             raise MatcherError("internal error: no optimal completion found")
-
-    total = float(costs[np.arange(n), chosen].sum())
-    return Assignment(row_to_col=tuple(int(c) for c in chosen), total_cost=total)
+    return Assignment(row_to_col=tuple(chosen), total_cost=_cost(rows, chosen))
 
 
 def greedy_match(costs) -> Assignment:

@@ -19,12 +19,16 @@ def brute_force(costs):
     return best, float(best_cost)
 
 
+def optimal_cost(costs):
+    return float(costs[np.arange(costs.shape[0]), M._solve_jv(costs)[0]].sum())
+
+
 def reference_hungarian(costs):
     """Lexicographically smallest optimum by one optimal sub-solve per
     candidate column, with no pruning by the duals."""
     costs = np.asarray(costs, dtype=np.float64)
     n, m = costs.shape
-    best = M._optimal_cost(costs)
+    best = optimal_cost(costs)
     tol = 1e-9 * max(1.0, float(np.abs(costs).max())) * max(n, 1)
     free_cols = list(range(m))
     remaining = best
@@ -40,7 +44,7 @@ def reference_hungarian(costs):
                     break
                 continue
             sub = costs[np.ix_(rest_rows, [cc for cc in free_cols if cc != c])]
-            if abs(M._optimal_cost(sub) - sub_budget) <= tol:
+            if abs(optimal_cost(sub) - sub_budget) <= tol:
                 break
         else:
             raise AssertionError("no optimal completion")
@@ -91,7 +95,7 @@ class TestSolveJV:
         assert (v <= 0).all()
         free = np.setdiff1d(np.arange(m), row_to_col)
         assert (v[free] == 0).all()
-        assert M._optimal_cost(costs) == pytest.approx(brute_force(costs)[1], abs=tol)
+        assert optimal_cost(costs) == pytest.approx(brute_force(costs)[1], abs=tol)
 
 
 class TestHungarian:
@@ -100,6 +104,34 @@ class TestHungarian:
     def test_equals_reference(self, kind, seed):
         costs = reference_case(kind, seed)
         assert M.hungarian(costs) == reference_hungarian(costs)
+
+    @pytest.mark.parametrize("seed", range(18))
+    @pytest.mark.parametrize("kind", ["uniform", "ties", "magnitudes"])
+    def test_equals_reference_up_to_nine_rows(self, kind, seed):
+        # from 8 rows on the total is numpy's pairwise sum
+        k_cost, k_exp = R.split(R.RngKey.from_seed(900 + seed), 2)
+        n = 1 + seed % 9
+        u = R.uniform(k_cost, (n, n + seed % 3))
+        costs = {"uniform": u, "ties": np.floor(u * 3.0),
+                 "magnitudes": u * 10.0 ** np.floor(R.uniform(k_exp, u.shape) * 16 - 8),
+                 }[kind]
+        assert M.hungarian(costs) == reference_hungarian(costs)
+
+    def test_a_unique_optimum_takes_one_jv_solve(self, monkeypatch):
+        costs = np.array([[0.1, 0.9, 0.5, 0.7],
+                          [0.8, 0.2, 0.6, 0.4],
+                          [0.3, 0.6, 0.9, 0.05]])
+        want = reference_hungarian(costs)
+        solves = []
+        jv = M._jv
+        monkeypatch.setattr(M, "_jv", lambda rows, m: solves.append(m) or jv(rows, m))
+        assert M.hungarian(costs) == want and want.row_to_col == (0, 1, 3)
+        assert len(solves) == 1
+        # row 0's edge to column 0 is tight but on no optimum: the
+        # tie-break solves row 1 without it to rule it out
+        solves.clear()
+        assert M.hungarian(np.array([[0.0, 0.0], [0.0, 1.0]])).row_to_col == (1, 0)
+        assert len(solves) == 2
 
     @pytest.mark.parametrize("seed", range(10))
     def test_negative_costs(self, seed):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deskml import models
 from deskml import rng as R
 from deskml import tensor as T
 from gradcheck import check_grads, max_rel_error
@@ -84,6 +85,19 @@ class TestElementwise:
         for out in (t + 2, 2 + t, t - 2, 2 - t, t * 2, 2 * t):
             assert out.dtype == "i64"
         assert (1 - t).data.tolist() == [0, 3, -2]
+
+    def test_int32_tensor_and_python_int_stay_int32(self):
+        # a Python int takes an int tensor's dtype, as JAX's weakly typed
+        # scalars do; a Python float does not
+        x = np.array([1, -2, 3], np.int32)
+        t = T.Tensor(x)
+        for got, want in ((t + 2, x + 2), (2 + t, 2 + x), (t - 2, x - 2),
+                          (2 - t, 2 - x), (t * 2, x * 2), (2 * t, 2 * x)):
+            assert got.data.dtype == want.dtype == np.int32
+            assert np.array_equal(got.data, want)
+        for expr in (lambda: t * 0.5, lambda: 0.5 * t):
+            with pytest.raises(TypeError, match=r"^mul: dtype mismatch (i32, f64|f64, i32)$"):
+                expr()
 
     def test_int64_tensor_times_python_float_refused(self):
         t = T.Tensor(np.array([1, 2], np.int64))
@@ -332,6 +346,30 @@ class TestZeroLengthAxes:
         # along the other axis there are no rows to normalize
         assert op(x, axis=0).shape == (2, 0)
 
+    def test_layer_norm_over_it_refused(self):
+        x = T.zeros((2, 0))
+        with pytest.raises(ValueError, match=r"^layer_norm: "):
+            T.layer_norm(x, T.zeros((0,)), T.zeros((0,)), 1e-6)
+        # no rows to normalize: an empty result
+        out = T.layer_norm(T.zeros((0, 4)), T.ones((4,)), T.zeros((4,)), 1e-6)
+        assert out.shape == (0, 4)
+
+    def test_attention_with_no_keys_refused(self):
+        q, k = T.zeros((1, 2, 4)), T.zeros((1, 0, 4))
+        with pytest.raises(ValueError, match=r"^attention: "):
+            T.attention(q, k, k, 2)
+        # no queries: an empty result
+        assert T.attention(T.zeros((1, 0, 4)), T.zeros((1, 3, 4)),
+                           T.zeros((1, 3, 4)), 2).shape == (1, 0, 4)
+
+    @pytest.mark.parametrize("name, op", [
+        ("softmax", T.softmax), ("log_softmax", T.log_softmax),
+        ("layer_norm", lambda x: T.layer_norm(x, x, x, 1e-6)),
+    ], ids=["softmax", "log_softmax", "layer_norm"])
+    def test_a_zero_d_tensor_refused(self, name, op):
+        with pytest.raises(ValueError, match=rf"^{name}: a 0-d tensor"):
+            op(T.tensor(1.0))
+
     def test_tsum_gives_zeros_as_numpy_does(self):
         x = np.zeros((2, 0, 3), np.float32)
         assert_same_bits(T.tsum(T.Tensor(x), axis=1).data, x.sum(1))
@@ -420,6 +458,52 @@ class TestShortReductions:
         assert_same_bits(T.tsum(t, axis=-1).data, x.sum(-1))
         assert_same_bits(T.tsum(t, axis=x.ndim - 1, keepdims=True).data,
                          x.sum(-1, keepdims=True))
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_max_fold_is_reduce_but_for_a_zero_sign(self, n, dtype):
+        # enough rows that lengths up to 32 fold; the rest keep reduce
+        gen = np.random.default_rng(n)
+        zero_max = gen.choice(np.array([0.0, -0.0, -1.0, -np.inf]), (300, n))
+        x = np.concatenate([_short_rows(n, dtype, seed=n), zero_max.astype(dtype)])
+        for layout in ("contiguous", "transposed"):
+            rows = _LAYOUTS[layout](x)
+            with np.errstate(invalid="ignore"):
+                got = T._fold_last(np.maximum, rows)
+                want = np.maximum.reduce(rows, axis=-1, keepdims=True)
+            assert_same_bits(np.where(got == 0, 0, got), np.where(want == 0, 0, want))
+
+    @pytest.mark.parametrize("n", [2, 9, 16])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_zero_max_sign_does_not_show(self, n, dtype, monkeypatch):
+        # the rows where the fold's zero sign can differ from reduce's:
+        # a maximum of zero that both +0.0 and -0.0 attain; either sign
+        # is forced on it
+        gen = np.random.default_rng(n)
+        x = gen.choice(np.array([0.0, -0.0, -1.0, -2.5, -np.inf]), (300, n))
+        cols = np.argsort(gen.random((300, n)), axis=-1)[:, :2]
+        x[np.arange(300), cols[:, 0]] = 0.0
+        x[np.arange(300), cols[:, 1]] = -0.0
+        x = x.astype(dtype)
+        g = gen.standard_normal((300, n)).astype(dtype)
+        fold = T._fold_last
+
+        def outputs(sign):
+            def signed_max(ufunc, y):
+                out = fold(ufunc, y)
+                if ufunc is np.maximum:
+                    out[out == 0] = np.copysign(0.0, sign)
+                return out
+
+            monkeypatch.setattr(T, "_fold_last", signed_max)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sm = T.softmax(T.Tensor(x, requires_grad=True))
+                lsm = T.log_softmax(T.Tensor(x, requires_grad=True))
+                return (sm.data, sm._backward(g)[0], lsm.data, lsm._backward(g)[0],
+                        models._argmax_last(x))
+
+        for plus, minus in zip(outputs(1.0), outputs(-1.0)):
+            assert_same_bits(plus, minus)
 
     def test_integer_sum_keeps_numpy_widening(self):
         x = T.Tensor(np.array([[1, 2, 3]], np.int32))
