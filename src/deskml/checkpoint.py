@@ -97,6 +97,8 @@ def load_checkpoint(path: str):
             arr = np.frombuffer(buf, dtype=dtype).reshape(spec["shape"]).copy()
             groups[spec["group"]][spec["name"]] = Tensor(arr)
             offset += nbytes
+        if len(raw) > offset:
+            raise CheckpointError(f"{path}: {len(raw) - offset} bytes after the last payload")
         return TrainState(
             step=int(header["step"]),
             **groups,

@@ -9,18 +9,18 @@ gradients. Batch norm takes its statistics over the whole step batch
 (sync batch norm), so a step depends on the global batch, not on the
 topology. Metric tables are sums, normalized after aggregation.
 
-A state's ``params`` and ``opt_state`` stay name -> Tensor dicts, but
-each array in them is a view into one buffer in the model's one dtype:
-a row for the params and one per optimizer slot, the parameters in
-name order (as checkpoints store them) in the same columns of each. A
-step gathers the gradients into a bare buffer alike, so the update is
-about a dozen numpy calls over the buffers, and it is elementwise, so
-its results are the per-array ones bit for bit; the clip norm is one
-float64 reduction over the gradient buffer. Only ``train_step`` builds
-the buffers: it gathers a state whose dicts are not views of them
-(from init, a checkpoint or a hand edit, in any key order) once, and
-refuses params that mix dtypes. ``eval_every`` defaults to a quarter
-of ``total_steps``; a run leaving it out records that in its fingerprint.
+A state's ``params`` and ``opt_state`` are read-only name -> Tensor
+mappings over one buffer each, in the model's one dtype: a row for the
+params and one per optimizer slot, the parameters in name order (as
+checkpoints store them) in the same columns of each. ``TrainState``
+lays them out when it is made, gathering plain dicts (from init, a
+checkpoint or a hand edit, in any key order) once, and refuses params
+that mix dtypes; a step takes them as they are. It gathers the
+gradients into a bare buffer alike, so the update is about a dozen
+numpy calls over the buffers, and it is elementwise, so its results are
+the per-array ones bit for bit; the clip norm is one float64 reduction
+over the gradient buffer. ``eval_every`` defaults to a quarter of
+``total_steps``; a run leaving it out records that in its fingerprint.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ import json
 import os
 import platform
 import re
+from collections import namedtuple
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from itertools import zip_longest
 from typing import Callable
@@ -66,7 +68,7 @@ class Topology:
             raise TrainError("topology extents must be >= 1")
 
 
-# the state slots each optimizer kind keeps per parameter
+# the state slots each optimizer kind keeps per parameter, in name order
 _SLOTS = {"sgd": (), "sgd_momentum": ("m",), "adam": ("m", "v")}
 
 
@@ -113,88 +115,84 @@ def cosine_decay(base_lr: float, total_steps: int) -> Callable:
     return schedule
 
 
+# where a _Flat's entries lie in its (rows, size) buffer: each parameter's
+# (name, start, stop, shape) in name order, each row's key suffix ("" for
+# params, "/m" or "/v" for slots), and each key's (row, start, stop, shape)
+_Layout = namedtuple("_Layout", "spans suffixes index")
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class _Flat(Mapping):
+    """A read-only name -> Tensor mapping over ``buf`` in ``layout``; each
+    lookup is a new Tensor over a view of ``buf``, so none goes stale."""
+    layout: _Layout
+    buf: np.ndarray
+
+    def __getitem__(self, key: str) -> Tensor:
+        row, a, b, shape = self.layout.index[key]
+        return Tensor(self.buf[row, a:b].reshape(shape))
+
+    def __iter__(self):
+        return iter(self.layout.index)
+
+    def __len__(self) -> int:
+        return len(self.layout.index)
+
+
+def _gather(layout: _Layout, tensors: Mapping, dtype) -> np.ndarray:
+    """``tensors`` copied into a ``dtype`` buffer in ``layout``."""
+    arrays = [tensors[name + s].data for s in layout.suffixes for name, *_ in layout.spans]
+    # the empty head lets a kind without slots (sgd) gather nothing
+    buf = np.concatenate([np.empty(0, dtype)] + arrays, axis=None, dtype=dtype)
+    return buf.reshape(len(layout.suffixes), layout.spans[-1][2] if layout.spans else 0)
+
+
 @dataclass(frozen=True)
 class TrainState:
+    """``params`` and ``opt_state`` may be any name -> Tensor mappings; the
+    state holds them as ``_Flat`` ones of one layout, with the slots read
+    off the ``opt_state`` keys (``<param>/<slot>``)."""
     step: int
-    params: dict
+    params: Mapping
     model_state: dict
-    opt_state: dict
+    opt_state: Mapping
     rng: R.RngKey
     # the run's seed and config (see ``_run_fingerprint``), saved with
     # each checkpoint so a resume under another config is refused
     fingerprint: dict | None = None
 
-
-class _Flat(dict):
-    """A name -> Tensor dict whose arrays are views into ``buf``, a
-    ``(rows, size)`` array: the params' one row (the key suffix ``""``),
-    or a row per optimizer slot (``"/m"``, ``"/v"``). ``spans`` holds
-    each parameter's (name, start, stop, shape), in name order."""
-
-    __slots__ = ("spans", "buf", "suffixes", "_views")
-
-    def __init__(self, spans: list, buf: np.ndarray, suffixes=("",)):
-        self.spans, self.buf, self.suffixes = spans, buf, suffixes
-        rows = list(buf)
-        self._views = [row[a:b].reshape(shape) for _, a, b, shape in spans for row in rows]
-        super().__init__(zip([name + s for name, _, _, _ in spans for s in suffixes],
-                             map(Tensor, self._views)))
-
-    def __reduce__(self):
-        # a copy or a pickle holds arrays that are no longer views of a
-        # buffer, so it is a plain dict, which the trainer gathers again
-        return dict, (dict(self),)
-
-    def intact(self) -> bool:
-        """Whether every entry still holds the view it was built with:
-        none was replaced, added or removed since."""
-        return (len(self) == len(self._views)
-                and all(t.data is v for t, v in zip(self.values(), self._views)))
-
-
-def _gather(spans: list, tensors: dict, dtype, suffixes=("",)) -> np.ndarray:
-    """``tensors`` copied into a ``dtype`` buffer of ``spans``, a row per suffix."""
-    arrays = [tensors[name + s].data for s in suffixes for name, _, _, _ in spans]
-    # the empty head lets a kind without slots (sgd) gather nothing
-    buf = np.concatenate([np.empty(0, dtype)] + arrays, axis=None, dtype=dtype)
-    return buf.reshape(len(suffixes), spans[-1][2] if spans else 0)
-
-
-def _flat_state(params: dict, opt_state: dict, slots: tuple) -> tuple:
-    """``params`` and their optimizer ``slots`` as ``_Flat`` dicts of one
-    ``spans``: as they are when they already are, else gathered once into
-    new buffers in name order (a state from ``init_train_state`` or
-    ``load_checkpoint``, or one built or edited by hand, in any key order).
-    The params must share one dtype, and the slots must be exactly
-    ``slots`` of each parameter, each in its parameter's shape and dtype."""
-    suffixes = tuple(f"/{s}" for s in slots)
-    if (isinstance(params, _Flat) and isinstance(opt_state, _Flat)
-            and opt_state.spans is params.spans and opt_state.suffixes == suffixes
-            and params.intact() and opt_state.intact()):
-        return params, opt_state
-    dtypes = sorted({str(p.data.dtype) for p in params.values()})
-    if len(dtypes) > 1:
-        raise TrainError(f"the params mix the dtypes {dtypes}; a model keeps "
-                         "every parameter in its one dtype")
-    want = {name + s: (p.data.shape, p.data.dtype)
-            for name, p in params.items() for s in suffixes}
-    if {k: (t.data.shape, t.data.dtype) for k, t in opt_state.items()} != want:
-        raise TrainError(f"the optimizer state does not hold the slots {slots} "
-                         "of every parameter, in its shape and dtype")
-    spans, size = [], 0
-    for name, p in sorted(params.items()):
-        spans.append((name, size, size + p.data.size, p.data.shape))
-        size += p.data.size
-    dtype = dtypes[0] if dtypes else None
-    return (_Flat(spans, _gather(spans, params, dtype)),
-            _Flat(spans, _gather(spans, opt_state, dtype, suffixes), suffixes))
+    def __post_init__(self):
+        params, slots = self.params, self.opt_state
+        if (isinstance(params, _Flat) and isinstance(slots, _Flat)
+                and params.layout.spans is slots.layout.spans):
+            return
+        dtypes = sorted({str(p.data.dtype) for p in params.values()})
+        if len(dtypes) > 1:
+            raise TrainError(f"the params mix the dtypes {dtypes}; a model keeps "
+                             "every parameter in its one dtype")
+        suffixes = tuple(sorted({"/" + k.rpartition("/")[2] for k in slots}))
+        want = {name + s: (p.data.shape, p.data.dtype)
+                for name, p in params.items() for s in suffixes}
+        if {k: (t.data.shape, t.data.dtype) for k, t in slots.items()} != want:
+            raise TrainError(f"the optimizer state does not hold the slots "
+                             f"{tuple(s[1:] for s in suffixes)} of every "
+                             "parameter, in its shape and dtype")
+        spans, size = [], 0
+        for name, p in sorted(params.items()):
+            spans.append((name, size, size + p.data.size, p.data.shape))
+            size += p.data.size
+        spans, dtype = tuple(spans), dtypes[0] if dtypes else None
+        for field, tensors, rows in (("params", params, ("",)), ("opt_state", slots, suffixes)):
+            layout = _Layout(spans, rows, {name + s: (row, a, b, shape) for name, a, b, shape
+                                           in spans for row, s in enumerate(rows)})
+            object.__setattr__(self, field, _Flat(layout, _gather(layout, tensors, dtype)))
 
 
 def _apply_update(params: _Flat, g: np.ndarray, opt_state: _Flat,
                   opt: OptimizerSpec, step: int):
-    """Apply the mean gradients ``g``, a buffer of ``params.spans``;
-    returns the new params and slots as ``_Flat`` dicts of new buffers in
-    the same dtype. Each result (the slots, Adam's denominator, the
+    """Apply the mean gradients ``g``, a buffer in the params' layout;
+    returns the new params and slots as ``_Flat`` mappings of new buffers
+    in the same layouts. Each result (the slots, Adam's denominator, the
     update, which becomes the new params) is one new buffer and the rest
     runs in place on those, so no buffer passed in is written."""
     lr = opt.lr_at(step)
@@ -229,7 +227,7 @@ def _apply_update(params: _Flat, g: np.ndarray, opt_state: _Flat,
         upd *= lr
         upd /= d
     np.subtract(params.buf, upd, out=upd)
-    return _Flat(params.spans, upd), _Flat(params.spans, s, opt_state.suffixes)
+    return _Flat(params.layout, upd), _Flat(opt_state.layout, s)
 
 
 def init_train_state(contract: ModelContract, opt: OptimizerSpec,
@@ -257,11 +255,11 @@ def _concat_batches(host_batches: list) -> dict:
             for k in host_batches[0]}
 
 
-def _refuse_non_finite(what: str, buf, spans: list, suffixes, step: int):
-    """Name the first entry of ``buf``, in spans order, that is not all finite."""
-    if not np.isfinite(buf).all():
-        name = next(name + s for name, a, b, _ in spans
-                    for s, row in zip(suffixes, buf) if not np.isfinite(row[a:b]).all())
+def _refuse_non_finite(what: str, flat: _Flat, step: int):
+    """Name the first entry of ``flat``, in name order, that is not all finite."""
+    if not np.isfinite(flat.buf).all():
+        name = next(k for k, (row, a, b, _) in flat.layout.index.items()
+                    if not np.isfinite(flat.buf[row, a:b]).all())
         raise TrainError(f"non-finite {what} {name!r} at step {step}")
 
 
@@ -277,6 +275,10 @@ def train_step(state: TrainState, host_batches: list, topology: Topology,
     if len(host_batches) != topology.host_count:
         raise TrainError(f"expected {topology.host_count} host batches, "
                          f"got {len(host_batches)}")
+    slots = tuple(s[1:] for s in state.opt_state.layout.suffixes)
+    if slots != _SLOTS[opt.kind]:
+        raise TrainError(f"the optimizer state holds the slots {slots}, but "
+                         f"{opt.kind} keeps {_SLOTS[opt.kind]}")
     arch = contract.build_model()
     batch = _concat_batches(host_batches)
     key, new_rng = R.split(state.rng, 2)
@@ -291,18 +293,14 @@ def train_step(state: TrainState, host_batches: list, topology: Topology,
     if not np.isfinite(loss.item()):
         raise TrainError(f"non-finite loss at step {state.step}")
     # the outputs hold the whole tape, and the per-name gradients are
-    # copied into g: drop both before the update runs. A state that is
-    # not flat yet is gathered after the tape is gone, not beside it
+    # copied into g: drop both before the update runs
     table = _batch_metrics(contract.get_metrics_fn(), stash.pop("outputs"), batch)
-    params, opt_state = _flat_state(state.params, state.opt_state,
-                                    _SLOTS[opt.kind])
-    g = _gather(params.spans, grads, params.buf.dtype)
+    g = _gather(state.params.layout, grads, state.params.buf.dtype)
     del grads
-    _refuse_non_finite("gradient for", g, params.spans, ("",), state.step)
-    new_params, new_opt = _apply_update(params, g, opt_state, opt, state.step)
+    _refuse_non_finite("gradient for", _Flat(state.params.layout, g), state.step)
+    new_params, new_opt = _apply_update(state.params, g, state.opt_state, opt, state.step)
     # a finite gradient can still overflow a slot (Adam's v squares it)
-    _refuse_non_finite("optimizer slot", new_opt.buf, new_opt.spans,
-                       new_opt.suffixes, state.step)
+    _refuse_non_finite("optimizer slot", new_opt, state.step)
     new_state = replace(
         state,
         step=state.step + 1,

@@ -111,16 +111,19 @@ def test_arrays_one_side_holds_are_counted_not_scored(parent, tmp_path):
     path = os.path.join(wd, "ckpt_2.bin")
     state = CK.load_checkpoint(path)
     name = sorted(state.params)[0]
-    params = dict(state.params)
-    del params[name]
-    CK.save_checkpoint(replace(state, params=params), path)
-    where = f"ckpt_2.bin params {name} in the parent only"
-    assert FSH.checkpoint_drift(wd, parent) == (0.0, "-", [where])
+    # a parameter goes with its Adam slots, which a state holds for each
+    gone = {"params": [name], "opt_state": [f"{name}/m", f"{name}/v"]}
+    CK.save_checkpoint(replace(state, **{
+        group: {k: t for k, t in getattr(state, group).items() if k not in keys}
+        for group, keys in gone.items()}), path)
+    where = [f"ckpt_2.bin {group} {k} in the parent only"
+             for group, keys in gone.items() for k in keys]
+    assert FSH.checkpoint_drift(wd, parent) == (0.0, "-", where)
     assert FSH.drift_line("mlp", wd, parent).endswith(
-        f"checkpoints 0.00e+00 (-) one-sided 1 ({where})")
-    # seen from the other side, the array is the run's alone
+        f"checkpoints 0.00e+00 (-) one-sided 3 ({where[0]})")
+    # seen from the other side, the arrays are the run's alone
     assert FSH.checkpoint_drift(parent, wd)[2] == [
-        f"ckpt_2.bin params {name} in the run only"]
+        w.replace("in the parent only", "in the run only") for w in where]
 
 
 def write_assignments(wd, calls):

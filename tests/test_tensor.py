@@ -401,11 +401,28 @@ class TestShortReductions:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
     def test_fold_is_reduce_bit_for_bit(self, ufunc, n, dtype, layout):
+        # many rows fold below length 8; few rows, and 1-D rows, reduce
         x = _LAYOUTS[layout](_short_rows(n, dtype, seed=n))
-        with np.errstate(invalid="ignore"):
-            got = T._fold_last(ufunc, x)
-            want = ufunc.reduce(x, axis=-1, keepdims=True)
-        assert_same_bits(got, want)
+        for y in [x, x[::150], *x[::75]]:
+            with np.errstate(invalid="ignore"):
+                got = T._fold_last(ufunc, y)
+                want = ufunc.reduce(y, axis=-1, keepdims=True)
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("ufunc, shape, folds", [
+        (np.add, (4, 5), False), (np.add, (1, 7), False), (np.add, (7,), False),
+        (np.add, (39, 5), False), (np.add, (40, 5), True), (np.add, (8 * 64, 8), False),
+        (np.maximum, (4, 5), False), (np.maximum, (40, 5), True),
+        (np.maximum, (255, 32), False), (np.maximum, (256, 32), True),
+        (np.maximum, (32, 4, 16, 16), True), (np.maximum, (8 * 33, 33), False),
+    ])
+    def test_folds_only_with_eight_rows_per_entry_of_a_row(self, ufunc, shape, folds,
+                                                           monkeypatch):
+        calls, fold = [], T._fold
+        monkeypatch.setattr(T, "_fold", lambda *args: calls.append(1) or fold(*args))
+        x = np.random.default_rng(0).standard_normal(shape)
+        assert_same_bits(T._fold_last(ufunc, x), ufunc.reduce(x, axis=-1, keepdims=True))
+        assert bool(calls) == folds
 
     def test_fold_over_more_axes(self):
         x = _short_rows(3, np.float32)[:600].reshape(5, 4, 30, 3)
@@ -416,7 +433,7 @@ class TestShortReductions:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_a_one_dimensional_tensor_reduces_as_one_row(self, n):
-        # the fold's slices of a 1-D array are 0-d
+        # a 1-D array has too few rows to fold, and reduces as one row does
         row = _short_rows(n, np.float32, seed=n)[300]  # mixed magnitudes
         for op in (T.softmax, T.log_softmax, lambda t: T.tsum(t, axis=-1)):
             one = op(T.Tensor(row, requires_grad=True))
@@ -993,6 +1010,16 @@ def test_float32_inputs_get_float32_gradients(op):
     grads = T.grad(lambda p: T.tsum(_OPS[op].call(p["a"], p["b"], p["k"])), params)
     for name, g in grads.items():
         assert g.data.dtype == np.float32, name
+
+
+@pytest.mark.parametrize("op", sorted(_OPS))
+def test_gradients_match_finite_differences(op):
+    # with respect to a, b and k; one the op is not handed gets zeros both ways
+    params = dict(zip("abk", _inputs(26, "f64")))
+    shape = _OPS[op].call(*params.values()).shape
+    cotangent = T.Tensor(R.normal(R.RngKey.from_seed(27), shape))
+    check_grads(lambda p: T.tsum(_OPS[op].call(p["a"], p["b"], p["k"]) * cotangent),
+                params)
 
 
 @pytest.mark.parametrize("op", sorted(_OPS))

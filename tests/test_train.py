@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import itertools
 import json
 import os
+import pickle
 import platform
 import statistics
 import subprocess
@@ -205,15 +207,21 @@ def reference_update(params, g, opt_state, opt, step):
     return new_params, new_slots
 
 
+def hand_built(params: dict, slots: dict) -> TR.TrainState:
+    """A state made from plain name -> Tensor dicts, which lays them out."""
+    return TR.TrainState(step=0, params=params, model_state={}, opt_state=slots,
+                         rng=R.RngKey.from_seed(0))
+
+
 def flat_update(params, grads, slots, opt, step):
-    """``_apply_update`` on arrays: the params and slots flattened as the
-    trainer does, the gradients gathered as ``train_step`` does; returns
-    (params, slots) of arrays, and checks that the flat inputs are left
-    as they were."""
-    params, slots = TR._flat_state({k: Tensor(v) for k, v in params.items()},
-                                   {k: Tensor(v) for k, v in slots.items()},
-                                   TR._SLOTS[opt.kind])
-    g = TR._gather(params.spans, {k: Tensor(v) for k, v in grads.items()},
+    """``_apply_update`` on arrays: the params and slots laid out as a
+    ``TrainState`` does, the gradients gathered as ``train_step`` does;
+    returns (params, slots) of arrays, and checks that the flat inputs
+    are left as they were."""
+    state = hand_built({k: Tensor(v) for k, v in params.items()},
+                       {k: Tensor(v) for k, v in slots.items()})
+    params, slots = state.params, state.opt_state
+    g = TR._gather(params.layout, {k: Tensor(v) for k, v in grads.items()},
                    params.buf.dtype)
     bufs = (params.buf, g, slots.buf)
     before = [b.copy() for b in bufs]
@@ -309,10 +317,10 @@ def copies(tensors: dict) -> dict:
 
 
 class TestFlatState:
-    """After a step the params and slots are views into one buffer per
-    dtype, and a state whose entries are not (from init, a checkpoint, or
-    built or edited by hand) is gathered into new buffers in its step,
-    never updated from a stale one."""
+    """A state holds its params and slots as read-only mappings over one
+    buffer each from the moment it is made, from init, a checkpoint, a
+    step, a hand-built or replaced state or a copy; a step takes them as
+    they are and gathers only its gradients."""
 
     def stepped(self, kind, steps=1):
         contract = build_mlp(Config(), mlp_meta())
@@ -325,7 +333,6 @@ class TestFlatState:
 
     @pytest.mark.parametrize("kind", sorted(TR._SLOTS))
     def test_flat_after_a_step_from_init_and_from_a_load(self, kind, tmp_path):
-        # init and load hold plain arrays; the step alone builds the buffers
         state, contract, opt = self.stepped(kind, steps=1)
         path = str(tmp_path / "ckpt_1.bin")
         CK.save_checkpoint(state, path)
@@ -337,6 +344,18 @@ class TestFlatState:
             for group in (st.params, st.opt_state):
                 assert_flat(group)
 
+    @pytest.mark.parametrize("kind", sorted(TR._SLOTS))
+    def test_flat_from_init_and_from_a_load_before_any_step(self, kind, tmp_path):
+        # init and load lay the state out as they make it
+        state, _, _ = self.stepped(kind, steps=0)
+        path = str(tmp_path / "ckpt_0.bin")
+        CK.save_checkpoint(state, path)
+        for when, st in {"init": state, "load": CK.load_checkpoint(path)}.items():
+            assert len(st.opt_state) == len(st.params) * len(TR._SLOTS[kind]), when
+            for group in (st.params, st.opt_state):
+                assert isinstance(group, TR._Flat), when
+                assert_flat(group)
+
     @pytest.mark.parametrize("edit", ["param", "slot", "data", "hand_built",
                                       "deepcopy"])
     def test_edited_state_updates_like_a_fresh_flat_state(self, edit):
@@ -344,11 +363,12 @@ class TestFlatState:
         name = sorted(state.params)[0]
         new = np.random.default_rng(0).standard_normal(
             state.params[name].shape).astype(np.float32)
-        if edit == "param":  # the buffer still holds the old values
-            state.params[name] = Tensor(new)
+        if edit == "param":  # an edit is a new state, laid out again
+            state = dataclasses.replace(state, params={**state.params, name: Tensor(new)})
         elif edit == "slot":
-            state.opt_state[f"{name}/v"] = Tensor(new * new)
-        elif edit == "data":
+            state = dataclasses.replace(state, opt_state={
+                **state.opt_state, f"{name}/v": Tensor(new * new)})
+        elif edit == "data":  # rebinds a looked-up entry, not the state's
             state.params[name].data = new
         elif edit == "deepcopy":  # then written in place
             state = copy.deepcopy(state)
@@ -356,9 +376,9 @@ class TestFlatState:
         else:
             state = dataclasses.replace(state, params=copies(state.params),
                                         opt_state=copies(state.opt_state))
-        params, slots = TR._flat_state(copies(state.params),
-                                       copies(state.opt_state), TR._SLOTS["adam"])
-        fresh = dataclasses.replace(state, params=params, opt_state=slots)
+        fresh = dataclasses.replace(state, params=copies(state.params),
+                                    opt_state=copies(state.opt_state))
+        assert fresh.params.buf is not state.params.buf
         outs = [TR.train_step(st, [toy_batch(seed=1)], TR.Topology(1, 1),
                               contract, opt)[0] for st in (state, fresh)]
         for group in ("params", "opt_state"):
@@ -367,6 +387,50 @@ class TestFlatState:
             for k in a:
                 assert a[k].data.tobytes() == b[k].data.tobytes(), (group, k)
             assert_flat(a)
+
+    def test_entries_cannot_be_assigned(self):
+        state, _, _ = self.stepped("adam")
+        name = sorted(state.params)[0]
+        for group, key in ((state.params, name), (state.opt_state, f"{name}/v")):
+            with pytest.raises(TypeError):
+                group[key] = Tensor(np.zeros(group[key].shape, np.float32))
+            with pytest.raises(TypeError):
+                del group[key]
+
+    def test_rebinding_an_entry_leaves_the_state_unchanged(self):
+        state, _, _ = self.stepped("adam")
+        name = sorted(state.params)[0]
+
+        def contents():
+            return [(k, t.data.tobytes()) for group in (state.params, state.opt_state)
+                    for k, t in group.items()]
+
+        before = contents()
+        for entry in (state.params[name], state.opt_state[f"{name}/v"]):
+            entry.data = np.zeros_like(entry.data)
+        assert contents() == before
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    def test_a_copy_steps_like_its_original(self, how):
+        state, contract, opt = self.stepped("adam")
+        twin = (copy.deepcopy(state) if how == "deepcopy"
+                else pickle.loads(pickle.dumps(state)))
+        for group in (twin.params, twin.opt_state):
+            assert isinstance(group, TR._Flat)
+            assert_flat(group)
+        outs = [TR.train_step(st, [toy_batch(seed=1)], TR.Topology(1, 1),
+                              contract, opt)[0] for st in (state, twin)]
+        for group in ("params", "opt_state"):
+            a, b = (getattr(o, group) for o in outs)
+            assert a.keys() == b.keys()
+            for k in a:
+                assert a[k].data.tobytes() == b[k].data.tobytes(), (group, k)
+        # an entry is a view: a write in place lands in the copy's buffer alone
+        name = sorted(state.params)[0]
+        before = state.params[name].data.tobytes()
+        twin.params[name].data[...] = 7.0
+        assert (twin.params[name].data == 7.0).all()
+        assert state.params[name].data.tobytes() == before
 
     def test_checkpoint_bytes_equal_those_of_separate_copies(self, tmp_path):
         state, _, _ = self.stepped("adam", steps=2)
@@ -380,14 +444,14 @@ class TestFlatState:
 
     @pytest.mark.parametrize("kind", sorted(TR._SLOTS))
     def test_a_flat_state_gathers_only_its_gradients(self, kind, monkeypatch):
-        # the step updates the buffers the last step made, not copies
+        # the step updates the buffers the state holds, not copies
         state, contract, opt = self.stepped(kind)
         gathered, updated = [], []
         gather, apply_update = TR._gather, TR._apply_update
 
-        def counted(spans, tensors, *args):
+        def counted(layout, tensors, *args):
             gathered.append(tensors)
-            return gather(spans, tensors, *args)
+            return gather(layout, tensors, *args)
 
         def watched(params, g, opt_state, *args):
             updated.append((params, opt_state))
@@ -401,32 +465,50 @@ class TestFlatState:
         [(params, opt_state)] = updated
         assert params is state.params and opt_state is state.opt_state
 
+    @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
+    def test_a_step_looks_up_no_slot(self, kind, monkeypatch):
+        # the params are looked up once each, by value_and_grad
+        state, contract, opt = self.stepped(kind)
+        looked_up, getitem = [], TR._Flat.__getitem__
+
+        def counted(flat, key):
+            looked_up.append((flat.layout.suffixes, key))
+            return getitem(flat, key)
+
+        monkeypatch.setattr(TR._Flat, "__getitem__", counted)
+        TR.train_step(state, [toy_batch()], TR.Topology(1, 1), contract, opt)
+        assert sorted(looked_up) == [(("",), k) for k in sorted(state.params)]
+
     @pytest.mark.parametrize("kind", sorted(TR._SLOTS))
     def test_one_layout_whatever_the_key_order(self, kind):
         # init gives model order and a checkpoint name order; both are laid
         # out in name order, so the update, clip norm included, is the same
         contract = build_mlp(Config({"model": {"dtype": "f64"}}), mlp_meta())
         opt = TR.OptimizerSpec(kind=kind, lr=0.1, grad_clip=1e-3)
-        state = fresh_state(contract, opt)
+        arch = contract.build_model()
+        params, _ = arch.init(R.split(R.RngKey.from_seed(0), 2)[0])
         rs = np.random.default_rng(0)
-        grads = {k: Tensor(rs.standard_normal(t.shape)) for k, t in state.params.items()}
-        model_order = list(state.params)
+        grads = {k: Tensor(rs.standard_normal(t.shape)) for k, t in params.items()}
+        slots = {f"{k}/{s}": Tensor(rs.random(t.shape))
+                 for k, t in params.items() for s in TR._SLOTS[kind]}
+        model_order = list(params)
         assert model_order != sorted(model_order)
         outs = []
         for order in (model_order, sorted(model_order), sorted(model_order)[::-1]):
-            params, slots = TR._flat_state(
-                {k: state.params[k] for k in order},
-                {f"{k}/{s}": state.opt_state[f"{k}/{s}"]
-                 for k in order for s in TR._SLOTS[kind]}, TR._SLOTS[kind])
-            g = TR._gather(params.spans, grads, params.buf.dtype)
-            new_params, new_slots = TR._apply_update(params, g, slots, opt, 0)
-            outs.append((params.spans, new_params.buf.tobytes(),
+            state = hand_built({k: params[k] for k in order},
+                               {f"{k}/{s}": slots[f"{k}/{s}"]
+                                for k in order for s in TR._SLOTS[kind]})
+            g = TR._gather(state.params.layout, grads, state.params.buf.dtype)
+            new_params, new_slots = TR._apply_update(state.params, g, state.opt_state,
+                                                     opt, 0)
+            outs.append((state.params.layout.spans, new_params.buf.tobytes(),
                          new_slots.buf.tobytes()))
         assert [name for name, _, _, _ in outs[0][0]] == sorted(model_order)
         assert outs[1] == outs[0] and outs[2] == outs[0]
 
     def test_params_of_mixed_dtypes_refused(self):
-        # a registered model casts its params to its one dtype; this one does not
+        # a registered model casts its params to its one dtype; this one does
+        # not, and its state is refused as init makes it
         def init(key):
             return {"w": Tensor(np.ones(4, np.float32)),
                     "u": Tensor(np.ones(4, np.float64))}, {}
@@ -439,14 +521,33 @@ class TestFlatState:
         opt = TR.OptimizerSpec(kind="adam", lr=0.1)
         with pytest.raises(TR.TrainError,
                            match=r"params mix the dtypes \['float32', 'float64'\]"):
-            TR.train_step(fresh_state(contract, opt), [toy_batch()],
-                          TR.Topology(1, 1), contract, opt)
+            fresh_state(contract, opt)
+
+    @pytest.mark.parametrize("slot", ["missing", "misshaped", "stray"])
+    def test_slots_not_held_by_every_parameter_refused(self, slot):
+        state, _, _ = self.stepped("adam")
+        name = sorted(state.params)[0]
+        slots = dict(state.opt_state)
+        if slot == "missing":
+            del slots[f"{name}/v"]
+        elif slot == "misshaped":
+            slots[f"{name}/v"] = Tensor(np.zeros(3, np.float32))
+        else:  # a slot of no parameter
+            slots["nowhere/v"] = Tensor(np.zeros(3, np.float32))
+        with pytest.raises(TR.TrainError, match=r"the optimizer state does not hold "
+                                                r"the slots \('m', 'v'\) of every"):
+            dataclasses.replace(state, opt_state=slots)
 
     def test_slots_of_another_kind_refused(self):
-        state, contract, _ = self.stepped("sgd_momentum")
-        opt = TR.OptimizerSpec(kind="adam", lr=0.1)
-        with pytest.raises(TR.TrainError, match="does not hold the slots"):
-            TR.train_step(state, [toy_batch()], TR.Topology(1, 1), contract, opt)
+        # a state made for one optimizer kind, stepped under each other one
+        for built_for, run_as in itertools.permutations(sorted(TR._SLOTS), 2):
+            state, contract, _ = self.stepped(built_for, steps=0)
+            opt = TR.OptimizerSpec(kind=run_as, lr=0.1)
+            with pytest.raises(TR.TrainError) as e:
+                TR.train_step(state, [toy_batch()], TR.Topology(1, 1), contract, opt)
+            assert str(e.value) == (f"the optimizer state holds the slots "
+                                    f"{TR._SLOTS[built_for]}, but {run_as} keeps "
+                                    f"{TR._SLOTS[run_as]}")
 
 
 def nan_gradient(x):
@@ -1104,6 +1205,22 @@ class TestResume:
             f.write(raw[:len(raw) // 2])
         TR.run_trainer("classification", self.config(), split, seed=3)
         self.assert_same_files(full, split, ["metrics.jsonl", "ckpt_10.bin"])
+
+    def test_bytes_after_the_newest_checkpoint_fall_back_to_older(self, tmp_path):
+        # interrupted at step 10 of 15, with one byte appended to ckpt_10
+        full = str(tmp_path / "full")
+        TR.run_trainer("classification", self.config(total_steps=15), full, seed=3)
+        split = str(tmp_path / "split")
+        TR.run_trainer("classification", self.config(total_steps=10), split, seed=3)
+        newest = os.path.join(split, "ckpt_10.bin")
+        with open(newest, "ab") as f:
+            f.write(b"\0")
+        with pytest.raises(CK.CheckpointError,
+                           match=r"ckpt_10.bin: 1 bytes after the last payload$"):
+            CK.load_checkpoint(newest)
+        TR.run_trainer("classification", self.config(total_steps=15), split, seed=3)
+        self.assert_same_files(full, split, ["metrics.jsonl", "ckpt_5.bin",
+                                             "ckpt_10.bin", "ckpt_15.bin"])
 
     def test_newest_checkpoint_name_on_a_directory_falls_back_to_older(
             self, tmp_path):
