@@ -58,7 +58,7 @@ def shard_indices(n: int, shard: ShardSpec) -> np.ndarray:
     """Contiguous block of example indices owned by this host.
 
     Host h of H gets [floor(n*h/H), floor(n*(h+1)/H)); blocks are
-    disjoint and cover [0, n).
+    disjoint, non-empty and cover [0, n).
     """
     if n < shard.host_count:
         raise DatasetError(f"{n} examples cannot be split over {shard.host_count} hosts")
@@ -263,8 +263,6 @@ def build_dataset(name: str, shard: ShardSpec, seed: R.RngKey,
 
     train_idx = shard_indices(n_train, shard)
     eval_idx = shard_indices(n_eval, shard)
-    if len(train_idx) == 0 or len(eval_idx) == 0:
-        raise DatasetError(f"host {shard.host_id} received an empty shard")
     if shard.host_batch > len(train_idx):
         raise DatasetError(
             f"host batch {shard.host_batch} exceeds shard size {len(train_idx)}")

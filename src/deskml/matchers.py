@@ -5,7 +5,8 @@ prediction slots, n <= m):
 
 * ``hungarian`` — exact minimum-cost assignment (Jonker-Volgenant style
   augmenting shortest paths, O(n^2 m)), with a deterministic
-  lexicographic tie-break among optima.
+  lexicographic tie-break among optima that re-solves only at tight
+  edges off the JV assignment.
 * ``sinkhorn_match`` — entropy-regularized soft plan via log-domain
   Sinkhorn iterations, rounded to a hard assignment by an exact solve
   on the log-plan.
@@ -115,39 +116,23 @@ def _cost(rows: list, cols: list) -> float:
     return sum(picked) if len(picked) < 8 else float(np.sum(picked))
 
 
-def _only_jv_tight(rows: list, u: list, v: list, jv: list, bound: float) -> bool:
-    """Whether each row's only edge of reduced cost ``c - u - v`` at most
-    ``bound`` is its JV column."""
-    for row, ui, c in zip(rows, u, jv):
-        j = 0
-        for x, vj in zip(row, v):
-            if x - ui - vj <= bound and j != c:
-                return False
-            j += 1
-    return True
-
-
 def hungarian(costs) -> Assignment:
     """Exact minimum-cost assignment.
 
     Among all optimal assignments, returns the lexicographically
     smallest row_to_col vector, so results are deterministic even under
-    cost ties.
+    cost ties. One JV solve gives an optimum and its duals; then each
+    row in turn takes the smallest free column that still completes an
+    optimum. A column the duals rule out is skipped, JV's own column is
+    taken while the rows before it took theirs, and any other column is
+    tested by a JV solve of the rows after it. When each row's only
+    tight edge is its JV column, no solve follows the first.
     """
     costs = _validate(costs)
     n, m = costs.shape
     rows = costs.tolist()
     jv, u, v = _jv(rows, m)
     tol = 1e-9 * max(1.0, max([abs(x) for row in rows for x in row])) * n
-    # Any assignment costs the optimum plus at least the reduced costs
-    # c - u - v of its edges (the duals are feasible, v <= 0, and v is 0
-    # off the optimum), so an edge whose reduced cost exceeds the
-    # tolerance lies on no optimal assignment. Twice the tolerance
-    # leaves room for rounding in u and v; a tight edge is solved below,
-    # unless each row's only one is its JV column: then the JV optimum
-    # is the only one.
-    if _only_jv_tight(rows, u, v, jv, 2 * tol):
-        return Assignment(row_to_col=tuple(jv), total_cost=_cost(rows, jv))
 
     # Fix rows in order to the smallest column that still admits an
     # optimal completion of the remaining subproblem. While the prefix
@@ -159,10 +144,13 @@ def hungarian(costs) -> Assignment:
     for i, row in enumerate(rows):
         for c in free_cols:
             sub_budget = remaining - row[c]
-            if i == n - 1:
-                if abs(sub_budget) > tol:
-                    continue
-            elif not (on_jv and c == jv[i]):
+            if not (on_jv and c == jv[i]):
+                # Any assignment costs the optimum plus at least the
+                # reduced costs c - u - v of its edges (the duals are
+                # feasible, v <= 0, and v is 0 off the optimum), so an
+                # edge whose reduced cost exceeds the tolerance lies on no
+                # optimal assignment; twice it leaves room for rounding in
+                # u and v.
                 if row[c] - u[i] - v[c] > 2 * tol:
                     continue
                 sub = [[r[cc] for cc in free_cols if cc != c] for r in rows[i + 1:]]

@@ -412,6 +412,8 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
 def tmean(a, axis=None, keepdims=False) -> Tensor:
     (a,) = _floats("tmean", a)
     axes = axis if isinstance(axis, tuple) else (axis,)
+    if axis is not None and not all(-a.ndim <= ax < a.ndim for ax in axes):
+        raise ValueError(f"tmean: axis {axis} is out of range for shape {a.shape}")
     n = a.size if axis is None else math.prod(a.shape[ax] for ax in axes)
     if n == 0:
         raise ValueError(f"tmean: no entries to average over axis {axis} of shape {a.shape}")
@@ -552,6 +554,8 @@ def concat(tensors, axis=0) -> Tensor:
     if not tensors:
         raise ValueError("concat needs at least one tensor")
     tensors = _operands("concat", *tensors)
+    if not -tensors[0].ndim <= axis < tensors[0].ndim:
+        raise ValueError(f"concat: axis {axis} is out of range for shape {tensors[0].shape}")
     sizes = [t.shape[axis] for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=axis)
     offsets = np.cumsum([0] + sizes)
@@ -688,6 +692,8 @@ def max_pool2d(a, size: int = 2) -> Tensor:
     (a,) = _operands("max_pool2d", a)
     if size < 1:
         raise ValueError(f"max_pool2d: size must be at least 1, got {size}")
+    if a.ndim != 4:
+        raise ValueError(f"max_pool2d expects x[b,H,W,C], got shape {a.shape}")
     b, h, w, c = a.shape
     if h % size or w % size:
         raise ValueError(f"max_pool2d: spatial dims {h}x{w} not divisible by {size}")
@@ -716,6 +722,8 @@ def upsample_nearest2d(a, factor: int = 2) -> Tensor:
     (a,) = _operands("upsample_nearest2d", a)
     if factor < 1:
         raise ValueError(f"upsample_nearest2d: factor must be at least 1, got {factor}")
+    if a.ndim != 4:
+        raise ValueError(f"upsample_nearest2d expects x[b,H,W,C], got shape {a.shape}")
     out = np.repeat(np.repeat(a.data, factor, axis=1), factor, axis=2)
 
     def backward(g):

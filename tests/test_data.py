@@ -31,9 +31,9 @@ class TestShardIndices:
             with pytest.raises(D.DatasetError):
                 D.shard_indices(n, spec(0, hosts=hosts))
             return
-        seen = np.concatenate(
-            [D.shard_indices(n, spec(h, hosts=hosts)) for h in range(hosts)])
-        assert np.array_equal(seen, np.arange(n))
+        blocks = [D.shard_indices(n, spec(h, hosts=hosts)) for h in range(hosts)]
+        assert all(len(b) for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), np.arange(n))
 
     def test_bad_host_id(self):
         with pytest.raises(D.DatasetError):

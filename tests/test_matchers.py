@@ -131,6 +131,33 @@ class TestHungarian:
         assert M.hungarian(np.array([[0.0, 0.0], [0.0, 1.0]])).row_to_col == (1, 0)
         assert len(solves) == 2
 
+        # DETR's shape: 1-3 targets over 8 query slots, uniform costs,
+        # and matrices where rows 0 and 1 both reach column 0 at cost 0
+        # and row 0 reaches column 1 too, so the tight edge (0, 0) lies
+        # on no optimum
+        cases = [(R.uniform(R.RngKey.from_seed(1300 + s), (1 + s % 3, 8)), False)
+                 for s in range(48)]
+        for s in range(6):
+            c = R.uniform(R.RngKey.from_seed(1400 + s), (2 + s % 2, 8)) * 0.5 + 0.5
+            c[0, :2] = c[1, 0] = 0.0
+            cases.append((c, True))
+        one_solve = 0
+        for costs, off_optimum_tight in cases:
+            n = len(costs)
+            row_to_col, u, v = M._solve_jv(costs)
+            tight = costs - u[:, None] - v[None, :] <= 2e-9 * max(1.0, np.abs(costs).max()) * n
+            only_jv_tight = (tight.sum(1) == 1).all() and tight[np.arange(n), row_to_col].all()
+            want = reference_hungarian(costs)
+            solves.clear()
+            assert M.hungarian(costs) == want
+            if only_jv_tight:
+                assert len(solves) == 1
+                one_solve += 1
+            if off_optimum_tight:
+                assert not only_jv_tight and len(solves) > 1
+        # both kinds of matrix are in the sweep
+        assert 30 <= one_solve <= 48
+
     @pytest.mark.parametrize("seed", range(10))
     def test_negative_costs(self, seed):
         costs = np.floor(R.uniform(R.RngKey.from_seed(300 + seed), (3, 4)) * 3.0) - 2.0

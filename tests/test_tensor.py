@@ -645,6 +645,12 @@ class TestShapeOps:
         with pytest.raises(ValueError, match=r"^concat needs at least one tensor"):
             T.concat([])
 
+    @pytest.mark.parametrize("axis", [3, -4])
+    def test_concat_axis_out_of_range_refused(self, axis):
+        y = T.zeros((2, 3, 4))
+        with pytest.raises(ValueError, match=r"^concat: axis .* out of range"):
+            T.concat([y, y], axis=axis)
+
     @pytest.mark.parametrize("axis", [0, 1, 3, -1])
     def test_concat_grad_is_the_gathered_slice(self, axis):
         keys = R.split(R.RngKey.from_seed(61), 4)
@@ -690,6 +696,11 @@ class TestShapeOps:
         np.testing.assert_allclose(out.data, x.data.mean((1, 2), keepdims=keepdims),
                                    rtol=1e-12)
         check_grads(lambda p: T.tsum(T.tmean(p["x"], axis=(0, 2)) ** 2.0), {"x": x})
+
+    @pytest.mark.parametrize("axis", [3, -4, (0, 3), (-4, 1)])
+    def test_mean_axis_out_of_range_refused(self, axis):
+        with pytest.raises(ValueError, match=r"^tmean: axis .* out of range"):
+            T.tmean(T.zeros((2, 3, 4)), axis=axis)
 
 
 class TestSpatialOps:
@@ -906,6 +917,13 @@ class TestSpatialOps:
         for stride in (0, -1):
             with pytest.raises(ValueError, match="stride must be at least 1"):
                 T.conv2d(x, k, stride=stride)
+
+    @pytest.mark.parametrize("op", [T.max_pool2d, T.upsample_nearest2d])
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 4, 4), (1, 2, 4, 4, 2)],
+                             ids=["2d", "3d", "5d"])
+    def test_ranks_other_than_four_refused(self, op, shape):
+        with pytest.raises(ValueError, match=rf"^{op.__name__} expects x\[b,H,W,C\]"):
+            op(T.zeros(shape))
 
     def test_upsample_inverse_of_pool_shapes(self):
         x = rand(R.RngKey.from_seed(20), (2, 3, 3, 4))
